@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload train --seed 0 --seconds 25 --trace 0
-    python3 perfbench/run.py --workload all --seed 0 --seconds 25
+    python3 perfbench/run.py --workload train --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 0 --seconds 20
 
 Each workload is one closed-loop client in one process: the next op
 starts when the previous one ends. `--trace 0` reports the end-to-end
@@ -15,6 +15,10 @@ standard output is one JSON object with the keys `correct`, `attempted`,
 `.perfbench/` under the repository root. Exit code 0 means every op and
 check passed, 1 that some correctness check failed, 2 that the benchmark
 could not run.
+
+The gated timings (`--trace 0`) are scaled to a reference machine speed
+with the speed probes (`speed.py`) run between ops and after each set-up
+process; the wall-clock values are printed and stored next to them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import subprocess
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from tracing import ROOT as ROOT_SPAN
@@ -43,7 +47,9 @@ OUT_DIR = ROOT / ".perfbench"
 # comparison, doubled the run-to-run spread.
 BLAS_THREADS = "1"
 WORKLOAD_NAMES = ("train", "eval", "strict-train", "gradcheck")
-SETUP_REPEATS = 3  # set-up processes before and again after the timed phase
+SETUP_REPEATS = 8  # set-up processes before and again after the timed phase
+PROBE_SHARE = 0.03  # share of a timed phase spent on speed probes, between ops
+SETUP_PROBES = 5  # speed probes after each set-up process
 TAIL_BEYOND = 10  # samples that must lie beyond the reported tail percentile
 FLOP_SCOPES = ("local", "global", "broadcast_proj", "broadcast_attn", "proj", "ffn",
                "others", "uncategorized")
@@ -63,13 +69,19 @@ class BenchError(RuntimeError):
 def pin_environment():
     """Fix BLAS threads before numpy loads; child processes inherit it.
 
-    Bytecode is never written, so every run compiles the sources afresh
-    and set-up time does not depend on what an earlier run left behind.
+    Bytecode is read from and written to `.perfbench/pycache` only, never
+    to a `__pycache__` beside the sources, so set-up time does not depend
+    on whether a test run or an older checkout left compiled files there.
+    `measure` fills that cache with one untimed set-up process before it
+    samples set-up time.
     """
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = BLAS_THREADS
-    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
-    sys.dont_write_bytecode = True
+    prefix = str(OUT_DIR / "pycache")
+    os.environ["PYTHONPYCACHEPREFIX"] = prefix
+    os.environ.pop("PYTHONDONTWRITEBYTECODE", None)
+    sys.pycache_prefix = prefix
+    sys.dont_write_bytecode = False
 
 
 def import_program():
@@ -93,6 +105,7 @@ class Phase:
     failed: int
     wall: float     # seconds from the first op's start to the last op's end
     tokens: int
+    probes: list = field(default_factory=list)  # seconds of each speed probe
 
     @property
     def tokens_per_s(self):
@@ -104,9 +117,13 @@ def run_phase(workload, seconds, tracer=None):
 
     With a tracer each op is a root span and the phase ends on a whole
     multiple of the workload's `round_ops`, so per-op counts are exact.
+    Without one, the machine's speed is probed between ops, for about
+    PROBE_SHARE of the phase's time; the probes are not part of `wall`.
     An op that raises counts as failed; the first traceback is printed.
     """
-    times, failed = [], 0
+    import speed
+
+    times, failed, probes = [], 0, []
 
     def checked_op():
         nonlocal failed
@@ -118,7 +135,7 @@ def run_phase(workload, seconds, tracer=None):
             ok = False
         failed += not ok
 
-    start = time.perf_counter()
+    start, probed = time.perf_counter(), 0.0
     while True:
         if tracer is None:
             t0 = time.perf_counter()
@@ -126,11 +143,16 @@ def run_phase(workload, seconds, tracer=None):
             times.append(time.perf_counter() - t0)
         else:
             times.append(tracer.run_op(checked_op)[1])
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start - probed
         # stop where one more op of average length would end past the budget
-        if (elapsed * (len(times) + 1) / len(times) > seconds
-                and (tracer is None or len(times) % workload.round_ops == 0)):
-            return Phase(times, failed, elapsed, len(times) * workload.tokens_per_op)
+        done = (elapsed * (len(times) + 1) / len(times) > seconds
+                and (tracer is None or len(times) % workload.round_ops == 0))
+        while tracer is None and (not probes or probed < PROBE_SHARE * elapsed):
+            t0 = time.perf_counter()
+            probes.append(speed.probe())
+            probed += time.perf_counter() - t0
+        if done:
+            return Phase(times, failed, elapsed, len(times) * workload.tokens_per_op, probes)
 
 
 def tail(times):
@@ -143,21 +165,31 @@ def tail(times):
     return 1000.0 * value, 100.0 * (n - TAIL_BEYOND) / n, n
 
 
-def setup_seconds(args):
-    """Wall times from process start to ready, over fresh processes."""
+def setup_process(args):
+    """Wall seconds from starting a fresh set-up process to its "ready"."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
            "--seed", str(args.seed), "--setup-only"]
-    samples = []
+    t0 = time.perf_counter()
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, cwd=ROOT) as proc:
+        line = proc.stdout.readline()
+        wall = time.perf_counter() - t0
+        proc.stdout.read()
+        code = proc.wait(timeout=120)
+    if code != 0 or line.strip() != "ready":
+        raise BenchError(f"set-up process for {args.workload} exited with {code}")
+    return wall
+
+
+def setup_seconds(args):
+    """Wall seconds of SETUP_REPEATS set-up processes, and the speed
+    probes run after each."""
+    import speed
+
+    samples, probes = [], []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        with subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, cwd=ROOT) as proc:
-            line = proc.stdout.readline()
-            samples.append(time.perf_counter() - t0)
-            proc.stdout.read()
-            code = proc.wait(timeout=120)
-        if code != 0 or line.strip() != "ready":
-            raise BenchError(f"set-up process for {args.workload} exited with {code}")
-    return samples
+        samples.append(setup_process(args))
+        probes += [speed.probe() for _ in range(SETUP_PROBES)]
+    return samples, probes
 
 
 def peak_rss_mb():
@@ -188,13 +220,23 @@ def environment():
 # the two kinds of run
 
 
-def end_to_end(phase, setup):
-    return {
+def end_to_end(phase, setup, probes):
+    """Gated metrics at the reference speed, and the same timings in wall clock."""
+    import speed
+
+    wall = {
         "tokens_per_s": (phase.tokens_per_s, "tokens/s"),
         "op_ms_p50": (1000.0 * statistics.median(phase.times), "ms"),
-        "setup_s": (setup, "s"),
+        "setup_s": (statistics.median(setup), "s"),
+    }
+    factor = speed.scale(probes)
+    metrics = {
+        "tokens_per_s": (wall["tokens_per_s"][0] / factor, "tokens/s"),
+        "op_ms_p50": (wall["op_ms_p50"][0] * factor, "ms"),
+        "setup_s": (wall["setup_s"][0] * factor, "s"),
         "peak_rss_mb": (peak_rss_mb(), "MB"),
     }
+    return metrics, wall
 
 
 def warm_up_phase(workload):
@@ -275,13 +317,20 @@ def measure(args, workload):
     whose op times the result reports.
     """
     if not args.trace:
+        setup_process(args)  # untimed: fills the bytecode cache
         # set-up is sampled on both sides of the timed phase, so that a slow
         # spell of the machine during one of them moves the median less
-        before = setup_seconds(args)
+        samples, probes = setup_seconds(args)
         phase = run_phase(workload, args.seconds)
-        samples = before + setup_seconds(args)
-        metrics = end_to_end(phase, statistics.median(samples))
-        return metrics, [phase], {"setup_s_samples": samples}
+        after, after_probes = setup_seconds(args)
+        samples += after
+        probes += phase.probes + after_probes
+        metrics, wall = end_to_end(phase, samples, probes)
+        return metrics, [phase], {
+            "wall_clock": {name: {"value": v, "unit": u} for name, (v, u) in wall.items()},
+            "probe_ms": [1000.0 * p for p in probes],
+            "setup_s_samples": samples,
+        }
 
     twin = workload.half_length()
     share = 0.4 if twin is not None else 0.5
@@ -350,6 +399,11 @@ def run_one(args):
     if tail_info and not args.trace:
         lines.append(f"op_ms_tail  {tail_info[0]:.6f} ms at p{tail_info[1]:.2f} "
                      f"of {tail_info[2]} ops (ungated; traced runs report it)")
+    if not args.trace:
+        lines.append("wall clock  " + ", ".join(
+            f"{name} {entry['value']:.6f} {entry['unit']}"
+            for name, entry in record["wall_clock"].items()))
+        lines.append(f"speed probe {statistics.median(record['probe_ms']):.4f} ms median")
     lines += [f"check {name}: {'pass' if ok else 'FAIL'}" for name, ok in checks.items()]
     print_table(f"{args.workload} seed={args.seed} trace={args.trace}", metrics, lines)
     if args.trace:
@@ -413,7 +467,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES + ("all",))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
