@@ -36,26 +36,19 @@ from .config import SCOPE_PRECEDING, HiCIConfig
 from .tensor import (
     ShapeError,
     Tensor,
-    concat_cols,
+    attention,
     concat_rows,
     flop_scope,
     l2_normalize,
     layer_norm,
     matmul,
-    matmul_nt,
-    max_rows,
-    mean_rows,
-    min_rows,
-    mul_const,
     no_grad,
     parameter,
+    reduce_stats,
     reshape,
     scale,
-    slice_cols,
     slice_rows,
-    softmax_rows,
     softplus,
-    std_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -186,14 +179,17 @@ class AttnMassAccumulator:
         self.mass = np.zeros((n_heads, 3))
         self.n_queries = np.zeros(n_heads)
 
-    def record(self, head, probs, n_global, n_local):
+    def record(self, probs, n_global, n_local):
+        """Add probabilities of shape (segments, heads, queries, keys)."""
         # fsum is exactly rounded, so the uniform-probe baseline comes out
         # as the correctly rounded K/(K+M+S) rather than one ulp off
         ctx = n_global + n_local
-        self.mass[head, 0] += math.fsum(probs[:, :n_global].ravel())
-        self.mass[head, 1] += math.fsum(probs[:, n_global:ctx].ravel())
-        self.mass[head, 2] += math.fsum(probs[:, ctx:].ravel())
-        self.n_queries[head] += probs.shape[0]
+        for seg in probs:
+            for head, p in enumerate(seg):
+                self.mass[head, 0] += math.fsum(p[:, :n_global].ravel())
+                self.mass[head, 1] += math.fsum(p[:, n_global:ctx].ravel())
+                self.mass[head, 2] += math.fsum(p[:, ctx:].ravel())
+                self.n_queries[head] += p.shape[0]
 
     def records(self, layer=0):
         out = []
@@ -216,54 +212,38 @@ class AttnMassAccumulator:
 
 
 def partition(x, seg_len):
-    """Split T x d into T/S contiguous S x d segments, order preserved."""
-    x_rows = x.data.shape[0]
+    """View T x d as N = T/S contiguous segments, shape (N, S, d)."""
+    x_rows, d = x.data.shape
     if x_rows % seg_len != 0:
         raise ShapeError(
             f"sequence length T={x_rows} is not divisible by segment length S={seg_len}")
-    return [slice_rows(x, i * seg_len, (i + 1) * seg_len)
-            for i in range(x_rows // seg_len)]
+    return reshape(x, (x_rows // seg_len, seg_len, d))
 
 
-def _mha(q, k, v, n_heads, visible=None, uniform_probe=False, mass=None, regions=(0, 0)):
-    """Multi-head scaled dot-product attention, heads split contiguously.
+def _stacked(t):
+    """One (rows, w) block or a stack (N, rows, w), as a stack."""
+    return t if t.data.ndim == 3 else reshape(t, (1,) + t.data.shape)
 
-    Scale is 1/sqrt(per-head width). No output projection; callers add
-    their own where the architecture has one. `uniform_probe` replaces
-    the attention logits with zeros (uniform over visible positions),
-    a diagnostic switch for exact attention-mass baselines.
-    """
-    width = q.data.shape[1]
-    if width % n_heads != 0:
-        raise ShapeError(f"attention width {width} not divisible by {n_heads} heads")
-    dk = width // n_heads
-    inv_scale = 1.0 / math.sqrt(dk)
-    outs = []
-    for h in range(n_heads):
-        qh = slice_cols(q, h * dk, (h + 1) * dk)
-        kh = slice_cols(k, h * dk, (h + 1) * dk)
-        vh = slice_cols(v, h * dk, (h + 1) * dk)
-        if uniform_probe:
-            logits = Tensor(np.zeros((q.data.shape[0], k.data.shape[0])))
-        else:
-            logits = mul_const(matmul_nt(qh, kh), inv_scale)
-        probs = softmax_rows(logits, visible)
-        if mass is not None:
-            mass.record(h, probs.data, regions[0], regions[1])
-        outs.append(matmul(probs, vh))
-    return concat_cols(outs) if n_heads > 1 else outs[0]
+
+def _segment_stack(x_seg, cfg, where):
+    """Check one S x d segment or a stack of them; return it as (N, S, d)."""
+    if x_seg.data.ndim not in (2, 3) or x_seg.data.shape[-2:] != (cfg.S, cfg.d):
+        raise ShapeError(
+            f"{where}: segment shape {x_seg.data.shape} vs expected ({cfg.S}, {cfg.d})")
+    return _stacked(x_seg)
 
 
 def local_construct(x_seg, p: LocalParams, cfg: HiCIConfig):
-    """Compress one S x d segment into M x d via bottleneck cross-attention."""
-    if x_seg.data.shape != (cfg.S, cfg.d):
-        raise ShapeError(
-            f"local_construct: segment shape {x_seg.data.shape} vs expected ({cfg.S}, {cfg.d})")
-    q = matmul(p.slots, p.w_q)
-    k = matmul(x_seg, p.w_k)
-    v = matmul(x_seg, p.w_v)
-    attended = _mha(q, k, v, cfg.H)
-    return matmul(attended, p.w_o)
+    """Compress S x d segments into M x d each via bottleneck cross-attention.
+
+    `x_seg` is one segment (S, d) or a stack (N, S, d); the result keeps
+    the leading shape with M rows per segment.
+    """
+    x = _segment_stack(x_seg, cfg, "local_construct")
+    n = x.data.shape[0]
+    q = reshape(matmul(concat_rows([p.slots] * n), p.w_q), (n, cfg.M, cfg.d_b))
+    attended = attention(q, matmul(x, p.w_k), matmul(x, p.w_v), cfg.H)
+    return reshape(matmul(attended, p.w_o), x_seg.data.shape[:-2] + (cfg.M, cfg.d))
 
 
 def pooled_stats(l_rows):
@@ -273,32 +253,28 @@ def pooled_stats(l_rows):
     mean. Exact-summation reductions make the outcome independent of row
     order, so any permutation of segments leaves the pool bit-identical.
     """
-    mean = mean_rows(l_rows)
-    mx = max_rows(l_rows)
-    mn = min_rows(l_rows)
-    sd = std_rows(l_rows)
-    direction = l2_normalize(mean)
+    mean, mx, mn, sd = reduce_stats(l_rows)
     d = l_rows.data.shape[1]
-    return concat_rows([reshape(t, (1, d)) for t in (mean, mx, mn, sd, direction)])
+    return concat_rows([reshape(t, (1, d)) for t in (mean, mx, mn, sd, l2_normalize(mean))])
 
 
 def integrate_global(l_list, p: GlobalParams, cfg: HiCIConfig, gate_override=None):
     """Pool local representations into the K x d global context.
 
+    `l_list` holds blocks of local slots, (M, d) per segment or (N, M, d)
+    for N segments; all their rows are pooled together.
     `gate_override` (diagnostic) bypasses the learned softplus gate with
     a fixed scalar so gate linearity can be checked in isolation.
     """
     if not l_list:
         raise ValueError("integrate_global needs at least one segment of local slots")
-    l_cat = concat_rows(l_list)
-    z = pooled_stats(l_cat)
+    z = pooled_stats(reshape(concat_rows(l_list), (-1, cfg.d)))
     z1 = layer_norm(matmul(z, p.compress_w1), p.compress_g1, p.compress_b1, cfg.ln_eps)
-    z2 = layer_norm(matmul(z1, p.compress_w2), p.compress_g2, p.compress_b2, cfg.ln_eps)
+    z2 = reshape(layer_norm(matmul(z1, p.compress_w2), p.compress_g2, p.compress_b2,
+                            cfg.ln_eps), (1, 5, cfg.d_b))
     q = matmul(p.queries, p.w_q)
-    k = matmul(z2, p.w_k)
-    v = matmul(z2, p.w_v)
-    selected = matmul(_mha(q, k, v, cfg.H), p.w_o)
-    expanded = matmul(selected, p.expand)
+    selected = attention(q, matmul(z2, p.w_k), matmul(z2, p.w_v), cfg.H)
+    expanded = matmul(matmul(reshape(selected, (cfg.K, cfg.d_b)), p.w_o), p.expand)
     gate = softplus(p.gate_raw) if gate_override is None else Tensor([float(gate_override)])
     return scale(expanded, gate)
 
@@ -312,37 +288,40 @@ def _segment_visibility(n_ctx, seg_len):
 
 def broadcast(x_seg, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig,
               mass=None, uniform_probe=False):
-    """Context-conditioned update of one segment.
+    """Context-conditioned update of each segment.
 
     Keys/values come from [G; L; X_i] (absent blocks are skipped), queries
     from the segment tokens only; H heads of width d/H under one softmax
     across all visible positions; no output projection. With the causal
     mask a query at offset t sees every context position but only segment
-    positions <= t.
+    positions <= t. `x_seg` is one segment (S, d) with (K, d) / (M, d)
+    context blocks, or a stack (N, S, d) with (N, K, d) / (N, M, d)
+    blocks; the result has the shape of `x_seg`.
     """
-    if x_seg.data.shape != (cfg.S, cfg.d):
-        raise ShapeError(
-            f"broadcast: segment shape {x_seg.data.shape} vs expected ({cfg.S}, {cfg.d})")
-    parts = [t for t in (g_ctx, l_ctx) if t is not None]
-    n_global = g_ctx.data.shape[0] if g_ctx is not None else 0
-    n_local = l_ctx.data.shape[0] if l_ctx is not None else 0
-    aug = concat_rows(parts + [x_seg]) if parts else x_seg
+    x = _segment_stack(x_seg, cfg, "broadcast")
+    ctx = [_stacked(t) for t in (g_ctx, l_ctx) if t is not None]
+    n_global = g_ctx.data.shape[-2] if g_ctx is not None else 0
+    n_local = l_ctx.data.shape[-2] if l_ctx is not None else 0
+    aug = concat_rows(ctx + [x], axis=1) if ctx else x
     with flop_scope("broadcast_proj"):
-        q = matmul(x_seg, p.w_q)
+        q = matmul(x, p.w_q)
         k = matmul(aug, p.w_k)
         v = matmul(aug, p.w_v)
     visible = (_segment_visibility(n_global + n_local, cfg.S)
                if cfg.causal_segment_mask else None)
+    probe = None if mass is None else (lambda probs: mass.record(probs, n_global, n_local))
     with flop_scope("broadcast_attn"):
-        return _mha(q, k, v, cfg.H, visible=visible, uniform_probe=uniform_probe,
-                    mass=mass, regions=(n_global, n_local))
+        out = attention(q, k, v, cfg.H, visible=visible, uniform_probe=uniform_probe,
+                        probe=probe)
+    return out if x_seg.data.ndim == 3 else reshape(out, x_seg.data.shape)
 
 
 def hici_forward(x, params: HiCIParams, cfg: HiCIConfig,
                  mass=None, uniform_probe=False):
-    """Full three-stage pass: T x d in, T x d out, T divisible by S.
+    """Full three-stage pass: T x d in, T x d out, T a positive multiple of S.
 
-    With global_scope='all_segments' one shared G pools every segment and
+    Each stage builds its graph once over all N segments. With
+    global_scope='all_segments' one shared G pools every segment and
     each segment's own L_i sits in its context. The strictly causal
     'preceding_segments' scope gives segment i a G pooled from segments
     < i and the local block L_{i-1}; segment 0 receives zeros for both.
@@ -350,37 +329,32 @@ def hici_forward(x, params: HiCIParams, cfg: HiCIConfig,
     cfg.validate()
     if x.data.ndim != 2 or x.data.shape[1] != cfg.d:
         raise ShapeError(f"hici_forward: input shape {x.data.shape} vs width d={cfg.d}")
+    if x.data.shape[0] == 0:
+        raise ShapeError("hici_forward: empty input sequence (T=0)")
     segments = partition(x, cfg.S)
-    n_seg = len(segments)
+    n_seg = segments.data.shape[0]
+    strict = cfg.global_scope == SCOPE_PRECEDING
 
-    l_list = None
+    l_ctx = g_ctx = None
     if cfg.M > 0:
         with flop_scope("local"):
-            l_list = [local_construct(s, params.local, cfg) for s in segments]
-
-    g_for_seg = [None] * n_seg
-    l_for_seg = [None] * n_seg
-    if cfg.M > 0:
-        if cfg.global_scope == SCOPE_PRECEDING:
-            zeros_l = Tensor(np.zeros((cfg.M, cfg.d)))
-            l_for_seg = [zeros_l] + l_list[:-1]
-        else:
-            l_for_seg = l_list
+            l_ctx = local_construct(segments, params.local, cfg)
     if cfg.K > 0:
         with flop_scope("global"):
-            if cfg.global_scope == SCOPE_PRECEDING:
-                zeros_g = Tensor(np.zeros((cfg.K, cfg.d)))
-                g_for_seg = [zeros_g] + [
-                    integrate_global(l_list[:i], params.global_, cfg)
+            if strict:
+                g_list = [Tensor(np.zeros((cfg.K, cfg.d)))] + [
+                    integrate_global([slice_rows(l_ctx, 0, i)], params.global_, cfg)
                     for i in range(1, n_seg)]
             else:
-                shared = integrate_global(l_list, params.global_, cfg)
-                g_for_seg = [shared] * n_seg
+                g_list = [integrate_global([l_ctx], params.global_, cfg)] * n_seg
+        g_ctx = reshape(concat_rows(g_list), (n_seg, cfg.K, cfg.d))
+    if strict and l_ctx is not None:
+        zeros_l = Tensor(np.zeros((1, cfg.M, cfg.d)))
+        l_ctx = concat_rows([zeros_l, slice_rows(l_ctx, 0, n_seg - 1)])
 
-    outs = [broadcast(seg, l_for_seg[i], g_for_seg[i], params.broadcast, cfg,
-                      mass=mass, uniform_probe=uniform_probe)
-            for i, seg in enumerate(segments)]
-    return concat_rows(outs) if n_seg > 1 else outs[0]
+    out = broadcast(segments, l_ctx, g_ctx, params.broadcast, cfg,
+                    mass=mass, uniform_probe=uniform_probe)
+    return reshape(out, x.data.shape)
 
 
 def collect_attn_mass(x, params: HiCIParams, cfg: HiCIConfig,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import HiCIParams, hici_forward, init_hici_params, named_tensors
+from .attention import HiCIParams, _xavier, hici_forward, init_hici_params, named_tensors
 from .config import SCOPE_ALL, ConfigError, HostConfig, config_to_dict, host_config_from_dict
 from .serialize import load_tensors, save_tensors
 from .tensor import (
@@ -34,6 +34,7 @@ from .tensor import (
     grad_or_zero,
     layer_norm,
     matmul,
+    nll_rows,
     no_grad,
     parameter,
     slice_rows,
@@ -76,11 +77,6 @@ class HostParams:
     final_g: Tensor
     final_b: Tensor
     head: Tensor
-
-
-def _xavier(rng, fan_in, fan_out):
-    a = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
 def init_host_params(cfg: HostConfig, rng) -> HostParams:
@@ -360,11 +356,7 @@ def eval_ppl(params: HostParams, cfg: HostConfig, ids, eval_T, stride, mode="hic
         window = ids[start:start + eval_T]
         with no_grad():
             logits = lm_forward(params, window, cfg, hici_cfg=hc)
-        data = logits.data[:-1]
-        targets = window[1:]
-        m = data.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(data - m).sum(axis=1))
-        nll = lse - data[np.arange(data.shape[0]), targets]
+        nll = nll_rows(logits.data[:-1], window[1:])
         scored = nll if first else nll[-stride:]
         nlls.extend(float(x) for x in scored)
         first = False

@@ -20,6 +20,7 @@ that can tolerate precision loss; compute always happens in f8.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -78,8 +79,26 @@ def load_tensors(prefix):
         raw = fh.read()
     out = {}
     for e in manifest["tensors"]:
-        dt = _DTYPES[e["dtype"]]
-        n = int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1
-        arr = np.frombuffer(raw, dtype=dt, count=n, offset=e["offset"])
-        out[e["name"]] = arr.reshape(e["shape"]).astype(np.float64)
+        where = f"{manifest_path}: tensor {e.get('name')!r}"
+        missing = sorted({"name", "shape", "dtype", "offset", "nbytes"} - set(e))
+        if missing:
+            raise ValueError(f"{where}: manifest entry lacks {', '.join(missing)}")
+        shape, offset = e["shape"], e["offset"]
+        dt = _DTYPES.get(e["dtype"]) if isinstance(e["dtype"], str) else None
+        if dt is None:
+            raise ValueError(f"{where}: unknown dtype {e['dtype']!r}")
+        if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
+            raise ValueError(f"{where}: shape {shape!r} is not a list of non-negative ints")
+        nbytes = math.prod(shape) * dt.itemsize
+        if e["nbytes"] != nbytes:
+            raise ValueError(f"{where}: nbytes {e['nbytes']!r} vs {nbytes} for shape {shape}")
+        if not _is_count(offset) or offset + nbytes > len(raw):
+            raise ValueError(f"{where}: bytes [{offset!r}, +{nbytes}) lie outside the "
+                             f"{len(raw)}-byte blob")
+        arr = np.frombuffer(raw, dtype=dt, count=nbytes // dt.itemsize, offset=offset)
+        out[e["name"]] = arr.reshape(shape).astype(np.float64)
     return out
+
+
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0

@@ -9,6 +9,10 @@ reverse topological order. A graph can be differentiated once; calling
 `backward` a second time without a new forward pass raises instead of
 silently accumulating garbage.
 
+`attention` is the one multi-head attention op: it runs every head of
+B stacked blocks (segments) in a single graph node with a closed-form
+backward, so a module pass builds the same small graph at any length.
+
 Reductions that feed the global statistics (`mean_rows`, `std_rows`) use
 `math.fsum`, which is exactly rounded and therefore invariant to the row
 order of its input. That makes segment-permutation invariance of the
@@ -42,10 +46,6 @@ class GraphError(RuntimeError):
 # gradient mode
 
 _GRAD_MODE = [True]
-
-
-def grad_enabled():
-    return _GRAD_MODE[0]
 
 
 @contextmanager
@@ -186,11 +186,6 @@ def _make(data, parents, backward_fn):
     return out
 
 
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
-
-
 def grad_or_zero(t):
     """Accumulated gradient, or zeros if the tensor never joined a graph."""
     return t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -234,39 +229,22 @@ def backward(loss):
 # primitive ops
 
 def matmul(a, b):
-    """Standard matrix product a[m,k] @ b[k,n]. FLOPs: 2*m*k*n."""
+    """Matrix product a[..., m, k] @ b[k, n]; leading axes of `a` stack blocks.
+
+    FLOPs: 2*m*k*n per block.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    m, k = a.data.shape
-    n = b.data.shape[1]
-    FLOPS.add("matmul", 2 * m * k * n)
+    k, n = b.data.shape
+    FLOPS.add("matmul", 2 * a.data.size * n)
     out = a.data @ b.data
 
     def bwd(g):
         if a.requires_grad:
             a._acc(g @ b.data.T)
         if b.requires_grad:
-            b._acc(a.data.T @ g)
-
-    return _make(out, (a, b), bwd)
-
-
-def matmul_nt(a, b):
-    """a[m,k] @ b[n,k].T, the attention-score product. FLOPs: 2*m*k*n."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise ShapeError(f"matmul_nt: incompatible shapes {a.data.shape} x {b.data.shape}^T")
-    m, k = a.data.shape
-    n = b.data.shape[0]
-    FLOPS.add("matmul", 2 * m * k * n)
-    out = a.data @ b.data.T
-
-    def bwd(g):
-        if a.requires_grad:
-            a._acc(g @ b.data)
-        if b.requires_grad:
-            b._acc(g.T @ a.data)
+            b._acc(a.data.reshape(-1, k).T @ g.reshape(-1, n))
 
     return _make(out, (a, b), bwd)
 
@@ -334,6 +312,26 @@ def scale(a, s):
     return _make(out, (a, s), bwd)
 
 
+def _softmax(a, visible=None):
+    """Softmax over the last axis with max subtraction; masked entries get 0.
+
+    `visible` is an optional boolean mask shaped like the trailing axes
+    of `a`; every row must keep at least one visible entry.
+    """
+    if visible is None:
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+    else:
+        visible = np.asarray(visible, dtype=bool)
+        if visible.shape != a.shape[a.ndim - visible.ndim:]:
+            raise ShapeError(f"softmax: mask shape {visible.shape} vs scores {a.shape}")
+        if not visible.any(axis=-1).all():
+            raise ShapeError("softmax: some row has no visible entry")
+        masked = np.where(visible, a, -np.inf)
+        shifted = masked - masked.max(axis=-1, keepdims=True)
+        e = np.where(visible, np.exp(np.where(visible, shifted, 0.0)), 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(a, visible=None):
     """Row-wise softmax with max subtraction for stability.
 
@@ -346,25 +344,76 @@ def softmax_rows(a, visible=None):
     if a.data.ndim != 2:
         raise ShapeError(f"softmax_rows: need a 2-d tensor, got shape {a.data.shape}")
     FLOPS.add("other", 5 * a.data.size)
-    if visible is None:
-        shifted = a.data - a.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-    else:
-        visible = np.asarray(visible, dtype=bool)
-        if visible.shape != a.data.shape:
-            raise ShapeError(f"softmax_rows: mask shape {visible.shape} vs data {a.data.shape}")
-        if not visible.any(axis=1).all():
-            raise ShapeError("softmax_rows: some row has no visible entry")
-        masked = np.where(visible, a.data, -np.inf)
-        shifted = masked - masked.max(axis=1, keepdims=True)
-        e = np.where(visible, np.exp(np.where(visible, shifted, 0.0)), 0.0)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = _softmax(a.data, visible)
 
     def bwd(g):
         dot = (g * p).sum(axis=1, keepdims=True)
         a._acc(p * (g - dot))
 
     return _make(p, (a,), bwd)
+
+
+def attention(q, k, v, n_heads, visible=None, uniform_probe=False, probe=None):
+    """Multi-head scaled dot-product attention over B stacked blocks.
+
+    `k` and `v` are (B, Lk, W); `q` is (B, Lq, W), or (Lq, W) when every
+    block shares it. Heads split W contiguously into slices of width dk,
+    scores are scaled by 1/sqrt(dk), and the result is (B, Lq, W) with no
+    output projection. `visible` is an optional (Lq, Lk) boolean mask
+    shared by every block and head. Diagnostics: `uniform_probe` sets the
+    scores to zero (uniform over visible positions); `probe` is called
+    with the probabilities, shape (B, n_heads, Lq, Lk).
+
+    Backward is closed form: with dP = dO V^T the score adjoint is
+    P * (dP - rowsum(dP * P)) (Dao et al. 2022). FLOPs per block and head
+    are those of the unfused chain: 4*Lq*Lk*dk matmul (scores and P V)
+    and 6*Lq*Lk other (scaling and softmax).
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (k.data.ndim != 3 or v.data.shape != k.data.shape
+            or q.data.shape[-1] != k.data.shape[2]
+            or q.data.ndim not in (2, 3) or q.data.shape[:-2] not in ((), k.data.shape[:1])):
+        raise ShapeError(
+            f"attention: incompatible q/k/v shapes {q.data.shape} {k.data.shape} {v.data.shape}")
+    n_blocks, n_keys, width = k.data.shape
+    if width % n_heads != 0:
+        raise ShapeError(f"attention width {width} not divisible by {n_heads} heads")
+    dk = width // n_heads
+    n_queries = q.data.shape[-2]
+    n_scores = n_blocks * n_heads * n_queries * n_keys
+    FLOPS.add("matmul", (2 if uniform_probe else 4) * n_scores * dk)
+    FLOPS.add("other", (5 if uniform_probe else 6) * n_scores)
+
+    def split(x):   # (..., L, W) -> (..., H, L, dk), contiguous
+        return np.ascontiguousarray(np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, dk)), -3, -2))
+
+    def merge(x):   # (..., H, L, dk) -> (..., L, W)
+        return np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    inv_scale = 1.0 / math.sqrt(dk)
+    scores = (np.zeros((n_blocks, n_heads, n_queries, n_keys)) if uniform_probe
+              else (qh @ np.swapaxes(kh, -1, -2)) * inv_scale)
+    p = _softmax(scores, visible)
+    if probe is not None:
+        probe(p)
+    out = merge(p @ vh)
+
+    def bwd(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._acc(merge(np.swapaxes(p, -1, -2) @ gh))
+        if uniform_probe or not (q.requires_grad or k.requires_grad):
+            return
+        dp = gh @ np.swapaxes(vh, -1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_scale
+        if q.requires_grad:
+            dq = ds @ kh
+            q._acc(merge(dq if q.data.ndim == 3 else dq.sum(axis=0)))
+        if k.requires_grad:
+            k._acc(merge(np.swapaxes(ds, -1, -2) @ qh))
+
+    return _make(out, (v,) if uniform_probe else (q, k, v), bwd)
 
 
 def layer_norm(a, gain, bias, eps=1e-5):
@@ -554,69 +603,37 @@ def reshape(a, shape):
     return _make(out, (a,), bwd)
 
 
-def concat_rows(tensors):
-    """Stack 2-d tensors along rows; all must share the column count."""
+def concat_rows(tensors, axis=0):
+    """Join tensors along `axis` (rows by default); all other axes must agree."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat_rows: empty input")
-    widths = {t.data.shape[1] for t in tensors}
-    if any(t.data.ndim != 2 for t in tensors) or len(widths) != 1:
-        raise ShapeError(
-            f"concat_rows: incompatible shapes {[t.data.shape for t in tensors]}")
-    out = np.vstack([t.data for t in tensors])
-    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
+    shapes = [t.data.shape for t in tensors]
+    if (len({len(s) for s in shapes}) != 1 or not 0 <= axis < len(shapes[0])
+            or len({s[:axis] + s[axis + 1:] for s in shapes}) != 1):
+        raise ShapeError(f"concat_rows: incompatible shapes {shapes} along axis {axis}")
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [s[axis] for s in shapes])
+    lead = (slice(None),) * axis
 
     def bwd(g):
         for t, i0, i1 in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t._acc(g[i0:i1])
-
-    return _make(out, tuple(tensors), bwd)
-
-
-def concat_cols(tensors):
-    """Stack 2-d tensors along columns (head merge)."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat_cols: empty input")
-    heights = {t.data.shape[0] for t in tensors}
-    if any(t.data.ndim != 2 for t in tensors) or len(heights) != 1:
-        raise ShapeError(
-            f"concat_cols: incompatible shapes {[t.data.shape for t in tensors]}")
-    out = np.hstack([t.data for t in tensors])
-    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-
-    def bwd(g):
-        for t, j0, j1 in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._acc(g[:, j0:j1])
+                t._acc(g[lead + (slice(i0, i1),)])
 
     return _make(out, tuple(tensors), bwd)
 
 
 def slice_rows(a, start, stop):
+    """Rows start:stop along the leading axis (segments of a stack)."""
     a = _as_tensor(a)
-    if a.data.ndim != 2 or not (0 <= start <= stop <= a.data.shape[0]):
+    if a.data.ndim < 1 or not (0 <= start <= stop <= a.data.shape[0]):
         raise ShapeError(f"slice_rows: bad range [{start}:{stop}] for shape {a.data.shape}")
     out = a.data[start:stop]
 
     def bwd(g):
         d = np.zeros_like(a.data)
         d[start:stop] = g
-        a._acc(d)
-
-    return _make(out, (a,), bwd)
-
-
-def slice_cols(a, start, stop):
-    a = _as_tensor(a)
-    if a.data.ndim != 2 or not (0 <= start <= stop <= a.data.shape[1]):
-        raise ShapeError(f"slice_cols: bad range [{start}:{stop}] for shape {a.data.shape}")
-    out = np.ascontiguousarray(a.data[:, start:stop])
-
-    def bwd(g):
-        d = np.zeros_like(a.data)
-        d[:, start:stop] = g
         a._acc(d)
 
     return _make(out, (a,), bwd)
@@ -641,6 +658,13 @@ def embedding(table, ids):
     return _make(out, (table,), bwd)
 
 
+def nll_rows(logits, targets):
+    """Per-row NLL of integer targets under logit rows; arrays, stable log-sum-exp."""
+    m = logits.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    return lse - logits[np.arange(logits.shape[0]), targets]
+
+
 def cross_entropy_mean(logits, targets):
     """Mean negative log-likelihood of integer targets under row logits.
 
@@ -655,14 +679,10 @@ def cross_entropy_mean(logits, targets):
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ShapeError(f"cross_entropy_mean: target id out of range [0, {v})")
     FLOPS.add("other", 6 * logits.data.size)
-    m = logits.data.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits.data - m).sum(axis=1))
-    nll = lse - logits.data[np.arange(t), targets]
-    out = np.array(nll.mean())
+    out = np.array(nll_rows(logits.data, targets).mean())
 
     def bwd(g):
-        p = np.exp(logits.data - m)
-        p /= p.sum(axis=1, keepdims=True)
+        p = _softmax(logits.data)
         p[np.arange(t), targets] -= 1.0
         logits._acc(p * (float(g) / t))
 

@@ -6,7 +6,6 @@ import pytest
 
 from hici.attention import (
     AttnMassAccumulator,
-    _mha,
     collect_attn_mass,
     hici_forward,
     init_hici_params,
@@ -16,8 +15,8 @@ from hici.attention import (
     partition,
     pooled_stats,
 )
-from hici.config import SCOPE_PRECEDING, ConfigError, HiCIConfig
-from hici.tensor import ShapeError, Tensor, softplus
+from hici.config import SCOPE_ALL, SCOPE_PRECEDING, ConfigError, HiCIConfig
+from hici.tensor import ShapeError, Tensor, attention, reshape, softplus
 
 from oracles import reference_local_construct, reference_mha
 
@@ -52,17 +51,17 @@ def test_config_validation(changes, fragment):
 
 def test_partition_two_segments():
     x = Tensor(np.arange(8.0 * 16).reshape(8, 16))
-    segs = partition(x, 4)
-    assert len(segs) == 2
-    assert np.array_equal(segs[0].data, x.data[0:4])
-    assert np.array_equal(segs[1].data, x.data[4:8])
+    segs = partition(x, 4).data
+    assert segs.shape == (2, 4, 16)
+    assert np.array_equal(segs[0], x.data[0:4])
+    assert np.array_equal(segs[1], x.data[4:8])
 
 
 def test_partition_identity():
     x = Tensor(np.random.default_rng(0).normal(size=(4, 16)))
-    segs = partition(x, 4)
-    assert len(segs) == 1
-    assert np.array_equal(segs[0].data, x.data)
+    segs = partition(x, 4).data
+    assert segs.shape == (1, 4, 16)
+    assert np.array_equal(segs[0], x.data)
 
 
 def test_partition_divisibility_error_reports_T_and_S():
@@ -117,10 +116,10 @@ def test_local_attention_weights_sum_to_one():
     from hici.tensor import matmul
 
     q = matmul(p.local.slots, p.local.w_q)
-    k = matmul(x, p.local.w_k)
-    v = matmul(x, p.local.w_v)
+    k = reshape(matmul(x, p.local.w_k), (1, CFG.S, CFG.d_b))
+    v = reshape(matmul(x, p.local.w_v), (1, CFG.S, CFG.d_b))
     acc = AttnMassAccumulator(CFG.H)
-    _mha(q, k, v, CFG.H, mass=acc, regions=(0, 0))
+    attention(q, k, v, CFG.H, probe=lambda probs: acc.record(probs, 0, 0))
     for rec in acc.records():
         assert abs(rec.frac_segment - 1.0) <= 1e-12
 
@@ -190,9 +189,10 @@ def test_global_selection_attention_normalized():
     g = p.global_
     z1 = layer_norm(matmul(z, g.compress_w1), g.compress_g1, g.compress_b1, CFG.ln_eps)
     z2 = layer_norm(matmul(z1, g.compress_w2), g.compress_g2, g.compress_b2, CFG.ln_eps)
+    z2 = reshape(z2, (1, 5, CFG.d_b))
     acc = AttnMassAccumulator(CFG.H)
-    _mha(matmul(g.queries, g.w_q), matmul(z2, g.w_k), matmul(z2, g.w_v),
-         CFG.H, mass=acc, regions=(0, 0))
+    attention(matmul(g.queries, g.w_q), matmul(z2, g.w_k), matmul(z2, g.w_v),
+              CFG.H, probe=lambda probs: acc.record(probs, 0, 0))
     for rec in acc.records():
         assert abs(rec.frac_segment - 1.0) <= 1e-12
 
@@ -335,6 +335,36 @@ def test_forward_rejects_indivisible_length():
     p = _params()
     with pytest.raises(ShapeError, match="not divisible"):
         hici_forward(Tensor(np.zeros((6, 16))), p, CFG)
+
+
+@pytest.mark.parametrize("m,k", [(0, 0), (2, 0), (2, 2)])
+def test_forward_rejects_empty_sequence(m, k):
+    cfg = dataclasses.replace(CFG, M=m, K=k)
+    p = _params(cfg)
+    with pytest.raises(ShapeError, match="T=0"):
+        hici_forward(Tensor(np.zeros((0, 16))), p, cfg)
+
+
+def _graph_nodes(out):
+    seen = {id(out)}
+    stack = [out]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_forward_graph_size_does_not_grow_with_T():
+    # every stage runs over all segments at once, so the autodiff graph of
+    # the shared-context scope has the same nodes at any segment count
+    cfg = dataclasses.replace(CFG, global_scope=SCOPE_ALL)
+    p = _params(cfg, seed=33)
+    rng = np.random.default_rng(34)
+    counts = [_graph_nodes(hici_forward(Tensor(rng.normal(size=(n * cfg.S, cfg.d))), p, cfg))
+              for n in (4, 16)]
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

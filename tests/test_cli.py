@@ -169,3 +169,20 @@ def test_missing_file_is_reported(capsys):
     assert dispatch(["eval-ppl", "--ckpt", "/nonexistent/dir",
                      "--text", "/nonexistent/file"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_ppl_reports_corrupt_checkpoint(tmp_path, host_config_file, corpus_file, capsys):
+    out_dir = str(tmp_path / "run")
+    assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
+                     "--steps", "1", "--out", out_dir]) == 0
+    ckpt = os.path.join(out_dir, "checkpoint")
+    manifest_path = os.path.join(ckpt, "checkpoint.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["tensors"][0]["dtype"] = "f2"
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown dtype" in err

@@ -68,3 +68,49 @@ def test_unknown_format_rejected(tmp_path):
         json.dump(manifest, fh)
     with pytest.raises(ValueError, match="unknown format"):
         load_tensors(prefix)
+
+
+# (field, replacement given the entry) pairs, each a bad manifest entry
+_BAD_ENTRIES = [
+    ("dtype", lambda e: "f2"),
+    ("dtype", lambda e: ["f8"]),
+    ("nbytes", lambda e: e["nbytes"] - 1),
+    ("nbytes", lambda e: e["nbytes"] + 8),
+    ("offset", lambda e: e["offset"] + e["nbytes"] + 8 * 64),
+    ("offset", lambda e: -8),
+    ("shape", lambda e: [e["shape"][0], -e["shape"][1]]),
+    ("shape", lambda e: [float(e["shape"][0]), e["shape"][1]]),
+    ("shape", lambda e: e["shape"] + [2]),
+]
+
+
+def test_corrupt_manifest_or_blob_raises_value_error_naming_the_tensor(tmp_path):
+    rng = np.random.default_rng(0)
+    shapes = {"a": (2, 3), "b": (4, 1), "c": (1, 5)}
+    prefix = str(tmp_path / "t")
+    save_tensors(prefix, {n: rng.normal(size=s) for n, s in shapes.items()})
+    with open(prefix + ".json") as fh:
+        manifest = json.load(fh)
+    with open(prefix + ".bin", "rb") as fh:
+        blob = fh.read()
+
+    def load_with(entries, raw):
+        with open(prefix + ".json", "w") as fh:
+            json.dump(dict(manifest, tensors=entries), fh)
+        with open(prefix + ".bin", "wb") as fh:
+            fh.write(raw)
+        return load_tensors(prefix)
+
+    for _ in range(40):
+        i = int(rng.integers(len(shapes)))
+        field, bad = _BAD_ENTRIES[int(rng.integers(len(_BAD_ENTRIES)))]
+        entries = [dict(e) for e in manifest["tensors"]]
+        entries[i][field] = bad(entries[i])
+        name = entries[i]["name"]
+        with pytest.raises(ValueError, match=f"tensor '{name}'"):
+            load_with(entries, blob)
+
+    for cut in rng.integers(1, len(blob) + 1, size=10):
+        with pytest.raises(ValueError, match="outside the"):
+            load_with(manifest["tensors"], blob[:len(blob) - int(cut)])
+    assert set(load_with(manifest["tensors"], blob)) == set(shapes)

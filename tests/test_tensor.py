@@ -7,8 +7,8 @@ from hici.tensor import (
     GraphError,
     ShapeError,
     Tensor,
+    attention,
     backward,
-    concat_cols,
     concat_rows,
     cross_entropy_mean,
     embedding,
@@ -18,14 +18,12 @@ from hici.tensor import (
     l2_normalize,
     layer_norm,
     matmul,
-    matmul_nt,
     max_rows,
     mean_rows,
     mul_const,
     parameter,
     reduce_stats,
     scale,
-    slice_cols,
     softmax_rows,
     softplus,
     std_rows,
@@ -67,12 +65,6 @@ def test_matmul_vs_triple_loop_8x8():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-
-def test_matmul_nt_matches_transpose():
-    rng = np.random.default_rng(2)
-    a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
-    assert np.array_equal(matmul_nt(Tensor(a), Tensor(b)).data, a @ b.T)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +288,7 @@ def _primitive_cases():
     rng = np.random.default_rng(42)
     c45 = rng.normal(size=(4, 5))
     c44 = rng.normal(size=(4, 4))
-    c46 = rng.normal(size=(4, 6))
+    c234 = rng.normal(size=(2, 3, 4))
     b54 = rng.normal(size=(5, 4))
     vis = rng.random(size=(4, 5)) > 0.3
     vis[:, 0] = True
@@ -304,9 +296,12 @@ def _primitive_cases():
     emb_w = rng.normal(size=(6, 3))
     targets = rng.integers(0, 5, size=4)
     gain, bias = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
+    c254 = rng.normal(size=(2, 5, 4))
+    c274 = rng.normal(size=(2, 7, 4))
+    c134 = c234[:1]
+    tril = np.tril(np.ones((3, 3), dtype=bool))
     return {
         "matmul": ((4, 5), lambda p: tsum(mul_const(matmul(p, Tensor(b54)), c44))),
-        "matmul_nt": ((4, 5), lambda p: tsum(mul_const(matmul_nt(p, Tensor(c45)), c44))),
         "softmax": ((4, 5), lambda p: tsum(mul_const(softmax_rows(p), c45))),
         "softmax_masked": ((4, 5),
                            lambda p: tsum(mul_const(softmax_rows(p, visible=vis), c45))),
@@ -319,8 +314,15 @@ def _primitive_cases():
         "gelu": ((6,), lambda p: tsum(mul_const(gelu(p), np.arange(6.0) - 3))),
         "cross_entropy": ((4, 5), lambda p: cross_entropy_mean(p, targets)),
         "embedding": ((4, 3), lambda p: tsum(mul_const(embedding(p, ids), emb_w))),
-        "concat_slice": ((4, 6), lambda p: tsum(mul_const(
-            concat_cols([slice_cols(p, 3, 6), slice_cols(p, 0, 3)]), c46))),
+        "concat_rows_axis1": ((2, 3, 4), lambda p: tsum(mul_const(
+            concat_rows([p, Tensor(c234[:, :1]), p], axis=1), c274))),
+        "attention": ((1, 3, 4), lambda p: tsum(mul_const(attention(p, p, p, 1), c134))),
+        "attention_masked": ((1, 3, 4), lambda p: tsum(mul_const(
+            attention(p, p, p, 1, visible=tril), c134))),
+        "attention_shared_q": ((3, 4), lambda p: tsum(mul_const(
+            attention(p, Tensor(c254), Tensor(c254[::-1]), 2), c234))),
+        "attention_blocks_heads": ((2, 3, 4), lambda p: tsum(mul_const(
+            attention(p, p, p, 2), c234))),
         "scale": ((1,), lambda p: tsum(scale(Tensor(c45), p))),
     }
 
