@@ -23,6 +23,7 @@ from .attention import (
     named_tensors,
     partition,
     pooled_stats,
+    record_attn_mass,
 )
 from .config import ConfigError, HiCIConfig, HostConfig
 from .tensor import (
@@ -42,5 +43,5 @@ __all__ = [
     "ShapeError", "Tensor", "backward", "broadcast", "collect_attn_mass",
     "finite_diff_grad", "hici_forward", "init_hici_params", "integrate_global",
     "local_construct", "named_tensors", "no_grad", "parameter", "partition",
-    "pooled_stats",
+    "pooled_stats", "record_attn_mass",
 ]

@@ -28,7 +28,8 @@ token t never sees information from positions > t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -207,6 +208,26 @@ class AttnMassAccumulator:
         return out
 
 
+_MASS_RECORDERS = []
+
+
+@contextmanager
+def record_attn_mass():
+    """Yield a list that each `broadcast` in the block adds its AttnMassAccumulator to."""
+    per_layer = []
+    _MASS_RECORDERS.append(per_layer)
+    try:
+        yield per_layer
+    finally:
+        _MASS_RECORDERS.pop()
+
+
+def uniform_queries(params: HiCIParams) -> HiCIParams:
+    """`params` with a zero broadcast w_q, so every score is 0 and attention is uniform."""
+    w_q = Tensor(np.zeros_like(params.broadcast.w_q.data))
+    return replace(params, broadcast=replace(params.broadcast, w_q=w_q))
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -258,13 +279,11 @@ def pooled_stats(l_rows):
     return concat_rows([reshape(t, (1, d)) for t in (mean, mx, mn, sd, l2_normalize(mean))])
 
 
-def integrate_global(l_list, p: GlobalParams, cfg: HiCIConfig, gate_override=None):
+def integrate_global(l_list, p: GlobalParams, cfg: HiCIConfig):
     """Pool local representations into the K x d global context.
 
     `l_list` holds blocks of local slots, (M, d) per segment or (N, M, d)
     for N segments; all their rows are pooled together.
-    `gate_override` (diagnostic) bypasses the learned softplus gate with
-    a fixed scalar so gate linearity can be checked in isolation.
     """
     if not l_list:
         raise ValueError("integrate_global needs at least one segment of local slots")
@@ -275,8 +294,7 @@ def integrate_global(l_list, p: GlobalParams, cfg: HiCIConfig, gate_override=Non
     q = matmul(p.queries, p.w_q)
     selected = attention(q, matmul(z2, p.w_k), matmul(z2, p.w_v), cfg.H)
     expanded = matmul(matmul(reshape(selected, (cfg.K, cfg.d_b)), p.w_o), p.expand)
-    gate = softplus(p.gate_raw) if gate_override is None else Tensor([float(gate_override)])
-    return scale(expanded, gate)
+    return scale(expanded, softplus(p.gate_raw))
 
 
 def _segment_visibility(n_ctx, seg_len):
@@ -286,8 +304,7 @@ def _segment_visibility(n_ctx, seg_len):
     return vis
 
 
-def broadcast(x_seg, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig,
-              mass=None, uniform_probe=False):
+def broadcast(x_seg, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
     """Context-conditioned update of each segment.
 
     Keys/values come from [G; L; X_i] (absent blocks are skipped), queries
@@ -309,15 +326,17 @@ def broadcast(x_seg, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig,
         v = matmul(aug, p.w_v)
     visible = (_segment_visibility(n_global + n_local, cfg.S)
                if cfg.causal_segment_mask else None)
-    probe = None if mass is None else (lambda probs: mass.record(probs, n_global, n_local))
+    probe = None
+    if _MASS_RECORDERS:
+        acc = AttnMassAccumulator(cfg.H)
+        _MASS_RECORDERS[-1].append(acc)
+        probe = lambda probs: acc.record(probs, n_global, n_local)
     with flop_scope("broadcast_attn"):
-        out = attention(q, k, v, cfg.H, visible=visible, uniform_probe=uniform_probe,
-                        probe=probe)
+        out = attention(q, k, v, cfg.H, visible=visible, probe=probe)
     return out if x_seg.data.ndim == 3 else reshape(out, x_seg.data.shape)
 
 
-def hici_forward(x, params: HiCIParams, cfg: HiCIConfig,
-                 mass=None, uniform_probe=False):
+def hici_forward(x, params: HiCIParams, cfg: HiCIConfig):
     """Full three-stage pass: T x d in, T x d out, T a positive multiple of S.
 
     Each stage builds its graph once over all N segments. With
@@ -352,8 +371,7 @@ def hici_forward(x, params: HiCIParams, cfg: HiCIConfig,
         zeros_l = Tensor(np.zeros((1, cfg.M, cfg.d)))
         l_ctx = concat_rows([zeros_l, slice_rows(l_ctx, 0, n_seg - 1)])
 
-    out = broadcast(segments, l_ctx, g_ctx, params.broadcast, cfg,
-                    mass=mass, uniform_probe=uniform_probe)
+    out = broadcast(segments, l_ctx, g_ctx, params.broadcast, cfg)
     return reshape(out, x.data.shape)
 
 
@@ -366,7 +384,8 @@ def collect_attn_mass(x, params: HiCIParams, cfg: HiCIConfig,
     of every segment and normalizes by the query count. The three
     fractions of a record sum to 1 up to softmax rounding.
     """
-    acc = AttnMassAccumulator(cfg.H)
-    with no_grad():
-        hici_forward(x, params, cfg, mass=acc, uniform_probe=uniform_probe)
-    return acc.records(layer=layer)
+    if uniform_probe:
+        params = uniform_queries(params)
+    with no_grad(), record_attn_mass() as per_layer:
+        hici_forward(x, params, cfg)
+    return per_layer[0].records(layer=layer)

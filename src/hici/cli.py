@@ -32,7 +32,7 @@ from .analysis import (
     probe_table_csv,
     scaling_probe,
 )
-from .attention import AttnMassAccumulator
+from .attention import record_attn_mass, uniform_queries
 from .config import (
     SCOPE_ALL,
     SCOPE_PRECEDING,
@@ -167,6 +167,10 @@ def _cmd_train(args):
     lines = ["step,loss,lr"]
     lines.extend(f"{s},{loss!r},{lr!r}" for s, loss, lr in trace)
     _write_text(args.out, "loss_trace.csv", "\n".join(lines) + "\n")
+    if len(trace) < args.steps:
+        step, loss, _lr = trace[-1]
+        raise ValueError(f"training stopped at step {step}: non-finite loss ({loss!r}) "
+                         "or hici gradient norm; no checkpoint written")
     save_checkpoint(os.path.join(args.out, "checkpoint"), cfg, params, opt, rng,
                     step=args.steps)
     final = trace[-1][1] if trace else float("nan")
@@ -218,12 +222,13 @@ def _cmd_attn_stats(args):
                         {"eval_len": eval_len, "uniform_probe": args.probe_uniform,
                          "config": config_to_dict(cfg)},
                         args.seed, ["attn_mass.csv"])
-    collectors = [AttnMassAccumulator(cfg.hici.H) for _ in range(cfg.n_layers)]
-    with no_grad():
-        lm_forward(params, ids, cfg, mass_collectors=collectors,
-                   uniform_probe=args.probe_uniform)
+    if args.probe_uniform:
+        params = dataclasses.replace(params, layers=[
+            dataclasses.replace(lp, hici=uniform_queries(lp.hici)) for lp in params.layers])
+    with no_grad(), record_attn_mass() as per_layer:
+        lm_forward(params, ids, cfg)
     lines = ["layer,head,frac_global,frac_local,frac_segment"]
-    for layer_idx, acc in enumerate(collectors):
+    for layer_idx, acc in enumerate(per_layer):
         for rec in acc.records(layer=layer_idx):
             lines.append(f"{rec.layer},{rec.head},{rec.frac_global!r},"
                          f"{rec.frac_local!r},{rec.frac_segment!r}")
@@ -319,7 +324,7 @@ def build_parser():
     p.add_argument("--text", help="input text file (default: random bytes)")
     p.add_argument("--eval-len", type=int, default=0, help="input length (0 = max_T)")
     p.add_argument("--probe-uniform", action="store_true",
-                   help="replace broadcast logits with zeros (analytic baseline)")
+                   help="zero the broadcast query projection (analytic baseline)")
     p.add_argument("--causal", choices=["on", "off"])
     p.add_argument("--global-scope", choices=["all", "preceding"])
     common(p)

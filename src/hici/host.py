@@ -127,10 +127,10 @@ def param_groups(params: HostParams):
 # forward
 
 
-def block_forward(x, layer: LayerParams, hici_cfg, mass=None, uniform_probe=False):
+def block_forward(x, layer: LayerParams, hici_cfg):
     """One pre-norm residual block around the attention module and an FFN."""
     h = layer_norm(x, layer.ln1_g, layer.ln1_b, hici_cfg.ln_eps)
-    a = hici_forward(h, layer.hici, hici_cfg, mass=mass, uniform_probe=uniform_probe)
+    a = hici_forward(h, layer.hici, hici_cfg)
     with flop_scope("proj"):
         x = add(x, matmul(a, layer.out_proj))
     h2 = layer_norm(x, layer.ln2_g, layer.ln2_b, hici_cfg.ln_eps)
@@ -139,12 +139,13 @@ def block_forward(x, layer: LayerParams, hici_cfg, mass=None, uniform_probe=Fals
     return add(x, f)
 
 
-def lm_forward(params: HostParams, ids, cfg: HostConfig, hici_cfg=None,
-               mass_collectors=None, uniform_probe=False):
+def lm_forward(params: HostParams, ids, cfg: HostConfig, hici_cfg=None):
     """Token ids to T x vocab logits. T must divide by S and fit max_T."""
     hc = hici_cfg if hici_cfg is not None else cfg.hici
     ids = np.asarray(ids, dtype=np.int64)
     t = ids.shape[0]
+    if t == 0:
+        raise ConfigError("empty token sequence")
     if t % hc.S != 0:
         raise ConfigError(f"sequence length T={t} not divisible by segment length S={hc.S}")
     if t > cfg.max_T:
@@ -153,9 +154,8 @@ def lm_forward(params: HostParams, ids, cfg: HostConfig, hici_cfg=None,
         raise ConfigError(f"token id out of range [0, {cfg.vocab_size})")
     with flop_scope("others"):
         x = add(embedding(params.embed, ids), slice_rows(params.pos, 0, t))
-    for i, layer in enumerate(params.layers):
-        mass = mass_collectors[i] if mass_collectors is not None else None
-        x = block_forward(x, layer, hc, mass=mass, uniform_probe=uniform_probe)
+    for layer in params.layers:
+        x = block_forward(x, layer, hc)
     h = layer_norm(x, params.final_g, params.final_b, hc.ln_eps)
     with flop_scope("others"):
         return matmul(h, params.head)
@@ -226,7 +226,9 @@ def train(corpus_ids, cfg: HostConfig, steps, params=None, opt=None, rng=None,
 
     Returns (params, opt, rng, trace) where trace rows are
     (step, loss, backbone_lr). Pass the previous pieces back in to
-    continue a run (used by checkpoint resume).
+    continue a run (used by checkpoint resume). A non-finite loss or
+    pre-clip hici gradient norm stops the run before that step's update:
+    its row ends the trace and the parameters keep their previous values.
     """
     cfg.validate()
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
@@ -252,10 +254,12 @@ def train(corpus_ids, cfg: HostConfig, steps, params=None, opt=None, rng=None,
         logits = lm_forward(params, window[:-1], cfg)
         loss = cross_entropy_mean(logits, window[1:])
         backward(loss)
-        clip_grad_norm(groups["hici"], cfg.grad_clip_hici)
+        grad_norm = clip_grad_norm(groups["hici"], cfg.grad_clip_hici)
         warm = min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps > 0 else 1.0
-        opt.step({"backbone": cfg.lr_backbone * warm, "hici": cfg.lr_hici * warm})
         trace.append((step, loss.item(), cfg.lr_backbone * warm))
+        if not (math.isfinite(loss.item()) and math.isfinite(grad_norm)):
+            break
+        opt.step({"backbone": cfg.lr_backbone * warm, "hici": cfg.lr_hici * warm})
     return params, opt, rng, trace
 
 
@@ -298,21 +302,32 @@ def save_checkpoint(out_dir, cfg: HostConfig, params: HostParams, opt: AdamW,
 
 def load_checkpoint(ckpt_dir):
     """Returns (cfg, params, opt, rng, step) rebuilt from disk."""
-    with open(os.path.join(ckpt_dir, "state.json"), encoding="utf-8") as fh:
+    state_path = os.path.join(ckpt_dir, "state.json")
+    with open(state_path, encoding="utf-8") as fh:
         state = json.load(fh)
-    cfg = host_config_from_dict(state["config"], where=os.path.join(ckpt_dir, "state.json"))
+    if not isinstance(state, dict):
+        raise ValueError(f"{state_path}: expected a JSON object")
+    missing = sorted({"step", "adam_t", "rng_state", "config"} - state.keys())
+    if missing:
+        raise ValueError(f"{state_path}: missing keys {missing}")
+    cfg = host_config_from_dict(state["config"], where=state_path)
     blobs = load_tensors(os.path.join(ckpt_dir, "checkpoint"))
+
+    def stored(name, shape):
+        if name not in blobs:
+            raise ValueError(f"checkpoint lacks tensor {name!r}")
+        if blobs[name].shape != shape:
+            raise ValueError(f"checkpoint tensor {name}: shape {blobs[name].shape} vs {shape}")
+        return np.ascontiguousarray(blobs[name])
+
     params = init_host_params(cfg, np.random.default_rng(0))
     for name, p in host_named_tensors(params).items():
-        arr = blobs[name]
-        if arr.shape != p.data.shape:
-            raise ValueError(f"checkpoint tensor {name}: shape {arr.shape} vs {p.data.shape}")
-        p.data = np.ascontiguousarray(arr)
+        p.data = stored(name, p.data.shape)
     opt = AdamW(param_groups(params), beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                 weight_decay=cfg.weight_decay)
     for name in opt.m:
-        opt.m[name] = np.ascontiguousarray(blobs[f"opt.m.{name}"])
-        opt.v[name] = np.ascontiguousarray(blobs[f"opt.v.{name}"])
+        opt.m[name] = stored(f"opt.m.{name}", opt.m[name].shape)
+        opt.v[name] = stored(f"opt.v.{name}", opt.v[name].shape)
     opt.t = int(state["adam_t"])
     rng = np.random.default_rng(0)
     rng.bit_generator.state = state["rng_state"]

@@ -72,13 +72,19 @@ def load_tensors(prefix):
     manifest_path = f"{prefix}.json"
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format") != FORMAT_TAG:
         raise ValueError(f"{manifest_path}: unknown format {manifest.get('format')!r}")
+    if not isinstance(manifest.get("blob"), str) or not isinstance(manifest.get("tensors"), list):
+        raise ValueError(f"{manifest_path}: needs a 'blob' file name and a 'tensors' list")
     blob_path = os.path.join(os.path.dirname(manifest_path), manifest["blob"])
     with open(blob_path, "rb") as fh:
         raw = fh.read()
     out = {}
     for e in manifest["tensors"]:
+        if not isinstance(e, dict):
+            raise ValueError(f"{manifest_path}: tensor entry {e!r} is not an object")
         where = f"{manifest_path}: tensor {e.get('name')!r}"
         missing = sorted({"name", "shape", "dtype", "offset", "nbytes"} - set(e))
         if missing:

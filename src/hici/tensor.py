@@ -353,16 +353,15 @@ def softmax_rows(a, visible=None):
     return _make(p, (a,), bwd)
 
 
-def attention(q, k, v, n_heads, visible=None, uniform_probe=False, probe=None):
+def attention(q, k, v, n_heads, visible=None, probe=None):
     """Multi-head scaled dot-product attention over B stacked blocks.
 
     `k` and `v` are (B, Lk, W); `q` is (B, Lq, W), or (Lq, W) when every
     block shares it. Heads split W contiguously into slices of width dk,
     scores are scaled by 1/sqrt(dk), and the result is (B, Lq, W) with no
     output projection. `visible` is an optional (Lq, Lk) boolean mask
-    shared by every block and head. Diagnostics: `uniform_probe` sets the
-    scores to zero (uniform over visible positions); `probe` is called
-    with the probabilities, shape (B, n_heads, Lq, Lk).
+    shared by every block and head. `probe`, a diagnostic hook, is
+    called with the probabilities, shape (B, n_heads, Lq, Lk).
 
     Backward is closed form: with dP = dO V^T the score adjoint is
     P * (dP - rowsum(dP * P)) (Dao et al. 2022). FLOPs per block and head
@@ -379,10 +378,9 @@ def attention(q, k, v, n_heads, visible=None, uniform_probe=False, probe=None):
     if width % n_heads != 0:
         raise ShapeError(f"attention width {width} not divisible by {n_heads} heads")
     dk = width // n_heads
-    n_queries = q.data.shape[-2]
-    n_scores = n_blocks * n_heads * n_queries * n_keys
-    FLOPS.add("matmul", (2 if uniform_probe else 4) * n_scores * dk)
-    FLOPS.add("other", (5 if uniform_probe else 6) * n_scores)
+    n_scores = n_blocks * n_heads * q.data.shape[-2] * n_keys
+    FLOPS.add("matmul", 4 * n_scores * dk)
+    FLOPS.add("other", 6 * n_scores)
 
     def split(x):   # (..., L, W) -> (..., H, L, dk), contiguous
         return np.ascontiguousarray(np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, dk)), -3, -2))
@@ -392,9 +390,7 @@ def attention(q, k, v, n_heads, visible=None, uniform_probe=False, probe=None):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     inv_scale = 1.0 / math.sqrt(dk)
-    scores = (np.zeros((n_blocks, n_heads, n_queries, n_keys)) if uniform_probe
-              else (qh @ np.swapaxes(kh, -1, -2)) * inv_scale)
-    p = _softmax(scores, visible)
+    p = _softmax((qh @ np.swapaxes(kh, -1, -2)) * inv_scale, visible)
     if probe is not None:
         probe(p)
     out = merge(p @ vh)
@@ -403,7 +399,7 @@ def attention(q, k, v, n_heads, visible=None, uniform_probe=False, probe=None):
         gh = split(g)
         if v.requires_grad:
             v._acc(merge(np.swapaxes(p, -1, -2) @ gh))
-        if uniform_probe or not (q.requires_grad or k.requires_grad):
+        if not (q.requires_grad or k.requires_grad):
             return
         dp = gh @ np.swapaxes(vh, -1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_scale
@@ -413,7 +409,7 @@ def attention(q, k, v, n_heads, visible=None, uniform_probe=False, probe=None):
         if k.requires_grad:
             k._acc(merge(np.swapaxes(ds, -1, -2) @ qh))
 
-    return _make(out, (v,) if uniform_probe else (q, k, v), bwd)
+    return _make(out, (q, k, v), bwd)
 
 
 def layer_norm(a, gain, bias, eps=1e-5):

@@ -17,11 +17,11 @@ from hici.analysis import (
     scaling_probe,
 )
 from hici.attention import (
-    AttnMassAccumulator,
     collect_attn_mass,
     hici_forward,
     init_hici_params,
     integrate_global,
+    record_attn_mass,
 )
 from hici.cli import dispatch
 from hici.config import SCOPE_PRECEDING, HiCIConfig, HostConfig
@@ -293,10 +293,9 @@ def test_criterion_8_attention_mass(capsys):
     corpus = encode_text("the quick brown fox jumps over the lazy dog. " * 40)
     cfg = dataclasses.replace(TOY_HOST, n_layers=2, seed=5)
     params, _, _, _ = train(corpus, cfg, 50)
-    collectors = [AttnMassAccumulator(cfg.hici.H) for _ in range(cfg.n_layers)]
     ids = corpus[:cfg.max_T]
-    with no_grad():
-        lm_forward(params, ids, cfg, mass_collectors=collectors)
+    with no_grad(), record_attn_mass() as collectors:
+        lm_forward(params, ids, cfg)
     worst_gap = 0.0
     for layer_idx, acc in enumerate(collectors):
         for rec in acc.records(layer=layer_idx):

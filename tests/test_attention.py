@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hici.attention import (
+    _MASS_RECORDERS,
     AttnMassAccumulator,
     collect_attn_mass,
     hici_forward,
@@ -14,6 +15,7 @@ from hici.attention import (
     named_tensors,
     partition,
     pooled_stats,
+    record_attn_mass,
 )
 from hici.config import SCOPE_ALL, SCOPE_PRECEDING, ConfigError, HiCIConfig
 from hici.tensor import ShapeError, Tensor, attention, reshape, softplus
@@ -148,11 +150,14 @@ def test_pooled_stats_constant_rows():
 
 def test_gate_is_linear_and_ln2_at_zero():
     p = _params(seed=8)
-    p.global_.gate_raw.data = np.zeros(1)
     rng = np.random.default_rng(9)
     l_list = [Tensor(rng.normal(size=(CFG.M, CFG.d))) for _ in range(3)]
+    # softplus(log(expm1(1))) is exactly 1.0, so this pass is the ungated output
+    p.global_.gate_raw.data = np.array([math.log(math.expm1(1.0))])
+    assert softplus(p.global_.gate_raw).data[0] == 1.0
+    base = integrate_global(l_list, p.global_, CFG)
+    p.global_.gate_raw.data = np.zeros(1)
     gated = integrate_global(l_list, p.global_, CFG)
-    base = integrate_global(l_list, p.global_, CFG, gate_override=1.0)
     alpha = softplus(p.global_.gate_raw).data[0]
     assert abs(alpha - math.log(2.0)) <= 1e-16
     assert np.array_equal(gated.data, base.data * alpha)
@@ -388,6 +393,41 @@ def test_mass_records_have_layer_and_head_indices():
     recs = collect_attn_mass(x, p, CFG, layer=3)
     assert [r.head for r in recs] == list(range(CFG.H))
     assert all(r.layer == 3 for r in recs)
+
+
+@pytest.mark.parametrize("scope", [SCOPE_ALL, SCOPE_PRECEDING])
+def test_uniform_baseline_under_causal_mask_matches_closed_form(scope):
+    # query t of a segment sees K + M context positions and tokens 0..t
+    cfg = dataclasses.replace(CFG, S=16, M=3, K=2, causal_segment_mask=True,
+                              global_scope=scope)
+    rng = np.random.default_rng(35)
+    p = init_hici_params(cfg, rng)
+    x = Tensor(rng.normal(size=(3 * cfg.S, cfg.d)))
+    expected = math.fsum(cfg.K / (cfg.K + cfg.M + t + 1) for t in range(cfg.S)) / cfg.S
+    for rec in collect_attn_mass(x, p, cfg, uniform_probe=True):
+        assert abs(rec.frac_global - expected) <= 1e-15
+
+
+def test_recorder_records_only_inside_its_block():
+    p = _params(seed=36)
+    x = Tensor(np.random.default_rng(37).normal(size=(2 * CFG.S, CFG.d)))
+    with record_attn_mass() as per_layer:
+        hici_forward(x, p, CFG)
+    assert len(per_layer) == 1
+    hici_forward(x, p, CFG)
+    assert len(per_layer) == 1
+
+
+def test_recorder_stack_is_empty_after_an_exception():
+    p = _params(seed=38)
+    x = Tensor(np.random.default_rng(39).normal(size=(2 * CFG.S, CFG.d)))
+    with pytest.raises(RuntimeError):
+        with record_attn_mass() as per_layer:
+            hici_forward(x, p, CFG)
+            raise RuntimeError("inside the block")
+    assert _MASS_RECORDERS == []
+    hici_forward(x, p, CFG)
+    assert len(per_layer) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,21 @@ def test_identical_argv_and_seed_give_byte_identical_outputs(
     assert runs[0] == runs[1]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_train_reports_a_non_finite_loss(tmp_path, host_config_file, corpus_file, capsys):
+    # a huge learning rate overflows the parameters after the first update
+    cfg = json.load(open(host_config_file))
+    cfg["lr_backbone"] = 1e300
+    path = tmp_path / "huge_lr.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "run"
+    assert dispatch(["train", "--config", str(path), "--corpus", corpus_file,
+                     "--steps", "5", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: training stopped at step 1: non-finite loss (nan)")
+    assert not (out_dir / "checkpoint").exists()
+
+
 def test_attn_stats_uniform_probe_baseline(tmp_path, capsys):
     cfg = {
         "vocab_size": BYTE_VOCAB, "n_layers": 1, "d": 16, "ffn_width": 32,
@@ -171,18 +186,46 @@ def test_missing_file_is_reported(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_eval_ppl_reports_corrupt_checkpoint(tmp_path, host_config_file, corpus_file, capsys):
+def _without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("file_name,mutate,fragment", [
+    ("checkpoint.json",
+     lambda m: dict(m, tensors=[dict(m["tensors"][0], dtype="f2")] + m["tensors"][1:]),
+     "unknown dtype"),
+    ("checkpoint.json", _without("blob"), "'blob'"),
+    ("checkpoint.json", _without("tensors"), "'tensors'"),
+    ("checkpoint.json", lambda m: [m], "expected a JSON object"),
+    ("checkpoint.json", lambda m: dict(m, tensors=["embed"] + m["tensors"][1:]),
+     "is not an object"),
+    ("checkpoint.json",
+     lambda m: dict(m, tensors=[e for e in m["tensors"] if e["name"] != "embed"]),
+     "lacks tensor 'embed'"),
+    ("state.json", _without("step"), "missing keys ['step']"),
+    ("state.json", _without("config"), "missing keys ['config']"),
+    ("state.json", lambda s: [s], "expected a JSON object"),
+], ids=["dtype", "no-blob", "no-tensors", "manifest-list", "entry-string", "no-embed",
+        "no-step", "no-config", "state-list"])
+def test_eval_ppl_reports_corrupt_checkpoint(tmp_path, host_config_file, corpus_file, capsys,
+                                             file_name, mutate, fragment):
     out_dir = str(tmp_path / "run")
     assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
                      "--steps", "1", "--out", out_dir]) == 0
     ckpt = os.path.join(out_dir, "checkpoint")
-    manifest_path = os.path.join(ckpt, "checkpoint.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    manifest["tensors"][0]["dtype"] = "f2"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh)
+    path = os.path.join(ckpt, file_name)
+    with open(path) as fh:
+        obj = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(mutate(obj), fh)
     capsys.readouterr()
     assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "unknown dtype" in err
+    assert err.startswith("error:") and fragment in err
+
+
+def test_attn_stats_reports_empty_text(tmp_path, host_config_file, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_bytes(b"")
+    assert dispatch(["attn-stats", "--config", host_config_file, "--text", str(path)]) == 2
+    assert capsys.readouterr().err == "error: empty token sequence\n"

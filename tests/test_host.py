@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from hici.attention import record_attn_mass
 from hici.config import ConfigError, HiCIConfig, HostConfig
 from hici.host import (
     BYTE_VOCAB,
     block_forward,
     encode_text,
     eval_ppl,
+    host_named_tensors,
     init_host_params,
     lm_forward,
     load_checkpoint,
@@ -86,6 +88,20 @@ def test_lm_rejects_bad_inputs():
         lm_forward(params, np.full(32, BYTE_VOCAB, dtype=np.int64), CFG)
     with pytest.raises(ConfigError, match="max_T"):
         lm_forward(params, np.zeros(64, dtype=np.int64), CFG)
+    with pytest.raises(ConfigError, match="empty token sequence"):
+        lm_forward(params, np.zeros(0, dtype=np.int64), CFG)
+
+
+def test_mass_recorder_leaves_one_accumulator_per_layer():
+    cfg = dataclasses.replace(CFG, n_layers=2)
+    params = init_host_params(cfg, np.random.default_rng(12))
+    ids = np.random.default_rng(13).integers(0, 256, size=32)
+    with no_grad(), record_attn_mass() as per_layer:
+        lm_forward(params, ids, cfg)
+    assert len(per_layer) == 2
+    for layer_idx, acc in enumerate(per_layer):
+        for rec in acc.records(layer=layer_idx):
+            assert abs(rec.frac_global + rec.frac_local + rec.frac_segment - 1.0) <= 1e-12
 
 
 def test_causal_mode_logits_ignore_future():
@@ -135,6 +151,17 @@ def test_zero_steps_keeps_initialization(tmp_path):
     ref_named = host_named_tensors(reference)
     for name, p in host_named_tensors(params).items():
         assert np.array_equal(p.data, ref_named[name].data)
+
+
+def test_training_stops_on_non_finite_loss_before_the_update():
+    params = init_host_params(CFG, np.random.default_rng(CFG.seed))
+    params.layers[0].ffn_w1.data[0, 0] = np.nan
+    before = {name: t.data.copy() for name, t in host_named_tensors(params).items()}
+    _, opt, _, trace = train(CORPUS, CFG, 3, params=params, start_step=4)
+    assert len(trace) == 1 and trace[0][0] == 4 and math.isnan(trace[0][1])
+    assert opt.t == 0
+    for name, t in host_named_tensors(params).items():
+        assert np.array_equal(t.data, before[name], equal_nan=True), name
 
 
 def test_training_rejects_tiny_corpus():
