@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import HiCIParams, hici_forward, init_hici_params
-from .config import HiCIConfig
+from .config import SCOPE_PRECEDING, HiCIConfig
 from .tensor import ShapeError, Tensor, measure_flops, no_grad
 
 PARAM_COMPONENTS = ("slots", "local_attn", "compression", "global_queries",
@@ -160,7 +160,10 @@ def lc_gi_flops_per_layer(cfg, T):
 
     Mirrors the implementation op for op, so the instrumented counter's
     matmul bucket for these scopes matches this sum exactly. Dominated by
-    the segment-token key/value projections, 4*T*d*d_b.
+    the segment-token key/value projections, 4*T*d*d_b. The global stage
+    runs once per pool: one pool of all segments, or in the
+    'preceding_segments' scope one per segment after the first (N - 1),
+    all sharing one query projection.
     """
     d, d_b, d_s, m, k, s = cfg.d, cfg.d_b, cfg.d_s, cfg.M, cfg.K, cfg.S
     if m == 0:
@@ -172,13 +175,15 @@ def lc_gi_flops_per_layer(cfg, T):
         "local_attn": 4 * T * m * d_b,
         "local_out_proj": n * 2 * m * d_b * d,
     }
-    if k > 0:
+    pools = n - 1 if cfg.global_scope == SCOPE_PRECEDING else 1
+    if k > 0 and pools > 0:
         items.update({
-            "compression": 2 * 5 * d * d_s + 2 * 5 * d_s * d_b,
-            "global_qkv_proj": 2 * k * d_b * d_b + 4 * 5 * d_b * d_b,
-            "global_attn": 4 * k * 5 * d_b,
-            "global_out_proj": 2 * k * d_b * d_b,
-            "expansion": 2 * k * d_b * d,
+            "compression": pools * (2 * 5 * d * d_s + 2 * 5 * d_s * d_b),
+            "global_q_proj": 2 * k * d_b * d_b,
+            "global_kv_proj": pools * 4 * 5 * d_b * d_b,
+            "global_attn": pools * 4 * k * 5 * d_b,
+            "global_out_proj": pools * 2 * k * d_b * d_b,
+            "expansion": pools * 2 * k * d_b * d,
         })
     return items
 

@@ -45,7 +45,7 @@ from .tensor import (
     matmul,
     no_grad,
     parameter,
-    reduce_stats,
+    prefix_stats,
     reshape,
     scale,
     slice_rows,
@@ -268,33 +268,42 @@ def local_construct(x_seg, p: LocalParams, cfg: HiCIConfig):
 
 
 def pooled_stats(l_rows):
-    """Five complementary column statistics of the stacked local rows.
+    """Five complementary column statistics of the local rows.
 
-    Rows of the result: mean, max, min, population std, l2-normalized
-    mean. Exact-summation reductions make the outcome independent of row
-    order, so any permutation of segments leaves the pool bit-identical.
+    Rows: mean, max, min, population std, l2-normalized mean; (R, d) gives
+    (5, d), blocks (B, R, d) give (B, 5, d) with row i pooling blocks[:i+1].
+    Exact sums make any permutation of segments leave it bit-identical.
     """
-    mean, mx, mn, sd = reduce_stats(l_rows)
-    d = l_rows.data.shape[1]
-    return concat_rows([reshape(t, (1, d)) for t in (mean, mx, mn, sd, l2_normalize(mean))])
+    stats = prefix_stats(_stacked(l_rows))
+    z = concat_rows([stats, l2_normalize(slice_rows(stats, 0, 1, axis=1))], axis=1)
+    return z if l_rows.data.ndim == 3 else reshape(z, z.data.shape[1:])
 
 
 def integrate_global(l_list, p: GlobalParams, cfg: HiCIConfig):
-    """Pool local representations into the K x d global context.
+    """Pool blocks of local slots, (M, d) per segment or (N, M, d), into the global context.
 
-    `l_list` holds blocks of local slots, (M, d) per segment or (N, M, d)
-    for N segments; all their rows are pooled together.
+    'all_segments' pools all rows into one K x d context; 'preceding_segments'
+    gives (N, K, d), row i pooled from the segments before i (row 0 zeros),
+    with every stage run once over all pools.
     """
     if not l_list:
         raise ValueError("integrate_global needs at least one segment of local slots")
-    z = pooled_stats(reshape(concat_rows(l_list), (-1, cfg.d)))
-    z1 = layer_norm(matmul(z, p.compress_w1), p.compress_g1, p.compress_b1, cfg.ln_eps)
+    strict = cfg.global_scope == SCOPE_PRECEDING
+    blocks = reshape(concat_rows(l_list), (-1, cfg.M, cfg.d) if strict else (1, -1, cfg.d))
+    pools = blocks.data.shape[0] - 1 if strict else 1
+    zeros = Tensor(np.zeros((1, cfg.K, cfg.d))) if strict else None
+    if pools == 0:
+        return zeros
+    z = pooled_stats(slice_rows(blocks, 0, pools) if strict else blocks)
+    z1 = layer_norm(matmul(reshape(z, (5 * pools, cfg.d)), p.compress_w1),
+                    p.compress_g1, p.compress_b1, cfg.ln_eps)
     z2 = reshape(layer_norm(matmul(z1, p.compress_w2), p.compress_g2, p.compress_b2,
-                            cfg.ln_eps), (1, 5, cfg.d_b))
+                            cfg.ln_eps), (pools, 5, cfg.d_b))
     q = matmul(p.queries, p.w_q)
     selected = attention(q, matmul(z2, p.w_k), matmul(z2, p.w_v), cfg.H)
-    expanded = matmul(matmul(reshape(selected, (cfg.K, cfg.d_b)), p.w_o), p.expand)
-    return scale(expanded, softplus(p.gate_raw))
+    expanded = matmul(matmul(reshape(selected, (pools * cfg.K, cfg.d_b)), p.w_o), p.expand)
+    g = scale(expanded, softplus(p.gate_raw))
+    return concat_rows([zeros, reshape(g, (pools, cfg.K, cfg.d))]) if strict else g
 
 
 def _segment_visibility(n_ctx, seg_len):
@@ -360,16 +369,11 @@ def hici_forward(x, params: HiCIParams, cfg: HiCIConfig):
             l_ctx = local_construct(segments, params.local, cfg)
     if cfg.K > 0:
         with flop_scope("global"):
-            if strict:
-                g_list = [Tensor(np.zeros((cfg.K, cfg.d)))] + [
-                    integrate_global([slice_rows(l_ctx, 0, i)], params.global_, cfg)
-                    for i in range(1, n_seg)]
-            else:
-                g_list = [integrate_global([l_ctx], params.global_, cfg)] * n_seg
-        g_ctx = reshape(concat_rows(g_list), (n_seg, cfg.K, cfg.d))
+            g_ctx = integrate_global([l_ctx], params.global_, cfg)
+        if not strict:
+            g_ctx = reshape(concat_rows([g_ctx] * n_seg), (n_seg, cfg.K, cfg.d))
     if strict and l_ctx is not None:
-        zeros_l = Tensor(np.zeros((1, cfg.M, cfg.d)))
-        l_ctx = concat_rows([zeros_l, slice_rows(l_ctx, 0, n_seg - 1)])
+        l_ctx = concat_rows([Tensor(np.zeros((1, cfg.M, cfg.d))), slice_rows(l_ctx, 0, n_seg - 1)])
 
     out = broadcast(segments, l_ctx, g_ctx, params.broadcast, cfg)
     return reshape(out, x.data.shape)

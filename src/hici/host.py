@@ -310,6 +310,9 @@ def load_checkpoint(ckpt_dir):
     missing = sorted({"step", "adam_t", "rng_state", "config"} - state.keys())
     if missing:
         raise ValueError(f"{state_path}: missing keys {missing}")
+    for key in ("step", "adam_t"):
+        if type(state[key]) is not int or state[key] < 0:
+            raise ValueError(f"{state_path}: {key} {state[key]!r} is not a non-negative int")
     cfg = host_config_from_dict(state["config"], where=state_path)
     blobs = load_tensors(os.path.join(ckpt_dir, "checkpoint"))
 
@@ -328,10 +331,13 @@ def load_checkpoint(ckpt_dir):
     for name in opt.m:
         opt.m[name] = stored(f"opt.m.{name}", opt.m[name].shape)
         opt.v[name] = stored(f"opt.v.{name}", opt.v[name].shape)
-    opt.t = int(state["adam_t"])
+    opt.t = state["adam_t"]
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = state["rng_state"]
-    return cfg, params, opt, rng, int(state["step"])
+    try:
+        rng.bit_generator.state = state["rng_state"]
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ValueError(f"{state_path}: unusable rng_state ({exc})") from None
+    return cfg, params, opt, rng, state["step"]
 
 
 # ---------------------------------------------------------------------------

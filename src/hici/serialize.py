@@ -78,7 +78,10 @@ def load_tensors(prefix):
         raise ValueError(f"{manifest_path}: unknown format {manifest.get('format')!r}")
     if not isinstance(manifest.get("blob"), str) or not isinstance(manifest.get("tensors"), list):
         raise ValueError(f"{manifest_path}: needs a 'blob' file name and a 'tensors' list")
-    blob_path = os.path.join(os.path.dirname(manifest_path), manifest["blob"])
+    blob = manifest["blob"]
+    if blob in ("", ".", "..") or os.path.basename(blob) != blob:
+        raise ValueError(f"{manifest_path}: blob {blob!r} is not a plain file name")
+    blob_path = os.path.join(os.path.dirname(manifest_path), blob)
     with open(blob_path, "rb") as fh:
         raw = fh.read()
     out = {}

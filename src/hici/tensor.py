@@ -13,10 +13,10 @@ silently accumulating garbage.
 B stacked blocks (segments) in a single graph node with a closed-form
 backward, so a module pass builds the same small graph at any length.
 
-Reductions that feed the global statistics (`mean_rows`, `std_rows`) use
-`math.fsum`, which is exactly rounded and therefore invariant to the row
-order of its input. That makes segment-permutation invariance of the
-pooled statistics hold bit-for-bit, not just to rounding error.
+`prefix_stats` pools the statistics of every prefix of a stack of
+blocks in one node from exact sums, carried from prefix to prefix, so
+each mean equals `math.fsum` over its rows divided by their count, in
+any row order: segment-permutation invariance holds bit-for-bit.
 
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
 arithmetic issued by a forward pass. Matmuls are charged 2*m*k*n
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -383,14 +384,14 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     FLOPS.add("other", 6 * n_scores)
 
     def split(x):   # (..., L, W) -> (..., H, L, dk), contiguous
-        return np.ascontiguousarray(np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, dk)), -3, -2))
+        return np.ascontiguousarray(x.reshape(x.shape[:-1] + (n_heads, dk)).swapaxes(-3, -2))
 
     def merge(x):   # (..., H, L, dk) -> (..., L, W)
-        return np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
+        return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     inv_scale = 1.0 / math.sqrt(dk)
-    p = _softmax((qh @ np.swapaxes(kh, -1, -2)) * inv_scale, visible)
+    p = _softmax((qh @ kh.swapaxes(-1, -2)) * inv_scale, visible)
     if probe is not None:
         probe(p)
     out = merge(p @ vh)
@@ -398,16 +399,16 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     def bwd(g):
         gh = split(g)
         if v.requires_grad:
-            v._acc(merge(np.swapaxes(p, -1, -2) @ gh))
+            v._acc(merge(p.swapaxes(-1, -2) @ gh))
         if not (q.requires_grad or k.requires_grad):
             return
-        dp = gh @ np.swapaxes(vh, -1, -2)
+        dp = gh @ vh.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_scale
         if q.requires_grad:
             dq = ds @ kh
             q._acc(merge(dq if q.data.ndim == 3 else dq.sum(axis=0)))
         if k.requires_grad:
-            k._acc(merge(np.swapaxes(ds, -1, -2) @ qh))
+            k._acc(merge(ds.swapaxes(-1, -2) @ qh))
 
     return _make(out, (q, k, v), bwd)
 
@@ -445,110 +446,104 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return _make(out, (a, gain, bias), bwd)
 
 
-def mean_rows(a):
-    """Column means over the rows, accumulated with exact summation.
+def _exact_prefix_sums(v):
+    """Exact sums of v (g, B, R, d), |v| < 2**960, over blocks[:i+1], every i: ints * 2**e.
 
-    `math.fsum` is exactly rounded, so the result does not depend on the
-    order of the rows. FLOPs: ~1 per element.
+    Error-free extraction (Rump, Ogita and Oishi 2008): adding and subtracting
+    sigma = 2**m cuts every entry at one bit, the cut parts of n <= 2**(h-1)
+    entries add up exactly, and the rest is cut again 53 - h bits lower.
     """
-    a = _as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[0] < 1:
-        raise ShapeError(f"mean_rows: need a non-empty 2-d tensor, got shape {a.data.shape}")
-    r, d = a.data.shape
-    FLOPS.add("other", a.data.size)
-    out = np.array([math.fsum(a.data[:, j]) for j in range(d)]) / r
-
-    def bwd(g):
-        a._acc(np.broadcast_to(g / r, a.data.shape).copy())
-
-    return _make(out, (a,), bwd)
-
-
-def max_rows(a):
-    """Column maxima over the rows; gradient routes to the first argmax."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[0] < 1:
-        raise ShapeError(f"max_rows: need a non-empty 2-d tensor, got shape {a.data.shape}")
-    FLOPS.add("other", a.data.size)
-    idx = np.argmax(a.data, axis=0)
-    out = a.data[idx, np.arange(a.data.shape[1])]
-
-    def bwd(g):
-        d = np.zeros_like(a.data)
-        d[idx, np.arange(a.data.shape[1])] = g
-        a._acc(d)
-
-    return _make(out, (a,), bwd)
+    h = (v.shape[1] * v.shape[2]).bit_length() + 1
+    m, rest, total = math.frexp(np.abs(v).max())[1] + h, v, None
+    while True:
+        sigma = math.ldexp(1.0, m)
+        cut = (sigma + rest) - sigma
+        rest -= cut
+        level = np.ldexp(cut.sum(axis=2).cumsum(axis=1), 53 - m).astype(np.int64).astype(object)
+        total = level if total is None else total * (1 << (53 - h)) + level
+        if not np.count_nonzero(rest):
+            return total, m - 53
+        m -= 53 - h
 
 
-def min_rows(a):
-    """Column minima over the rows; gradient routes to the first argmin."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[0] < 1:
-        raise ShapeError(f"min_rows: need a non-empty 2-d tensor, got shape {a.data.shape}")
-    FLOPS.add("other", a.data.size)
-    idx = np.argmin(a.data, axis=0)
-    out = a.data[idx, np.arange(a.data.shape[1])]
-
-    def bwd(g):
-        d = np.zeros_like(a.data)
-        d[idx, np.arange(a.data.shape[1])] = g
-        a._acc(d)
-
-    return _make(out, (a,), bwd)
+def _rounded(num, e, den=1):
+    """num * 2**e / den for Python ints, correctly rounded to float64."""
+    return (num * (1 << e) / den if e >= 0 else num / (den * (1 << -e))).astype(np.float64)
 
 
-def std_rows(a):
-    """Column population standard deviation (divisor r), exact summation.
+def _prefix_argmax(x):
+    """Column maxima over the rows of blocks[:i+1] and the flat index of the first argmax:
+    the first row of the first block that holds the prefix maximum."""
+    n_blocks, n_rows, d = x.shape
+    best = x.max(axis=1)
+    run = np.maximum.accumulate(best, axis=0)
+    prev = np.concatenate([np.full((1, d), np.inf), run[:-1]])
+    blk = np.maximum.accumulate(np.where(best > prev, np.arange(n_blocks)[:, None], 0), axis=0)
+    return run, (blk * n_rows + x.argmax(axis=1)[blk, np.arange(d)]) * d + np.arange(d)
 
-    Where a column is constant the forward value is 0 and the (sub)gradient
-    contribution is taken as 0. FLOPs: ~4 per element.
+
+def prefix_stats(blocks):
+    """Column mean, max, min and population std of the rows of blocks[:i+1], every i.
+
+    `blocks` is (B, R, d); the result is (B, 4, d). From exact sums of x and
+    x^2 (entries within 2**900 of the largest), a mean is the correctly rounded
+    sum of r rows divided by r, math.fsum(rows) / r, and a variance the correctly
+    rounded (r*sum(x^2) - sum(x)^2) / r^2, 0 on a constant column. Max and min
+    route their gradient to the first argmax / argmin. FLOPs: 7 per element.
     """
-    a = _as_tensor(a)
-    if a.data.ndim != 2 or a.data.shape[0] < 1:
-        raise ShapeError(f"std_rows: need a non-empty 2-d tensor, got shape {a.data.shape}")
-    r, d = a.data.shape
-    FLOPS.add("other", 4 * a.data.size)
-    mu = np.array([math.fsum(a.data[:, j]) for j in range(d)]) / r
-    centered = a.data - mu
-    var = np.array([math.fsum(centered[:, j] ** 2) for j in range(d)]) / r
-    # a constant column has exactly zero deviation; without this the last-ulp
-    # rounding of the mean would leak a ~1e-16 residual into the output
-    constant = a.data.max(axis=0) == a.data.min(axis=0)
-    out = np.where(constant, 0.0, np.sqrt(var))
+    blocks = _as_tensor(blocks)
+    x = blocks.data
+    if x.ndim != 3 or 0 in x.shape[:2]:
+        raise ShapeError(f"prefix_stats: need non-empty (blocks, rows, d), got shape {x.shape}")
+    FLOPS.add("other", 7 * x.size)
+    d = x.shape[2]
+    finite = np.isfinite(x)
+    xf = x if finite.all() else np.where(finite, x, 0.0)
+    k = math.frexp(np.abs(xf).max())[1] - 480    # x * 2**-k: squares below 2**960
+    xs = np.ldexp(xf, -k)
+    split = xs * 134217729.0                      # Veltkamp: 26-bit halves, exact products
+    hi = split - (split - xs)
+    lo = xs - hi
+    # sum(xs * 2**480) and the three parts of sum(xs**2), all in units of 2**e (e < 960)
+    s, e = _exact_prefix_sums(np.array([xs * 2.0**480, hi * hi, 2.0 * hi * lo, lo * lo]))
+    rows = np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1]
+    # r * sum(xs**2) - sum(xs)**2 in units of 2**(2e - 960)
+    num = rows.astype(object) * (1 << (960 - e)) * s[1:].sum(axis=0) - s[0] * s[0]
+    var = _rounded(num, 2 * e - 960, (rows * rows).astype(object))
+    mean = _rounded(s[0], e - 480 + k) / rows
+    std = np.ldexp(np.sqrt(var), k)
+    if not finite.all():   # a non-finite row poisons its prefixes, as in plain summation
+        poisoned = np.logical_or.accumulate(~finite.all(axis=1), axis=0)
+        mean = np.where(poisoned, np.cumsum(x.sum(axis=1), axis=0) / rows, mean)
+        std = np.where(poisoned, np.nan, std)
+    ext, i_ext = _prefix_argmax(np.concatenate([x, -x], axis=2))   # max, then -min
 
     def bwd(g):
-        safe = np.where(out > 0.0, out, 1.0)
-        coeff = np.where(out > 0.0, g / (r * safe), 0.0)
-        a._acc(centered * coeff)
+        coeff = np.divide(g[:, 3], rows * std, out=np.zeros_like(std), where=std > 0)
+        ref = mean[-1]   # one block: exactly the centred (x - mean) * coeff
+        # block j gets the adjoints of every prefix i >= j that holds it
+        a, b, c = np.cumsum(np.stack([coeff, g[:, 0] / rows, coeff * (mean - ref)])[:, ::-1],
+                            axis=1)[:, ::-1]
+        dx = (x - ref) * a[:, None] + (b - c)[:, None]
+        dz = np.bincount(i_ext.ravel(), np.concatenate([g[:, 1], -g[:, 2]], axis=1).ravel(),
+                         2 * x.size).reshape(x.shape[:2] + (-1,))
+        blocks._acc(dx + dz[..., :d] - dz[..., d:])
 
-    return _make(out, (a,), bwd)
-
-
-def reduce_stats(a):
-    """Column statistics over the rows: (mean, max, min, std).
-
-    std is the population form (divisor = number of rows). A single row
-    yields mean = max = min = the row and std = 0.
-    """
-    return mean_rows(a), max_rows(a), min_rows(a), std_rows(a)
+    out = np.concatenate([mean[:, None], ext[:, None, :d], -ext[:, None, d:], std[:, None]], 1)
+    return _make(out, (blocks,), bwd)
 
 
 def l2_normalize(v, eps=1e-12):
-    """v / max(||v||_2, eps) for a 1-d tensor; the zero vector passes through."""
+    """v / max(||v||_2, eps) along the last axis; a zero vector passes through."""
     v = _as_tensor(v)
-    if v.data.ndim != 1:
-        raise ShapeError(f"l2_normalize: need a 1-d tensor, got shape {v.data.shape}")
     FLOPS.add("other", 4 * v.data.size)
-    norm = float(np.sqrt(np.dot(v.data, v.data)))
-    denom = max(norm, eps)
+    norm = np.sqrt(v.data[..., None, :] @ v.data[..., :, None])[..., 0]   # np.dot per row
+    denom = np.maximum(norm, eps)
     out = v.data / denom
 
     def bwd(g):
-        if norm > eps:
-            v._acc(g / norm - v.data * (np.dot(v.data, g) / norm**3))
-        else:
-            v._acc(g / eps)
+        dot = (v.data[..., None, :] @ g[..., :, None])[..., 0]
+        v._acc(np.where(norm > eps, g / denom - v.data * (dot / denom**3), g / eps))
 
     return _make(out, (v,), bwd)
 
@@ -609,7 +604,7 @@ def concat_rows(tensors, axis=0):
             or len({s[:axis] + s[axis + 1:] for s in shapes}) != 1):
         raise ShapeError(f"concat_rows: incompatible shapes {shapes} along axis {axis}")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [s[axis] for s in shapes])
+    offsets = list(accumulate((s[axis] for s in shapes), initial=0))
     lead = (slice(None),) * axis
 
     def bwd(g):
@@ -620,16 +615,17 @@ def concat_rows(tensors, axis=0):
     return _make(out, tuple(tensors), bwd)
 
 
-def slice_rows(a, start, stop):
-    """Rows start:stop along the leading axis (segments of a stack)."""
+def slice_rows(a, start, stop, axis=0):
+    """Entries start:stop along `axis`, by default the leading one (segments of a stack)."""
     a = _as_tensor(a)
-    if a.data.ndim < 1 or not (0 <= start <= stop <= a.data.shape[0]):
-        raise ShapeError(f"slice_rows: bad range [{start}:{stop}] for shape {a.data.shape}")
-    out = a.data[start:stop]
+    if not (0 <= axis < a.data.ndim and 0 <= start <= stop <= a.data.shape[axis]):
+        raise ShapeError(f"slice_rows: bad range [{start}:{stop}] on axis {axis} of {a.shape}")
+    index = (slice(None),) * axis + (slice(start, stop),)
+    out = a.data[index]
 
     def bwd(g):
         d = np.zeros_like(a.data)
-        d[start:stop] = g
+        d[index] = g
         a._acc(d)
 
     return _make(out, (a,), bwd)

@@ -253,6 +253,19 @@ def test_criterion_6_linear_scaling(capsys):
                 + f", {elapsed:.1f}s")
 
 
+def test_strict_scope_linear_scaling():
+    # the strictly causal scope pools every prefix in one pass, so its FLOPs
+    # double with T too; in both scopes the analytic matmul counts of every
+    # module scope equal the counter's
+    cfg = HiCIConfig(S=32, M=8, K=4, H=4, d=32, d_b=16, d_s=8)
+    t_list = [2 * cfg.S, 4 * cfg.S, 8 * cfg.S, 16 * cfg.S]
+    strict = scaling_probe(dataclasses.replace(cfg, global_scope=SCOPE_PRECEDING), t_list, seed=0)
+    ratios = [b.flops_total / a.flops_total for a, b in zip(strict, strict[1:])]
+    assert all(1.98 <= r <= 2.02 for r in ratios), ratios
+    for row in strict + scaling_probe(cfg, t_list, seed=0):
+        assert row.flops_matmul == row.analytic_matmul, row.T
+
+
 # ---------------------------------------------------------------------------
 # 7. toy training
 

@@ -18,6 +18,7 @@ from hici.attention import (
     record_attn_mass,
 )
 from hici.config import SCOPE_ALL, SCOPE_PRECEDING, ConfigError, HiCIConfig
+from hici.gradcheck import check_module_gradients
 from hici.tensor import ShapeError, Tensor, attention, reshape, softplus
 
 from oracles import reference_local_construct, reference_mha
@@ -208,6 +209,24 @@ def test_integrate_global_empty_input():
         integrate_global([], p.global_, CFG)
 
 
+def test_strict_integrate_global_matches_all_segments_on_each_prefix():
+    strict = dataclasses.replace(CFG, global_scope=SCOPE_PRECEDING)
+    p = _params(seed=42)
+    blocks = np.random.default_rng(43).normal(size=(6, CFG.M, CFG.d))
+    g = integrate_global([Tensor(blocks)], p.global_, strict).data
+    assert g.shape == (6, CFG.K, CFG.d)
+    assert np.array_equal(g[0], np.zeros((CFG.K, CFG.d)))
+    for i in range(1, 6):
+        ref = integrate_global([Tensor(blocks[:i])], p.global_, CFG).data
+        assert np.abs(g[i] - ref).max() <= 1e-12
+
+
+def test_strict_scope_gradients_at_four_segments():
+    cfg = dataclasses.replace(CFG, global_scope=SCOPE_PRECEDING, causal_segment_mask=True)
+    errors = check_module_gradients(cfg, seed=0, n_segments=4)
+    assert max(errors.values()) <= 1e-6, errors
+
+
 def test_global_context_shape_and_size_constant_in_T():
     p = _params(seed=13)
     rng = np.random.default_rng(14)
@@ -361,10 +380,12 @@ def _graph_nodes(out):
     return len(seen)
 
 
-def test_forward_graph_size_does_not_grow_with_T():
-    # every stage runs over all segments at once, so the autodiff graph of
-    # the shared-context scope has the same nodes at any segment count
-    cfg = dataclasses.replace(CFG, global_scope=SCOPE_ALL)
+@pytest.mark.parametrize("scope", [SCOPE_ALL, SCOPE_PRECEDING])
+def test_forward_graph_size_does_not_grow_with_T(scope):
+    # every stage runs over all segments (and the strict scope's pooling
+    # over all prefixes) at once, so the autodiff graph has the same nodes
+    # at any segment count
+    cfg = dataclasses.replace(CFG, global_scope=scope)
     p = _params(cfg, seed=33)
     rng = np.random.default_rng(34)
     counts = [_graph_nodes(hici_forward(Tensor(rng.normal(size=(n * cfg.S, cfg.d))), p, cfg))

@@ -205,8 +205,15 @@ def _without(key):
     ("state.json", _without("step"), "missing keys ['step']"),
     ("state.json", _without("config"), "missing keys ['config']"),
     ("state.json", lambda s: [s], "expected a JSON object"),
+    ("state.json", lambda s: dict(s, step=None), "step None is not a non-negative int"),
+    ("state.json", lambda s: dict(s, adam_t=[1]), "adam_t [1] is not a non-negative int"),
+    ("state.json", lambda s: dict(s, rng_state=dict(s["rng_state"], state="x")),
+     "unusable rng_state"),
+    ("state.json", lambda s: dict(s, rng_state=[1]), "unusable rng_state"),
+    ("checkpoint.json", lambda m: dict(m, blob="/etc/hostname"), "not a plain file name"),
 ], ids=["dtype", "no-blob", "no-tensors", "manifest-list", "entry-string", "no-embed",
-        "no-step", "no-config", "state-list"])
+        "no-step", "no-config", "state-list", "step-null", "adam-t-list", "rng-inner",
+        "rng-list", "blob-absolute"])
 def test_eval_ppl_reports_corrupt_checkpoint(tmp_path, host_config_file, corpus_file, capsys,
                                              file_name, mutate, fragment):
     out_dir = str(tmp_path / "run")

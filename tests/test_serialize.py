@@ -114,3 +114,15 @@ def test_corrupt_manifest_or_blob_raises_value_error_naming_the_tensor(tmp_path)
         with pytest.raises(ValueError, match="outside the"):
             load_with(manifest["tensors"], blob[:len(blob) - int(cut)])
     assert set(load_with(manifest["tensors"], blob)) == set(shapes)
+
+
+@pytest.mark.parametrize("blob", ["/etc/hostname", "../t.bin", "sub/t.bin", "..", ".", ""])
+def test_manifest_blob_must_be_a_plain_file_name(tmp_path, blob):
+    prefix = str(tmp_path / "t")
+    save_tensors(prefix, {"x": np.zeros(2)})
+    with open(prefix + ".json") as fh:
+        manifest = json.load(fh)
+    with open(prefix + ".json", "w") as fh:
+        json.dump(dict(manifest, blob=blob), fh)
+    with pytest.raises(ValueError, match=r"t\.json: blob .* is not a plain file name"):
+        load_tensors(prefix)

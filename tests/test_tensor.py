@@ -18,15 +18,12 @@ from hici.tensor import (
     l2_normalize,
     layer_norm,
     matmul,
-    max_rows,
-    mean_rows,
     mul_const,
     parameter,
-    reduce_stats,
+    prefix_stats,
     scale,
     softmax_rows,
     softplus,
-    std_rows,
     tsum,
 )
 
@@ -140,38 +137,99 @@ def test_layer_norm_standardizes():
 # statistics
 
 
-def test_reduce_stats_hand_example():
-    mean, mx, mn, sd = reduce_stats(Tensor([[1.0, 3.0], [3.0, 1.0]]))
-    assert np.array_equal(mean.data, [2.0, 2.0])
-    assert np.array_equal(mx.data, [3.0, 3.0])
-    assert np.array_equal(mn.data, [1.0, 1.0])
-    assert np.array_equal(sd.data, [1.0, 1.0])
+def _prefix_stats(x):
+    """(mean, max, min, std) arrays, each (B, d), of prefix_stats on x (B, R, d)."""
+    out = prefix_stats(Tensor(x)).data
+    return tuple(out[:, k] for k in range(4))
 
 
-def test_reduce_stats_single_row():
-    mean, mx, mn, sd = reduce_stats(Tensor([[5.0, 7.0]]))
+def test_prefix_stats_hand_example():
+    mean, mx, mn, sd = _prefix_stats(np.array([[[1.0, 3.0]], [[3.0, 1.0]], [[2.0, 2.0]]]))
+    assert np.array_equal(mean, [[1.0, 3.0], [2.0, 2.0], [2.0, 2.0]])
+    assert np.array_equal(mx, [[1.0, 3.0], [3.0, 3.0], [3.0, 3.0]])
+    assert np.array_equal(mn, [[1.0, 3.0], [1.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(sd, [[0.0, 0.0], [1.0, 1.0], [math.sqrt(2 / 3), math.sqrt(2 / 3)]])
+
+
+def test_prefix_stats_single_row():
+    x = np.array([[[5.0, 7.0]], [[5.0, 7.0]]])
+    mean, mx, mn, sd = _prefix_stats(x)
     for t in (mean, mx, mn):
-        assert np.array_equal(t.data, [5.0, 7.0])
-    assert np.array_equal(sd.data, [0.0, 0.0])
+        assert np.array_equal(t, [[5.0, 7.0], [5.0, 7.0]])
+    assert np.array_equal(sd, np.zeros((2, 2)))
 
 
-def test_reduce_stats_vs_two_pass_oracle():
+def test_prefix_stats_vs_two_pass_oracle():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(100, 7))
-    mean, mx, mn, sd = reduce_stats(Tensor(x))
-    omean, omx, omn, osd = two_pass_stats(x)
-    assert np.abs(mean.data - omean).max() <= 1e-12
-    assert np.array_equal(mx.data, omx)
-    assert np.array_equal(mn.data, omn)
-    assert np.abs(sd.data - osd).max() <= 1e-12
+    x = rng.normal(size=(10, 10, 7))
+    stats = _prefix_stats(x)
+    for i in range(10):
+        omean, omx, omn, osd = two_pass_stats(x[:i + 1].reshape(-1, 7))
+        assert np.abs(stats[0][i] - omean).max() <= 1e-12
+        assert np.array_equal(stats[1][i], omx)
+        assert np.array_equal(stats[2][i], omn)
+        assert np.abs(stats[3][i] - osd).max() <= 1e-12
 
 
-def test_mean_rows_permutation_invariant_bitwise():
+def test_prefix_stats_mean_is_correctly_rounded_fsum():
+    # wide exponent ranges, cancellation and half-way cases included
+    rng = np.random.default_rng(40)
+    for x in (rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-200, 200, size=(6, 5, 3)),
+              rng.choice([1e-16, 1.0, 1e16, -1e16, 2.0**-53, 3.0], size=(6, 5, 3)),
+              rng.normal(size=(6, 5, 3)) * 2.0 ** -1070,
+              1e8 + rng.normal(size=(6, 5, 3))):
+        mean = _prefix_stats(x)[0]
+        for i in range(6):
+            rows = x[:i + 1].reshape(-1, 3)
+            fsum = [math.fsum(rows[:, j]) / rows.shape[0] for j in range(3)]
+            assert np.array_equal(mean[i], fsum)
+
+
+def test_prefix_stats_permutation_invariant_bitwise():
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(13, 4))
+    x = rng.normal(size=(4, 13, 4))
     perm = rng.permutation(13)
-    assert np.array_equal(mean_rows(Tensor(x)).data, mean_rows(Tensor(x[perm])).data)
-    assert np.array_equal(std_rows(Tensor(x)).data, std_rows(Tensor(x[perm])).data)
+    base = prefix_stats(Tensor(x)).data
+    assert np.array_equal(base, prefix_stats(Tensor(x[:, perm])).data)
+    # rows may also move between the blocks of one prefix
+    flat = x[:3].reshape(-1, 4)[rng.permutation(39)].reshape(3, 13, 4)
+    assert np.array_equal(base[2], prefix_stats(Tensor(flat)).data[2])
+
+
+def test_prefix_stats_prefix_is_causal():
+    # changing block j leaves every prefix before j bit-identical
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(5, 3, 4))
+    base = prefix_stats(Tensor(x)).data
+    for j in range(5):
+        x2 = x.copy()
+        x2[j] = rng.normal(scale=100.0, size=(3, 4))
+        out = prefix_stats(Tensor(x2)).data
+        assert np.array_equal(out[:j], base[:j])
+        assert not np.array_equal(out[j], base[j])
+
+
+def test_prefix_stats_constant_column_has_zero_std():
+    x = np.full((3, 4, 2), 0.1)
+    x[:, :, 1] = np.random.default_rng(42).normal(size=(3, 4))
+    sd = _prefix_stats(x)[3]
+    assert np.array_equal(sd[:, 0], np.zeros(3))
+    assert (sd[:, 1] > 0).all()
+
+
+def test_prefix_stats_propagates_non_finite_rows():
+    x = np.ones((3, 2, 2))
+    x[1, 0, 0] = np.nan
+    mean, mx, mn, sd = _prefix_stats(x)
+    assert np.array_equal(mean[0], [1.0, 1.0]) and np.array_equal(sd[0], [0.0, 0.0])
+    for t in (mean, mx, mn, sd):
+        assert np.isnan(t[1:, 0]).all() and np.isfinite(t[:, 1]).all()
+
+
+def test_prefix_stats_rejects_empty_blocks():
+    for shape in ((0, 2, 3), (2, 0, 3), (2, 3)):
+        with pytest.raises(ShapeError, match="prefix_stats"):
+            prefix_stats(Tensor(np.zeros(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +248,11 @@ def test_l2_normalize_zero_vector():
 def test_l2_normalize_idempotent_on_unit():
     v = np.array([1.0, 0.0, 0.0])
     assert np.abs(l2_normalize(Tensor(v)).data - v).max() <= 1e-15
+
+
+def test_l2_normalize_works_along_the_last_axis():
+    out = l2_normalize(Tensor([[[3.0, 4.0]], [[0.0, 0.0]]])).data
+    assert np.abs(out - [[[0.6, 0.8]], [[0.0, 0.0]]]).max() <= 1e-15
 
 
 def test_softplus_values():
@@ -276,14 +339,6 @@ def _check_op_gradient(build_loss, p, tol=1e-6, h=1e-5, seed=0):
     assert np.linalg.norm(g_ad - g_fd) / denom <= tol
 
 
-def _stats_stack(p):
-    from hici.tensor import reshape
-
-    mean, mx, mn, sd = reduce_stats(p)
-    d = p.data.shape[1]
-    return concat_rows([reshape(t, (1, d)) for t in (mean, mx, mn, sd)])
-
-
 def _primitive_cases():
     rng = np.random.default_rng(42)
     c45 = rng.normal(size=(4, 5))
@@ -300,6 +355,7 @@ def _primitive_cases():
     c274 = rng.normal(size=(2, 7, 4))
     c134 = c234[:1]
     tril = np.tril(np.ones((3, 3), dtype=bool))
+    c345 = rng.normal(size=(3, 4, 5))
     return {
         "matmul": ((4, 5), lambda p: tsum(mul_const(matmul(p, Tensor(b54)), c44))),
         "softmax": ((4, 5), lambda p: tsum(mul_const(softmax_rows(p), c45))),
@@ -308,8 +364,10 @@ def _primitive_cases():
         "layer_norm_x": ((4, 5), lambda p: tsum(mul_const(layer_norm(p, gain, bias), c45))),
         "layer_norm_affine": ((5,),
                               lambda p: tsum(mul_const(layer_norm(Tensor(c45), p, bias), c45))),
-        "stats": ((6, 5), lambda p: tsum(mul_const(_stats_stack(p), c45))),
+        "stats": ((1, 6, 5), lambda p: tsum(mul_const(prefix_stats(p), c45))),
+        "prefix_stats": ((3, 2, 5), lambda p: tsum(mul_const(prefix_stats(p), c345))),
         "l2_normalize": ((7,), lambda p: tsum(mul_const(l2_normalize(p), np.arange(7.0)))),
+        "l2_normalize_rows": ((3, 4), lambda p: tsum(mul_const(l2_normalize(p), c234[0]))),
         "softplus": ((6,), lambda p: tsum(mul_const(softplus(p), np.arange(6.0) - 2))),
         "gelu": ((6,), lambda p: tsum(mul_const(gelu(p), np.arange(6.0) - 3))),
         "cross_entropy": ((4, 5), lambda p: cross_entropy_mean(p, targets)),
