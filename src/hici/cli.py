@@ -185,19 +185,20 @@ def _cmd_eval_ppl(args):
     with open(args.text, "rb") as fh:
         ids = encode_bytes(fh.read())
     eval_len = args.eval_len if args.eval_len else cfg.max_T
+    stride = args.stride if args.stride is not None else min(256, eval_len)
     if args.out:
         _write_manifest(args.out, "eval-ppl",
                         {"ckpt_step": step, "eval_len": eval_len,
-                         "stride": args.stride, "mode": args.mode,
+                         "stride": stride, "mode": args.mode,
                          "config": config_to_dict(cfg)},
                         args.seed, ["eval_ppl.json"])
-    ppl = eval_ppl(params, cfg, ids, eval_len, args.stride, mode=args.mode)
+    ppl = eval_ppl(params, cfg, ids, eval_len, stride, mode=args.mode)
     if args.out:
         _write_text(args.out, "eval_ppl.json", json.dumps(
-            {"perplexity": ppl, "eval_len": eval_len, "stride": args.stride,
+            {"perplexity": ppl, "eval_len": eval_len, "stride": stride,
              "mode": args.mode, "n_tokens": int(ids.shape[0])},
             indent=1, sort_keys=True) + "\n")
-    print(f"perplexity ({args.mode}, eval_len={eval_len}, stride={args.stride}): {ppl:.6f}")
+    print(f"perplexity ({args.mode}, eval_len={eval_len}, stride={stride}): {ppl:.6f}")
     return 0
 
 
@@ -311,7 +312,8 @@ def build_parser():
     p.add_argument("--ckpt", required=True, help="checkpoint directory")
     p.add_argument("--text", required=True, help="evaluation text file")
     p.add_argument("--eval-len", type=int, default=0, help="window length (0 = max_T)")
-    p.add_argument("--stride", type=int, default=256)
+    p.add_argument("--stride", type=int, default=None,
+                   help="tokens between window starts (default: min(256, eval length))")
     p.add_argument("--mode", choices=["hici", "full"], default="hici")
     p.add_argument("--causal", choices=["on", "off"])
     p.add_argument("--global-scope", choices=["all", "preceding"])

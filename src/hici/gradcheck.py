@@ -4,8 +4,11 @@ For each parameter tensor we compare the full reverse-mode gradient of a
 fixed scalar loss (a frozen random weighting of the forward output)
 against `finite_diff_grad`, reporting the norm-wise relative error
 ||g_ad - g_fd|| / max(||g_ad||, ||g_fd||). At 64-bit with h = 1e-5 a
-correct implementation lands around 1e-9; anything above 1e-6 means a
-wrong derivative somewhere.
+correct implementation usually lands around 1e-9, and an error above
+1e-6 usually means a wrong derivative. Not always: the finite-difference
+round-off is fixed in absolute terms, so on a gradient whose norm is
+near zero it can exceed 1e-6 with correct derivatives. Module seed 11
+on the micro config gives 1.39e-6 on `global.w_q`.
 """
 
 from __future__ import annotations

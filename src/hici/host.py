@@ -16,6 +16,8 @@ import dataclasses
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,25 +281,47 @@ def save_checkpoint(out_dir, cfg: HostConfig, params: HostParams, opt: AdamW,
                     rng, step, dtype="f8"):
     """Manifest+blob tensors, config, optimizer moments, step and RNG state.
 
-    The default f8 storage makes save/load/continue bit-exact.
+    The default f8 storage makes save/load/continue bit-exact. The files
+    go to a temporary sibling of `out_dir` that then replaces `out_dir`
+    whole (the old directory is renamed aside, the new one in, the old
+    one removed), so a save that fails part-way leaves the previous
+    checkpoint as it was. `out_dir` belongs to the checkpoint: anything
+    else in it is removed by the swap.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    tensors = {}
-    for name, p in host_named_tensors(params).items():
-        tensors[name] = p.data
-    for name in opt.m:
-        tensors[f"opt.m.{name}"] = opt.m[name]
-        tensors[f"opt.v.{name}"] = opt.v[name]
-    save_tensors(os.path.join(out_dir, "checkpoint"), tensors, dtype=dtype)
-    state = {
-        "step": int(step),
-        "adam_t": int(opt.t),
-        "rng_state": rng.bit_generator.state,
-        "config": config_to_dict(cfg),
-    }
-    with open(os.path.join(out_dir, "state.json"), "w", encoding="utf-8") as fh:
-        json.dump(state, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    out_dir = os.path.abspath(out_dir)
+    parent, base = os.path.split(out_dir)
+    os.makedirs(parent, exist_ok=True)
+    tmp_dir = tempfile.mkdtemp(prefix=f".{base}.tmp-", dir=parent)
+    try:
+        tensors = {}
+        for name, p in host_named_tensors(params).items():
+            tensors[name] = p.data
+        for name in opt.m:
+            tensors[f"opt.m.{name}"] = opt.m[name]
+            tensors[f"opt.v.{name}"] = opt.v[name]
+        save_tensors(os.path.join(tmp_dir, "checkpoint"), tensors, dtype=dtype)
+        state = {
+            "step": int(step),
+            "adam_t": int(opt.t),
+            "rng_state": rng.bit_generator.state,
+            "config": config_to_dict(cfg),
+        }
+        with open(os.path.join(tmp_dir, "state.json"), "w", encoding="utf-8") as fh:
+            json.dump(state, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        if not os.path.lexists(out_dir):
+            os.rename(tmp_dir, out_dir)
+            return
+        old_dir = tmp_dir + ".old"
+        os.rename(out_dir, old_dir)
+        try:
+            os.rename(tmp_dir, out_dir)
+        except OSError:
+            os.rename(old_dir, out_dir)
+            raise
+        shutil.rmtree(old_dir)
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
 
 
 def load_checkpoint(ckpt_dir):

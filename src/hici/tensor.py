@@ -18,6 +18,14 @@ blocks in one node from exact sums, carried from prefix to prefix, so
 each mean equals `math.fsum` over its rows divided by their count, in
 any row order: segment-permutation invariance holds bit-for-bit.
 
+The elementwise kernels stay off numpy's slow paths: `gelu` cubes by
+multiplication, `x * x * x`, never `x**3` (numpy hands an exponent of 3
+to libm `pow`), and builds its tanh argument in one scratch buffer; the
+softmax behind `attention`, `softmax_rows` and the `cross_entropy_mean`
+backward, and the log-sum-exp of `nll_rows`, subtract the row max, take
+`exp` and (softmax) divide in one buffer. A masked score enters that
+buffer as -inf, whose `exp` is exactly 0.
+
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
 arithmetic issued by a forward pass. Matmuls are charged 2*m*k*n
 (multiply-add = 2 FLOPs); elementwise ops are charged with the
@@ -320,17 +328,18 @@ def _softmax(a, visible=None):
     of `a`; every row must keep at least one visible entry.
     """
     if visible is None:
-        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        e = a - a.max(axis=-1, keepdims=True)
     else:
         visible = np.asarray(visible, dtype=bool)
         if visible.shape != a.shape[a.ndim - visible.ndim:]:
             raise ShapeError(f"softmax: mask shape {visible.shape} vs scores {a.shape}")
         if not visible.any(axis=-1).all():
             raise ShapeError("softmax: some row has no visible entry")
-        masked = np.where(visible, a, -np.inf)
-        shifted = masked - masked.max(axis=-1, keepdims=True)
-        e = np.where(visible, np.exp(np.where(visible, shifted, 0.0)), 0.0)
-    return e / e.sum(axis=-1, keepdims=True)
+        e = np.where(visible, a, -np.inf)
+        e -= e.max(axis=-1, keepdims=True)    # masked: -inf, and exp(-inf) is exactly 0
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows(a, visible=None):
@@ -573,8 +582,12 @@ def gelu(x):
     """tanh-form GELU, smooth everywhere. FLOPs: ~12 per element."""
     x = _as_tensor(x)
     FLOPS.add("other", 12 * x.data.size)
-    u = _GELU_C * (x.data + 0.044715 * x.data**3)
-    t = np.tanh(u)
+    t = x.data * x.data   # x * x * x: numpy sends x**3 to libm pow (x**2 is a fast square)
+    t *= x.data
+    t *= 0.044715
+    t += x.data
+    t *= _GELU_C
+    np.tanh(t, out=t)
     out = 0.5 * x.data * (1.0 + t)
 
     def bwd(g):
@@ -653,7 +666,9 @@ def embedding(table, ids):
 def nll_rows(logits, targets):
     """Per-row NLL of integer targets under logit rows; arrays, stable log-sum-exp."""
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    e = logits - m
+    np.exp(e, out=e)
+    lse = m[:, 0] + np.log(e.sum(axis=1))
     return lse - logits[np.arange(logits.shape[0]), targets]
 
 
@@ -676,7 +691,8 @@ def cross_entropy_mean(logits, targets):
     def bwd(g):
         p = _softmax(logits.data)
         p[np.arange(t), targets] -= 1.0
-        logits._acc(p * (float(g) / t))
+        p *= float(g) / t
+        logits._acc(p)
 
     return _make(out, (logits,), bwd)
 

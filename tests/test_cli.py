@@ -120,6 +120,22 @@ def test_train_eval_attn_stats_pipeline(tmp_path, host_config_file, corpus_file,
         assert abs(sum(float(v) for v in parts[2:]) - 1.0) <= 1e-9
 
 
+def test_eval_ppl_default_stride_fits_the_micro_host_window(tmp_path, corpus_file, capsys):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "micro-host.json")
+    run = str(tmp_path / "run")
+    assert dispatch(["train", "--config", config, "--corpus", corpus_file,
+                     "--steps", "1", "--out", run]) == 0
+    ckpt = os.path.join(run, "checkpoint")
+    eval_dir = str(tmp_path / "eval")
+    assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--out", eval_dir]) == 0
+    assert "eval_len=32, stride=32)" in capsys.readouterr().out
+    assert json.load(open(os.path.join(eval_dir, "eval_ppl.json")))["stride"] == 32
+    manifest = json.load(open(os.path.join(eval_dir, "run_manifest.json")))
+    assert manifest["config"]["stride"] == 32
+    assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--stride", "33"]) == 2
+    assert "stride=33 must lie in [1, eval_T=32]" in capsys.readouterr().err
+
+
 def test_train_writes_only_into_out_dir(tmp_path, host_config_file, corpus_file):
     out_dir = tmp_path / "only_here"
     before = set(os.listdir(tmp_path))

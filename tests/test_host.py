@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
+from hici import host
 from hici.attention import record_attn_mass
 from hici.config import ConfigError, HiCIConfig, HostConfig
 from hici.host import (
@@ -199,6 +201,33 @@ def test_checkpoint_roundtrip_and_resume_bit_exact(tmp_path):
     _, _, _, resumed = train(CORPUS, cfg2, 20, params=params2, opt=opt2,
                              rng=rng2, start_step=step)
     assert [l for _, l, _ in resumed] == [l for _, l, _ in full[20:]]
+
+
+def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    ckpt = tmp_path / "ckpt"
+    params, opt, rng, _ = train(CORPUS, CFG, 3)
+    save_checkpoint(str(ckpt), CFG, params, opt, rng, step=3)
+    first = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+    saved = {name: t.data.copy() for name, t in host_named_tensors(params).items()}
+    params, opt, rng, _ = train(CORPUS, CFG, 2, params=params, opt=opt, rng=rng, start_step=3)
+
+    def save_half(prefix, tensors, dtype="f8"):
+        with open(f"{prefix}.bin", "wb") as fh:
+            fh.write(b"\0" * 100)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(host, "save_tensors", save_half)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(str(ckpt), CFG, params, opt, rng, step=5)
+    assert os.listdir(tmp_path) == ["ckpt"]
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == first
+    _, params2, _, _, step = load_checkpoint(str(ckpt))
+    assert step == 3
+    assert all(np.array_equal(t.data, saved[name])
+               for name, t in host_named_tensors(params2).items())
+    monkeypatch.undo()
+    save_checkpoint(str(ckpt), CFG, params, opt, rng, step=5)
+    assert os.listdir(tmp_path) == ["ckpt"] and load_checkpoint(str(ckpt))[4] == 5
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from hici.tensor import (
     GraphError,
+    _softmax,
     ShapeError,
     Tensor,
     attention,
@@ -19,6 +20,7 @@ from hici.tensor import (
     layer_norm,
     matmul,
     mul_const,
+    nll_rows,
     parameter,
     prefix_stats,
     scale,
@@ -274,6 +276,94 @@ def test_finite_outputs_on_finite_inputs():
     for out in (softmax_rows(Tensor(x)), gelu(Tensor(x)), softplus(Tensor(x)),
                 layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)))):
         assert np.isfinite(out.data).all()
+
+
+# ---------------------------------------------------------------------------
+# elementwise kernels: bit-exact against the plain formulas
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _gelu_formula(x):
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
+
+
+def test_masked_softmax_equals_three_where_formula():
+    rng = np.random.default_rng(21)
+    a = rng.normal(scale=4.0, size=(3, 2, 6, 9))
+    visible = rng.random((6, 9)) < 0.5
+    visible[0] = False
+    visible[0, 4] = True                    # a row with one visible entry
+    visible[1:, 0] = True
+    masked = np.where(visible, a, -np.inf)
+    shifted = masked - masked.max(axis=-1, keepdims=True)
+    e = np.where(visible, np.exp(np.where(visible, shifted, 0.0)), 0.0)
+    ref = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(a, visible)
+    assert np.array_equal(out, ref)
+    assert np.all(out[..., ~visible] == 0.0) and not np.signbit(out).any()
+    assert np.all(out[..., 0, 4] == 1.0)
+
+
+def test_unmasked_softmax_equals_formula():
+    a = np.random.default_rng(22).normal(scale=30.0, size=(4, 5, 7))
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    assert np.array_equal(_softmax(a), e / e.sum(axis=-1, keepdims=True))
+
+
+def test_nll_rows_equals_log_sum_exp_formula():
+    rng = np.random.default_rng(23)
+    logits = rng.normal(scale=8.0, size=(33, 257))
+    targets = rng.integers(0, 257, size=33)
+    m = logits.max(axis=1, keepdims=True)
+    ref = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
+    ref = ref - logits[np.arange(33), targets]
+    assert np.array_equal(nll_rows(logits, targets), ref)
+
+
+_GELU_POINTS = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0, 1e3, -1e3]
+
+
+def test_gelu_equals_out_of_place_formula():
+    x = np.concatenate([_GELU_POINTS, np.random.default_rng(24).normal(scale=3.0, size=4000)])
+    out, ref = gelu(Tensor(x)).data, _gelu_formula(x)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def test_gelu_matches_scalar_reference():
+    # np.tanh and math.tanh may differ in the last bit and 1 + tanh cancels
+    # for negative x, so the bound is absolute (relative for |x| > 1), not in ulps
+    x = np.concatenate([_GELU_POINTS, np.random.default_rng(25).normal(scale=3.0, size=4000)])
+    out = gelu(Tensor(x)).data
+    for xi, yi in zip(x.tolist(), out.tolist()):
+        ref = 0.5 * xi * (1.0 + math.tanh(_GELU_C * (xi + 0.044715 * (xi * xi * xi))))
+        assert abs(yi - ref) <= 4e-16 * max(1.0, abs(xi)), xi
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(26)
+    scores = rng.normal(size=(2, 4, 5))
+    visible = np.tril(np.ones((4, 5), dtype=bool))
+    kept = scores.copy()
+    _softmax(scores)
+    _softmax(scores, visible)
+    nll_rows(scores[0], np.arange(4))
+    assert np.array_equal(scores, kept)
+
+    upstream = rng.normal(size=(4, 5))
+    for op in (gelu, lambda t: softmax_rows(t, visible)):
+        a = parameter(rng.normal(size=(4, 5)))
+        before = a.data.copy()
+        y = op(a)
+        backward(tsum(mul_const(y, upstream)))
+        assert np.array_equal(a.data, before)
+        assert np.array_equal(y.grad, upstream)       # the adjoint the op received
+    logits = parameter(rng.normal(size=(4, 5)))
+    before = logits.data.copy()
+    backward(cross_entropy_mean(logits, np.arange(4)))
+    assert np.array_equal(logits.data, before)
 
 
 # ---------------------------------------------------------------------------
