@@ -7,7 +7,8 @@ input requires grad, the op attaches a closure that propagates the
 output adjoint to its inputs. `backward(loss)` replays those closures in
 reverse topological order. A graph can be differentiated once; calling
 `backward` a second time without a new forward pass raises instead of
-silently accumulating garbage.
+silently accumulating garbage. Inside `no_grad()` no op records parents
+or a closure, so a forward pass holds only its live activations.
 
 `attention` is the one multi-head attention op: it runs every head of
 B stacked blocks (segments) in a single graph node with a closed-form
@@ -18,13 +19,16 @@ blocks in one node from exact sums, carried from prefix to prefix, so
 each mean equals `math.fsum` over its rows divided by their count, in
 any row order: segment-permutation invariance holds bit-for-bit.
 
-The elementwise kernels stay off numpy's slow paths: `gelu` cubes by
+Kernels write only into buffers they allocated themselves, never into
+an input, and stay off numpy's slow paths: `gelu` cubes by
 multiplication, `x * x * x`, never `x**3` (numpy hands an exponent of 3
-to libm `pow`), and builds its tanh argument in one scratch buffer; the
-softmax behind `attention`, `softmax_rows` and the `cross_entropy_mean`
-backward, and the log-sum-exp of `nll_rows`, subtract the row max, take
-`exp` and (softmax) divide in one buffer. A masked score enters that
-buffer as -inf, whose `exp` is exactly 0.
+to libm `pow`), builds its tanh argument in one scratch buffer and its
+output in one more; `layer_norm` centres into the buffer that becomes
+`xhat` and adds the bias in place; `_softmax` masks (-inf, whose `exp`
+is exactly 0), subtracts the row max, takes `exp` and divides in place
+in the buffer it is given: `attention` hands it the score buffer it
+just made, `softmax_rows` and the `cross_entropy_mean` backward a copy.
+The log-sum-exp of `nll_rows` takes `exp` in its one scratch buffer.
 
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
 arithmetic issued by a forward pass. Matmuls are charged 2*m*k*n
@@ -59,7 +63,12 @@ _GRAD_MODE = [True]
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (pure inference)."""
+    """Record no graph inside the block (pure inference); blocks nest.
+
+    Ops return tensors with `requires_grad=False`, no parents and no
+    backward closure, so intermediate arrays are freed as soon as the
+    forward pass stops using them.
+    """
     _GRAD_MODE.append(False)
     try:
         yield
@@ -161,8 +170,9 @@ class Tensor:
 
     def _acc(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0   # a fresh array, bit-equal to 0.0 + g (-0.0 included)
+        else:
+            self.grad += g
 
     def __add__(self, other):
         return add(self, other)
@@ -186,7 +196,7 @@ def _as_tensor(x):
 def _make(data, parents, backward_fn):
     """Interior graph node; records edges only to grad-requiring parents."""
     out = Tensor(data)
-    if _GRAD_MODE[0]:
+    if _GRAD_MODE[-1]:
         tracked = tuple(p for p in parents if p.requires_grad)
         if tracked:
             out.requires_grad = True
@@ -322,24 +332,23 @@ def scale(a, s):
 
 
 def _softmax(a, visible=None):
-    """Softmax over the last axis with max subtraction; masked entries get 0.
+    """Softmax over the last axis with max subtraction, in place; masked entries get 0.
 
-    `visible` is an optional boolean mask shaped like the trailing axes
-    of `a`; every row must keep at least one visible entry.
+    Overwrites and returns `a`, so a caller that does not own `a` passes a
+    copy. `visible` is an optional boolean mask shaped like the trailing
+    axes of `a`; every row must keep at least one visible entry.
     """
-    if visible is None:
-        e = a - a.max(axis=-1, keepdims=True)
-    else:
+    if visible is not None:
         visible = np.asarray(visible, dtype=bool)
         if visible.shape != a.shape[a.ndim - visible.ndim:]:
             raise ShapeError(f"softmax: mask shape {visible.shape} vs scores {a.shape}")
         if not visible.any(axis=-1).all():
             raise ShapeError("softmax: some row has no visible entry")
-        e = np.where(visible, a, -np.inf)
-        e -= e.max(axis=-1, keepdims=True)    # masked: -inf, and exp(-inf) is exactly 0
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+        np.copyto(a, -np.inf, where=~visible)   # exp(-inf - max) is exactly 0
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
 
 
 def softmax_rows(a, visible=None):
@@ -354,7 +363,7 @@ def softmax_rows(a, visible=None):
     if a.data.ndim != 2:
         raise ShapeError(f"softmax_rows: need a 2-d tensor, got shape {a.data.shape}")
     FLOPS.add("other", 5 * a.data.size)
-    p = _softmax(a.data, visible)
+    p = _softmax(a.data.copy(), visible)
 
     def bwd(g):
         dot = (g * p).sum(axis=1, keepdims=True)
@@ -400,7 +409,9 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     inv_scale = 1.0 / math.sqrt(dk)
-    p = _softmax((qh @ kh.swapaxes(-1, -2)) * inv_scale, visible)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= inv_scale
+    p = _softmax(scores, visible)
     if probe is not None:
         probe(p)
     out = merge(p @ vh)
@@ -435,11 +446,11 @@ def layer_norm(a, gain, bias, eps=1e-5):
         raise ShapeError(
             f"layer_norm: affine shapes {gain.data.shape}/{bias.data.shape} vs width {n}")
     FLOPS.add("other", 10 * a.data.size)
-    mu = a.data.mean(axis=1, keepdims=True)
-    var = ((a.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    xhat = a.data - a.data.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True) + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g):
         if gain.requires_grad:
@@ -588,7 +599,9 @@ def gelu(x):
     t += x.data
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = 0.5 * x.data * (1.0 + t)
+    out = t + 1.0   # 0.5 * x * (1 + t): (1 + t) * 0.5 is exact, and * x last cannot overflow early
+    out *= 0.5
+    out *= x.data
 
     def bwd(g):
         du = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
@@ -689,7 +702,7 @@ def cross_entropy_mean(logits, targets):
     out = np.array(nll_rows(logits.data, targets).mean())
 
     def bwd(g):
-        p = _softmax(logits.data)
+        p = _softmax(logits.data.copy())
         p[np.arange(t), targets] -= 1.0
         p *= float(g) / t
         logits._acc(p)

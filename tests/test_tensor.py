@@ -21,6 +21,7 @@ from hici.tensor import (
     matmul,
     mul_const,
     nll_rows,
+    no_grad,
     parameter,
     prefix_stats,
     scale,
@@ -342,24 +343,103 @@ def test_gelu_matches_scalar_reference():
         assert abs(yi - ref) <= 4e-16 * max(1.0, abs(xi)), xi
 
 
+def test_gelu_equals_out_of_place_formula_at_the_extremes():
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([1e308, -1e308, np.finfo(float).max, -np.finfo(float).max, tiny, -tiny,
+                  2.5e-308, -2.5e-308, 1e-310, -1e-310, 0.0, -0.0])
+    with np.errstate(over="ignore"):   # x * x * x overflows to inf, and tanh(inf) = 1
+        out, ref = gelu(Tensor(x)).data, _gelu_formula(x)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    assert out[0] == 1e308 and np.isfinite(out).all()
+
+
+def _layer_norm_formula(x, gain, bias, eps):
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
+
+
+def test_layer_norm_equals_out_of_place_formula():
+    rng = np.random.default_rng(27)
+    x = rng.normal(loc=3.0, scale=5.0, size=(40, 33))
+    x[0] = 7.0                                  # a constant row
+    gain, bias = rng.normal(size=33), rng.normal(size=33)
+    for eps in (1e-5, 1e-12):
+        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps).data
+        assert np.array_equal(out, _layer_norm_formula(x, gain, bias, eps))
+
+
+def _attention_formula(q, k, v, n_heads, visible=None):
+    """Head split, scaled scores, three-`where` masked softmax, P V, head merge."""
+    width = k.shape[-1]
+    dk = width // n_heads
+
+    def split(x):
+        return np.ascontiguousarray(x.reshape(x.shape[:-1] + (n_heads, dk)).swapaxes(-3, -2))
+
+    s = (split(q) @ split(k).swapaxes(-1, -2)) * (1.0 / math.sqrt(dk))
+    if visible is None:
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+    else:
+        masked = np.where(visible, s, -np.inf)
+        shifted = masked - masked.max(axis=-1, keepdims=True)
+        e = np.where(visible, np.exp(np.where(visible, shifted, 0.0)), 0.0)
+    o = (e / e.sum(axis=-1, keepdims=True)) @ split(v)
+    return o.swapaxes(-3, -2).reshape(o.shape[:-3] + (o.shape[-2], width))
+
+
+def test_attention_equals_out_of_place_formula():
+    rng = np.random.default_rng(28)
+    k, v = rng.normal(scale=3.0, size=(2, 3, 5, 12))
+    visible = rng.random((4, 5)) < 0.5
+    visible[:, 2] = True
+    for q in (rng.normal(scale=3.0, size=(3, 4, 12)), rng.normal(scale=3.0, size=(4, 12))):
+        for mask in (None, visible):
+            out = attention(q, k, v, 3, visible=mask).data
+            assert np.array_equal(out, _attention_formula(q, k, v, 3, mask))
+
+
+def test_softmax_normalizes_its_argument_in_place():
+    scores = np.random.default_rng(29).normal(size=(2, 4, 5))
+    visible = np.tril(np.ones((4, 5), dtype=bool))
+    for mask in (None, visible):
+        buf = scores.copy()
+        assert _softmax(buf, mask) is buf
+        assert np.allclose(buf.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+
 def test_kernels_leave_their_inputs_unchanged():
     rng = np.random.default_rng(26)
     scores = rng.normal(size=(2, 4, 5))
-    visible = np.tril(np.ones((4, 5), dtype=bool))
     kept = scores.copy()
-    _softmax(scores)
-    _softmax(scores, visible)
     nll_rows(scores[0], np.arange(4))
     assert np.array_equal(scores, kept)
 
+    visible = np.tril(np.ones((4, 5), dtype=bool))
     upstream = rng.normal(size=(4, 5))
-    for op in (gelu, lambda t: softmax_rows(t, visible)):
+    gain, bias = parameter(rng.normal(size=5)), parameter(rng.normal(size=5))
+    for op in (gelu, lambda t: softmax_rows(t, visible), lambda t: layer_norm(t, gain, bias)):
         a = parameter(rng.normal(size=(4, 5)))
-        before = a.data.copy()
+        before = [t.data.copy() for t in (a, gain, bias)]
         y = op(a)
         backward(tsum(mul_const(y, upstream)))
-        assert np.array_equal(a.data, before)
+        assert all(np.array_equal(t.data, b) for t, b in zip((a, gain, bias), before))
         assert np.array_equal(y.grad, upstream)       # the adjoint the op received
+
+    upstream = rng.normal(size=(3, 4, 6))
+    for q_shape in ((3, 4, 6), (4, 6)):
+        for mask in (None, visible):
+            q, k, v = (parameter(rng.normal(size=shape))
+                       for shape in (q_shape, (3, 5, 6), (3, 5, 6)))
+            before = [t.data.copy() for t in (q, k, v)]
+            mask_before = None if mask is None else mask.copy()
+            y = attention(q, k, v, 2, visible=mask)
+            backward(tsum(mul_const(y, upstream)))
+            assert all(np.array_equal(t.data, b) for t, b in zip((q, k, v), before))
+            assert mask is None or np.array_equal(mask, mask_before)
+            assert np.array_equal(y.grad, upstream)
+
     logits = parameter(rng.normal(size=(4, 5)))
     before = logits.data.copy()
     backward(cross_entropy_mean(logits, np.arange(4)))
@@ -368,6 +448,38 @@ def test_kernels_leave_their_inputs_unchanged():
 
 # ---------------------------------------------------------------------------
 # autodiff
+
+
+def test_no_grad_records_no_graph():
+    w = parameter(np.ones((2, 2)))
+    with no_grad():
+        y = matmul(w, w)
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert matmul(w, w).requires_grad
+
+
+def test_no_grad_nests_and_restores_the_mode_after_an_exception():
+    w = parameter(np.ones((2, 2)))
+    with no_grad():
+        with no_grad():
+            pass
+        assert not matmul(w, w).requires_grad      # still off after the inner block
+    assert matmul(w, w).requires_grad
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("inside")
+    assert matmul(w, w).requires_grad
+
+
+def test_first_gradient_is_a_fresh_array_equal_to_zero_plus_g():
+    w = parameter(np.ones(4))
+    g = np.array([-0.0, 0.0, -2.5, 1e-310])
+    w._acc(g)
+    assert np.array_equal(w.grad, g) and not np.signbit(w.grad[0])   # 0.0 + -0.0 is +0.0
+    g[:] = 7.0
+    assert np.array_equal(w.grad, [0.0, 0.0, -2.5, 1e-310])           # no alias of g
+    w._acc(g)
+    assert np.array_equal(w.grad, [7.0, 7.0, 4.5, 7.0])
 
 
 def test_backward_linear_layer():
