@@ -27,6 +27,7 @@ token t never sees information from positions > t.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -306,10 +307,16 @@ def integrate_global(l_list, p: GlobalParams, cfg: HiCIConfig):
     return concat_rows([zeros, reshape(g, (pools, cfg.K, cfg.d))]) if strict else g
 
 
+@functools.lru_cache(maxsize=None)
 def _segment_visibility(n_ctx, seg_len):
-    """Causal mask: context positions always visible, tokens only up to self."""
+    """Causal mask: context positions always visible, tokens only up to self.
+
+    Built once per (n_ctx, seg_len) and shared by every later call, so the
+    array is read-only.
+    """
     vis = np.ones((seg_len, n_ctx + seg_len), dtype=bool)
     vis[:, n_ctx:] = np.tril(np.ones((seg_len, seg_len), dtype=bool))
+    vis.flags.writeable = False
     return vis
 
 
@@ -345,38 +352,78 @@ def broadcast(x_seg, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
     return out if x_seg.data.ndim == 3 else reshape(out, x_seg.data.shape)
 
 
-def hici_forward(x, params: HiCIParams, cfg: HiCIConfig):
-    """Full three-stage pass: T x d in, T x d out, T a positive multiple of S.
-
-    Each stage builds its graph once over all N segments. With
-    global_scope='all_segments' one shared G pools every segment and
-    each segment's own L_i sits in its context. The strictly causal
-    'preceding_segments' scope gives segment i a G pooled from segments
-    < i and the local block L_{i-1}; segment 0 receives zeros for both.
-    """
+def local_stage(x, p: LocalParams, cfg: HiCIConfig):
+    """Stage 1: T x d in, (segments (N, S, d), L (N, M, d) or None when M=0) out."""
     cfg.validate()
     if x.data.ndim != 2 or x.data.shape[1] != cfg.d:
         raise ShapeError(f"hici_forward: input shape {x.data.shape} vs width d={cfg.d}")
     if x.data.shape[0] == 0:
         raise ShapeError("hici_forward: empty input sequence (T=0)")
     segments = partition(x, cfg.S)
+    if cfg.M == 0:
+        return segments, None
+    with flop_scope("local"):
+        return segments, local_construct(segments, p, cfg)
+
+
+def global_stage(state, p: GlobalParams, cfg: HiCIConfig):
+    """Stage 2: (segments, L) in, (segments, L_ctx, G_ctx) out, one context block per segment.
+
+    With global_scope='all_segments' one shared G pools every segment and
+    each segment keeps its own L_i. The strictly causal
+    'preceding_segments' scope gives segment i a G pooled from segments
+    < i and the local block L_{i-1}; segment 0 receives zeros for both.
+    """
+    segments, l_ctx = state
     n_seg = segments.data.shape[0]
     strict = cfg.global_scope == SCOPE_PRECEDING
-
-    l_ctx = g_ctx = None
-    if cfg.M > 0:
-        with flop_scope("local"):
-            l_ctx = local_construct(segments, params.local, cfg)
+    g_ctx = None
     if cfg.K > 0:
         with flop_scope("global"):
-            g_ctx = integrate_global([l_ctx], params.global_, cfg)
+            g_ctx = integrate_global([l_ctx], p, cfg)
         if not strict:
             g_ctx = reshape(concat_rows([g_ctx] * n_seg), (n_seg, cfg.K, cfg.d))
     if strict and l_ctx is not None:
         l_ctx = concat_rows([Tensor(np.zeros((1, cfg.M, cfg.d))), slice_rows(l_ctx, 0, n_seg - 1)])
+    return segments, l_ctx, g_ctx
 
-    out = broadcast(segments, l_ctx, g_ctx, params.broadcast, cfg)
-    return reshape(out, x.data.shape)
+
+def broadcast_stage(state, p: BroadcastParams, cfg: HiCIConfig):
+    """Stage 3: (segments, L_ctx, G_ctx) in, T x d out."""
+    segments, l_ctx, g_ctx = state
+    n_seg, seg_len, d = segments.data.shape
+    return reshape(broadcast(segments, l_ctx, g_ctx, p, cfg), (n_seg * seg_len, d))
+
+
+def hici_stages(params: HiCIParams, cfg: HiCIConfig):
+    """`hici_forward` as its three stages in order, each a (parameters, stage) pair.
+
+    Each stage maps the output of the one before it (x for the first) to
+    its own and reads only its own parameter group, so changing a group
+    leaves the outputs of the earlier stages as they were.
+    """
+    return [
+        (tuple(vars(params.local).values()), lambda x: local_stage(x, params.local, cfg)),
+        (tuple(vars(params.global_).values()), lambda s: global_stage(s, params.global_, cfg)),
+        (tuple(vars(params.broadcast).values()),
+         lambda s: broadcast_stage(s, params.broadcast, cfg)),
+    ]
+
+
+def run_stages(stages, state):
+    """Feed `state` through the stages of (parameters, stage) pairs in order."""
+    for _, stage in stages:
+        state = stage(state)
+    return state
+
+
+def hici_forward(x, params: HiCIParams, cfg: HiCIConfig):
+    """Full three-stage pass: T x d in, T x d out, T a positive multiple of S.
+
+    Each stage builds its graph once over all N segments; `global_stage`
+    wires the context of each segment for the configured scope.
+    """
+    return run_stages(hici_stages(params, cfg), x)
 
 
 def collect_attn_mass(x, params: HiCIParams, cfg: HiCIConfig,

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -132,11 +133,13 @@ def _cmd_gradcheck(args):
     if args.out:
         _write_manifest(args.out, "gradcheck", config_to_dict(cfg), args.seed,
                         ["gradcheck.csv"])
+    t0 = time.perf_counter()
     errors = check_module_gradients(cfg, seed=args.seed)
     host_cfg = HostConfig(vocab_size=17, n_layers=1, d=cfg.d, ffn_width=2 * cfg.d,
                           max_T=2 * cfg.S, seed=args.seed, hici=cfg)
     errors.update({f"host.{k}": v
                    for k, v in check_host_block_gradients(host_cfg, seed=args.seed).items()})
+    elapsed = time.perf_counter() - t0
     worst = max(errors, key=errors.get)
     lines = ["tensor,rel_error"]
     for name in sorted(errors):
@@ -144,7 +147,7 @@ def _cmd_gradcheck(args):
     if args.out:
         _write_text(args.out, "gradcheck.csv", "\n".join(lines) + "\n")
     print(f"checked {len(errors)} parameter tensors "
-          f"(module + one host block), h=1e-5, 64-bit")
+          f"(module + one host block), h=1e-5, 64-bit, in {elapsed:.1f} s")
     print(f"max relative error: {errors[worst]:.3e} ({worst})")
     if errors[worst] > args.tolerance:
         print(f"FAIL: exceeds tolerance {args.tolerance:g}")

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import HiCIParams, _xavier, hici_forward, init_hici_params, named_tensors
+from .attention import (
+    HiCIParams,
+    _xavier,
+    hici_forward,
+    init_hici_params,
+    named_tensors,
+    run_stages,
+)
 from .config import SCOPE_ALL, ConfigError, HostConfig, config_to_dict, host_config_from_dict
 from .serialize import load_tensors, save_tensors
 from .tensor import (
@@ -129,16 +136,42 @@ def param_groups(params: HostParams):
 # forward
 
 
+def block_stages(layer: LayerParams, hici_cfg, module_stages):
+    """A pre-norm residual block as (parameters, stage) pairs in order.
+
+    ln1, then `module_stages` (the attention module on the ln1 output, as
+    one stage or as its own three), the out_proj residual and the ln2/FFN
+    residual. The module stages carry the residual stream beside their
+    own state.
+    """
+    def beside(stage):
+        return lambda s: (s[0], stage(s[1]))
+
+    def ln1(x):
+        return x, layer_norm(x, layer.ln1_g, layer.ln1_b, hici_cfg.ln_eps)
+
+    def proj_residual(s):
+        x, a = s
+        with flop_scope("proj"):
+            return add(x, matmul(a, layer.out_proj))
+
+    def ffn_residual(x):
+        h2 = layer_norm(x, layer.ln2_g, layer.ln2_b, hici_cfg.ln_eps)
+        with flop_scope("ffn"):
+            f = matmul(gelu(matmul(h2, layer.ffn_w1)), layer.ffn_w2)
+        return add(x, f)
+
+    return ([((layer.ln1_g, layer.ln1_b), ln1)]
+            + [(params, beside(stage)) for params, stage in module_stages]
+            + [((layer.out_proj,), proj_residual),
+               ((layer.ln2_g, layer.ln2_b, layer.ffn_w1, layer.ffn_w2), ffn_residual)])
+
+
 def block_forward(x, layer: LayerParams, hici_cfg):
     """One pre-norm residual block around the attention module and an FFN."""
-    h = layer_norm(x, layer.ln1_g, layer.ln1_b, hici_cfg.ln_eps)
-    a = hici_forward(h, layer.hici, hici_cfg)
-    with flop_scope("proj"):
-        x = add(x, matmul(a, layer.out_proj))
-    h2 = layer_norm(x, layer.ln2_g, layer.ln2_b, hici_cfg.ln_eps)
-    with flop_scope("ffn"):
-        f = matmul(gelu(matmul(h2, layer.ffn_w1)), layer.ffn_w2)
-    return add(x, f)
+    module = [(tuple(named_tensors(layer.hici).values()),
+               lambda h: hici_forward(h, layer.hici, hici_cfg))]
+    return run_stages(block_stages(layer, hici_cfg, module), x)
 
 
 def lm_forward(params: HostParams, ids, cfg: HostConfig, hici_cfg=None):
@@ -403,7 +436,7 @@ def eval_ppl(params: HostParams, cfg: HostConfig, ids, eval_T, stride, mode="hic
             logits = lm_forward(params, window, cfg, hici_cfg=hc)
         nll = nll_rows(logits.data[:-1], window[1:])
         scored = nll if first else nll[-stride:]
-        nlls.extend(float(x) for x in scored)
+        nlls.extend(scored.tolist())
         first = False
         start += stride
     return math.exp(math.fsum(nlls) / len(nlls))

@@ -174,12 +174,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -280,22 +274,6 @@ def add(a, b):
             a._acc(g)
         if b.requires_grad:
             b._acc(g)
-
-    return _make(out, (a, b), bwd)
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: shape mismatch {a.data.shape} vs {b.data.shape}")
-    FLOPS.add("other", a.data.size)
-    out = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._acc(g)
-        if b.requires_grad:
-            b._acc(-g)
 
     return _make(out, (a, b), bwd)
 

@@ -7,6 +7,7 @@ import pytest
 from hici.attention import (
     _MASS_RECORDERS,
     AttnMassAccumulator,
+    _segment_visibility,
     collect_attn_mass,
     hici_forward,
     init_hici_params,
@@ -475,3 +476,13 @@ def test_init_shapes():
     assert p.global_.expand.data.shape == (CFG.d_b, CFG.d)
     assert p.global_.gate_raw.data.shape == (1,)
     assert p.broadcast.w_q.data.shape == (CFG.d, CFG.d)
+
+
+def test_segment_visibility_is_built_once_and_read_only():
+    vis = _segment_visibility(3, 4)
+    assert _segment_visibility(3, 4) is vis
+    assert not vis.flags.writeable
+    with pytest.raises(ValueError):
+        vis[0, 0] = False
+    tokens = np.tril(np.ones((4, 4), dtype=bool))
+    assert np.array_equal(vis, np.concatenate([np.ones((4, 3), dtype=bool), tokens], axis=1))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -90,6 +91,7 @@ def test_gradcheck_micro_passes(capsys):
     assert dispatch(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out and "PASS" in out
+    assert re.search(r"64-bit, in \d+\.\d s\n", out)
 
 
 def test_train_eval_attn_stats_pipeline(tmp_path, host_config_file, corpus_file, capsys):
