@@ -23,6 +23,13 @@ grow with T. With the strictly causal scope the context presented to
 segment i is built exclusively from positions before it: G_i pools
 segments < i and the local block is L_{i-1} (zeros for segment 0), so
 token t never sees information from positions > t.
+
+Every stage function takes one stack: `local_construct` and `broadcast`
+the (N, S, d) segments, `integrate_global` a (B, R, d) stack of local
+blocks, pooling blocks[:i+1] into row i whatever the scope.
+`global_stage` is the one place that knows the scope: it hands
+`integrate_global` all N*M rows as one block or the N-1 earlier blocks,
+and shapes G and L into one context block per segment.
 """
 
 from __future__ import annotations
@@ -242,60 +249,40 @@ def partition(x, seg_len):
     return reshape(x, (x_rows // seg_len, seg_len, d))
 
 
-def _stacked(t):
-    """One (rows, w) block or a stack (N, rows, w), as a stack."""
-    return t if t.data.ndim == 3 else reshape(t, (1,) + t.data.shape)
+def _segment_stack(x, cfg, where):
+    """Check that `x` is a non-empty (N, S, d) stack of segments."""
+    if x.data.ndim != 3 or x.data.shape[0] == 0 or x.data.shape[1:] != (cfg.S, cfg.d):
+        raise ShapeError(f"{where}: segment shape {x.data.shape} vs expected stack "
+                         f"(N, {cfg.S}, {cfg.d}) with N >= 1")
 
 
-def _segment_stack(x_seg, cfg, where):
-    """Check one S x d segment or a stack of them; return it as (N, S, d)."""
-    if x_seg.data.ndim not in (2, 3) or x_seg.data.shape[-2:] != (cfg.S, cfg.d):
-        raise ShapeError(
-            f"{where}: segment shape {x_seg.data.shape} vs expected ({cfg.S}, {cfg.d})")
-    return _stacked(x_seg)
-
-
-def local_construct(x_seg, p: LocalParams, cfg: HiCIConfig):
-    """Compress S x d segments into M x d each via bottleneck cross-attention.
-
-    `x_seg` is one segment (S, d) or a stack (N, S, d); the result keeps
-    the leading shape with M rows per segment.
-    """
-    x = _segment_stack(x_seg, cfg, "local_construct")
+def local_construct(x, p: LocalParams, cfg: HiCIConfig):
+    """Compress each segment of an (N, S, d) stack into M x d: (N, M, d) via bottleneck cross-attention."""
+    _segment_stack(x, cfg, "local_construct")
     n = x.data.shape[0]
     q = reshape(matmul(concat_rows([p.slots] * n), p.w_q), (n, cfg.M, cfg.d_b))
     attended = attention(q, matmul(x, p.w_k), matmul(x, p.w_v), cfg.H)
-    return reshape(matmul(attended, p.w_o), x_seg.data.shape[:-2] + (cfg.M, cfg.d))
+    return matmul(attended, p.w_o)
 
 
-def pooled_stats(l_rows):
-    """Five complementary column statistics of the local rows.
+def pooled_stats(blocks):
+    """Five complementary column statistics of the rows of blocks[:i+1], every i.
 
-    Rows: mean, max, min, population std, l2-normalized mean; (R, d) gives
-    (5, d), blocks (B, R, d) give (B, 5, d) with row i pooling blocks[:i+1].
-    Exact sums make any permutation of segments leave it bit-identical.
+    Rows: mean, max, min, population std, l2-normalized mean; blocks
+    (B, R, d) give (B, 5, d). Exact sums make any permutation of blocks
+    leave the last row bit-identical.
     """
-    stats = prefix_stats(_stacked(l_rows))
-    z = concat_rows([stats, l2_normalize(slice_rows(stats, 0, 1, axis=1))], axis=1)
-    return z if l_rows.data.ndim == 3 else reshape(z, z.data.shape[1:])
+    stats = prefix_stats(blocks)
+    return concat_rows([stats, l2_normalize(slice_rows(stats, 0, 1, axis=1))], axis=1)
 
 
-def integrate_global(l_list, p: GlobalParams, cfg: HiCIConfig):
-    """Pool blocks of local slots, (M, d) per segment or (N, M, d), into the global context.
+def integrate_global(blocks, p: GlobalParams, cfg: HiCIConfig):
+    """Global contexts of every prefix of a (B, R, d) stack of local-slot blocks: (B, K, d).
 
-    'all_segments' pools all rows into one K x d context; 'preceding_segments'
-    gives (N, K, d), row i pooled from the segments before i (row 0 zeros),
-    with every stage run once over all pools.
+    Row i pools blocks[:i+1]; every stage runs once over all B pools.
     """
-    if not l_list:
-        raise ValueError("integrate_global needs at least one segment of local slots")
-    strict = cfg.global_scope == SCOPE_PRECEDING
-    blocks = reshape(concat_rows(l_list), (-1, cfg.M, cfg.d) if strict else (1, -1, cfg.d))
-    pools = blocks.data.shape[0] - 1 if strict else 1
-    zeros = Tensor(np.zeros((1, cfg.K, cfg.d))) if strict else None
-    if pools == 0:
-        return zeros
-    z = pooled_stats(slice_rows(blocks, 0, pools) if strict else blocks)
+    z = pooled_stats(blocks)
+    pools = z.data.shape[0]
     z1 = layer_norm(matmul(reshape(z, (5 * pools, cfg.d)), p.compress_w1),
                     p.compress_g1, p.compress_b1, cfg.ln_eps)
     z2 = reshape(layer_norm(matmul(z1, p.compress_w2), p.compress_g2, p.compress_b2,
@@ -303,8 +290,7 @@ def integrate_global(l_list, p: GlobalParams, cfg: HiCIConfig):
     q = matmul(p.queries, p.w_q)
     selected = attention(q, matmul(z2, p.w_k), matmul(z2, p.w_v), cfg.H)
     expanded = matmul(matmul(reshape(selected, (pools * cfg.K, cfg.d_b)), p.w_o), p.expand)
-    g = scale(expanded, softplus(p.gate_raw))
-    return concat_rows([zeros, reshape(g, (pools, cfg.K, cfg.d))]) if strict else g
+    return reshape(scale(expanded, softplus(p.gate_raw)), (pools, cfg.K, cfg.d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,21 +306,20 @@ def _segment_visibility(n_ctx, seg_len):
     return vis
 
 
-def broadcast(x_seg, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
-    """Context-conditioned update of each segment.
+def broadcast(x, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
+    """Context-conditioned update of each segment of an (N, S, d) stack.
 
-    Keys/values come from [G; L; X_i] (absent blocks are skipped), queries
+    Keys/values of segment i come from [G_i; L_i; X_i], rows of the
+    (N, K, d) / (N, M, d) context stacks (None when absent); queries
     from the segment tokens only; H heads of width d/H under one softmax
     across all visible positions; no output projection. With the causal
     mask a query at offset t sees every context position but only segment
-    positions <= t. `x_seg` is one segment (S, d) with (K, d) / (M, d)
-    context blocks, or a stack (N, S, d) with (N, K, d) / (N, M, d)
-    blocks; the result has the shape of `x_seg`.
+    positions <= t. The result is (N, S, d).
     """
-    x = _segment_stack(x_seg, cfg, "broadcast")
-    ctx = [_stacked(t) for t in (g_ctx, l_ctx) if t is not None]
-    n_global = g_ctx.data.shape[-2] if g_ctx is not None else 0
-    n_local = l_ctx.data.shape[-2] if l_ctx is not None else 0
+    _segment_stack(x, cfg, "broadcast")
+    ctx = [t for t in (g_ctx, l_ctx) if t is not None]
+    n_global = g_ctx.data.shape[1] if g_ctx is not None else 0
+    n_local = l_ctx.data.shape[1] if l_ctx is not None else 0
     aug = concat_rows(ctx + [x], axis=1) if ctx else x
     with flop_scope("broadcast_proj"):
         q = matmul(x, p.w_q)
@@ -348,8 +333,7 @@ def broadcast(x_seg, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
         _MASS_RECORDERS[-1].append(acc)
         probe = lambda probs: acc.record(probs, n_global, n_local)
     with flop_scope("broadcast_attn"):
-        out = attention(q, k, v, cfg.H, visible=visible, probe=probe)
-    return out if x_seg.data.ndim == 3 else reshape(out, x_seg.data.shape)
+        return attention(q, k, v, cfg.H, visible=visible, probe=probe)
 
 
 def local_stage(x, p: LocalParams, cfg: HiCIConfig):
@@ -369,23 +353,29 @@ def local_stage(x, p: LocalParams, cfg: HiCIConfig):
 def global_stage(state, p: GlobalParams, cfg: HiCIConfig):
     """Stage 2: (segments, L) in, (segments, L_ctx, G_ctx) out, one context block per segment.
 
-    With global_scope='all_segments' one shared G pools every segment and
-    each segment keeps its own L_i. The strictly causal
-    'preceding_segments' scope gives segment i a G pooled from segments
-    < i and the local block L_{i-1}; segment 0 receives zeros for both.
+    The one place that knows the scope. With 'all_segments' one G pools
+    every segment, repeated for each, and each segment keeps its own L_i.
+    The strictly causal 'preceding_segments' scope gives segment i the G
+    pooled from segments < i and the local block L_{i-1}; segment 0
+    receives zeros for both.
     """
     segments, l_ctx = state
     n_seg = segments.data.shape[0]
-    strict = cfg.global_scope == SCOPE_PRECEDING
-    g_ctx = None
-    if cfg.K > 0:
+    if cfg.global_scope != SCOPE_PRECEDING:
+        g_ctx = None
+        if cfg.K > 0:
+            with flop_scope("global"):
+                g = integrate_global(reshape(l_ctx, (1, n_seg * cfg.M, cfg.d)), p, cfg)
+            g_ctx = concat_rows([g] * n_seg)
+        return segments, l_ctx, g_ctx
+    if l_ctx is None:   # M = 0, hence K = 0: no context at all
+        return segments, None, None
+    earlier = slice_rows(l_ctx, 0, n_seg - 1)
+    g_ctx = Tensor(np.zeros((1, cfg.K, cfg.d))) if cfg.K > 0 else None
+    if g_ctx is not None and n_seg > 1:
         with flop_scope("global"):
-            g_ctx = integrate_global([l_ctx], p, cfg)
-        if not strict:
-            g_ctx = reshape(concat_rows([g_ctx] * n_seg), (n_seg, cfg.K, cfg.d))
-    if strict and l_ctx is not None:
-        l_ctx = concat_rows([Tensor(np.zeros((1, cfg.M, cfg.d))), slice_rows(l_ctx, 0, n_seg - 1)])
-    return segments, l_ctx, g_ctx
+            g_ctx = concat_rows([g_ctx, integrate_global(earlier, p, cfg)])
+    return segments, concat_rows([Tensor(np.zeros((1, cfg.M, cfg.d))), earlier]), g_ctx
 
 
 def broadcast_stage(state, p: BroadcastParams, cfg: HiCIConfig):

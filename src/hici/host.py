@@ -168,9 +168,11 @@ def block_stages(layer: LayerParams, hici_cfg, module_stages):
 
 
 def block_forward(x, layer: LayerParams, hici_cfg):
-    """One pre-norm residual block around the attention module and an FFN."""
-    module = [(tuple(named_tensors(layer.hici).values()),
-               lambda h: hici_forward(h, layer.hici, hici_cfg))]
+    """One pre-norm residual block around the attention module and an FFN.
+
+    `run_stages` reads no stage parameters, so the module stage lists none.
+    """
+    module = [((), lambda h: hici_forward(h, layer.hici, hici_cfg))]
     return run_stages(block_stages(layer, hici_cfg, module), x)
 
 

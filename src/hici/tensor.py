@@ -27,7 +27,7 @@ output in one more; `layer_norm` centres into the buffer that becomes
 `xhat` and adds the bias in place; `_softmax` masks (-inf, whose `exp`
 is exactly 0), subtracts the row max, takes `exp` and divides in place
 in the buffer it is given: `attention` hands it the score buffer it
-just made, `softmax_rows` and the `cross_entropy_mean` backward a copy.
+just made, the `cross_entropy_mean` backward a copy.
 The log-sum-exp of `nll_rows` takes `exp` in its one scratch buffer.
 
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
@@ -327,27 +327,6 @@ def _softmax(a, visible=None):
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
     return a
-
-
-def softmax_rows(a, visible=None):
-    """Row-wise softmax with max subtraction for stability.
-
-    `visible` is an optional boolean mask of the same shape; masked-out
-    entries get probability zero and the row normalizes over the visible
-    ones. Every row must keep at least one visible entry.
-    FLOPs: ~5 per element.
-    """
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows: need a 2-d tensor, got shape {a.data.shape}")
-    FLOPS.add("other", 5 * a.data.size)
-    p = _softmax(a.data.copy(), visible)
-
-    def bwd(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        a._acc(p * (g - dot))
-
-    return _make(p, (a,), bwd)
 
 
 def attention(q, k, v, n_heads, visible=None, probe=None):

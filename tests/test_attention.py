@@ -8,7 +8,9 @@ from hici.attention import (
     _MASS_RECORDERS,
     AttnMassAccumulator,
     _segment_visibility,
+    broadcast,
     collect_attn_mass,
+    global_stage,
     hici_forward,
     init_hici_params,
     integrate_global,
@@ -29,6 +31,11 @@ CFG = HiCIConfig(S=4, M=2, K=2, H=2, d=16, d_b=8, d_s=4)
 
 def _params(cfg=CFG, seed=0):
     return init_hici_params(cfg, np.random.default_rng(seed))
+
+
+def _pool_all(blocks, p, cfg):
+    """The all_segments G: one pool over every row of an (N, M, d) array of blocks."""
+    return integrate_global(Tensor(blocks.reshape(1, -1, cfg.d)), p.global_, cfg).data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +89,7 @@ def test_local_construct_constant_segment_collapses():
     p = _params()
     rng = np.random.default_rng(1)
     v = rng.normal(size=16)
-    x = Tensor(np.tile(v, (4, 1)))
+    x = Tensor(np.tile(v, (1, 4, 1)))
     out = local_construct(x, p.local, CFG)
     expected = (v @ p.local.w_v.data) @ p.local.w_o.data
     assert np.abs(out.data - expected).max() <= 1e-12
@@ -95,7 +102,7 @@ def test_local_construct_single_key():
     cfg = dataclasses.replace(CFG, S=1, M=1)
     p = _params(cfg)
     rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(1, 16)))
+    x = Tensor(rng.normal(size=(1, 1, 16)))
     out = local_construct(x, p.local, cfg)
     expected = (x.data @ p.local.w_v.data) @ p.local.w_o.data
     assert np.abs(out.data - expected).max() <= 1e-12
@@ -103,10 +110,10 @@ def test_local_construct_single_key():
 
 def test_local_construct_matches_reference():
     p = _params(seed=3)
-    x = Tensor(np.random.default_rng(4).normal(size=(4, 16)))
+    x = Tensor(np.random.default_rng(4).normal(size=(1, 4, 16)))
     out = local_construct(x, p.local, CFG)
     ref = reference_local_construct(
-        x.data, p.local.slots.data, p.local.w_q.data, p.local.w_k.data,
+        x.data[0], p.local.slots.data, p.local.w_q.data, p.local.w_k.data,
         p.local.w_v.data, p.local.w_o.data, CFG.H)
     assert np.abs(out.data - ref).max() <= 1e-12
 
@@ -141,8 +148,8 @@ def test_local_construct_shape_error():
 def test_pooled_stats_constant_rows():
     rng = np.random.default_rng(7)
     c = rng.normal(size=16)
-    rows = Tensor(np.tile(c, (6, 1)))
-    z = pooled_stats(rows).data
+    rows = Tensor(np.tile(c, (1, 6, 1)))
+    z = pooled_stats(rows).data[0]
     assert np.abs(z[0] - c).max() <= 1e-12          # mean
     assert np.array_equal(z[1], c)                  # max
     assert np.array_equal(z[2], c)                  # min
@@ -153,16 +160,16 @@ def test_pooled_stats_constant_rows():
 def test_gate_is_linear_and_ln2_at_zero():
     p = _params(seed=8)
     rng = np.random.default_rng(9)
-    l_list = [Tensor(rng.normal(size=(CFG.M, CFG.d))) for _ in range(3)]
+    blocks = rng.normal(size=(3, CFG.M, CFG.d))
     # softplus(log(expm1(1))) is exactly 1.0, so this pass is the ungated output
     p.global_.gate_raw.data = np.array([math.log(math.expm1(1.0))])
     assert softplus(p.global_.gate_raw).data[0] == 1.0
-    base = integrate_global(l_list, p.global_, CFG)
+    base = _pool_all(blocks, p, CFG)
     p.global_.gate_raw.data = np.zeros(1)
-    gated = integrate_global(l_list, p.global_, CFG)
+    gated = _pool_all(blocks, p, CFG)
     alpha = softplus(p.global_.gate_raw).data[0]
     assert abs(alpha - math.log(2.0)) <= 1e-16
-    assert np.array_equal(gated.data, base.data * alpha)
+    assert np.array_equal(gated, base * alpha)
 
 
 def test_gate_positive_for_any_raw_value():
@@ -176,12 +183,12 @@ def test_gate_positive_for_any_raw_value():
 def test_integrate_global_segment_permutation_invariant():
     p = _params(seed=11)
     rng = np.random.default_rng(12)
-    l_list = [Tensor(rng.normal(size=(CFG.M, CFG.d))) for _ in range(5)]
-    g = integrate_global(l_list, p.global_, CFG)
+    blocks = rng.normal(size=(5, CFG.M, CFG.d))
+    g = _pool_all(blocks, p, CFG)
     for _ in range(10):
         perm = rng.permutation(5)
-        g2 = integrate_global([l_list[i] for i in perm], p.global_, CFG)
-        assert np.array_equal(g.data, g2.data)
+        g2 = _pool_all(blocks[perm], p, CFG)
+        assert np.array_equal(g, g2)
 
 
 def test_global_selection_attention_normalized():
@@ -191,8 +198,8 @@ def test_global_selection_attention_normalized():
 
     p = _params(seed=29)
     rng = np.random.default_rng(30)
-    l_cat = Tensor(rng.normal(size=(3 * CFG.M, CFG.d)))
-    z = pooled_stats(l_cat)
+    l_cat = Tensor(rng.normal(size=(1, 3 * CFG.M, CFG.d)))
+    z = reshape(pooled_stats(l_cat), (5, CFG.d))
     g = p.global_
     z1 = layer_norm(matmul(z, g.compress_w1), g.compress_g1, g.compress_b1, CFG.ln_eps)
     z2 = layer_norm(matmul(z1, g.compress_w2), g.compress_g2, g.compress_b2, CFG.ln_eps)
@@ -206,20 +213,45 @@ def test_global_selection_attention_normalized():
 
 def test_integrate_global_empty_input():
     p = _params()
-    with pytest.raises(ValueError, match="at least one segment"):
-        integrate_global([], p.global_, CFG)
+    with pytest.raises(ShapeError, match=r"non-empty \(blocks, rows, d\)"):
+        integrate_global(Tensor(np.zeros((0, CFG.M, CFG.d))), p.global_, CFG)
 
 
 def test_strict_integrate_global_matches_all_segments_on_each_prefix():
     strict = dataclasses.replace(CFG, global_scope=SCOPE_PRECEDING)
     p = _params(seed=42)
     blocks = np.random.default_rng(43).normal(size=(6, CFG.M, CFG.d))
-    g = integrate_global([Tensor(blocks)], p.global_, strict).data
+    segments = Tensor(np.zeros((6, CFG.S, CFG.d)))
+    g = global_stage((segments, Tensor(blocks)), p.global_, strict)[2].data
     assert g.shape == (6, CFG.K, CFG.d)
     assert np.array_equal(g[0], np.zeros((CFG.K, CFG.d)))
     for i in range(1, 6):
-        ref = integrate_global([Tensor(blocks[:i])], p.global_, CFG).data
+        ref = _pool_all(blocks[:i], p, CFG)
         assert np.abs(g[i] - ref).max() <= 1e-12
+
+
+def test_integrate_global_ignores_the_scope():
+    # row i pools blocks[:i+1] under either scope; only global_stage wires the scope
+    p = _params(seed=44)
+    blocks = Tensor(np.random.default_rng(45).normal(size=(5, CFG.M, CFG.d)))
+    outs = [integrate_global(blocks, p.global_, dataclasses.replace(CFG, global_scope=s)).data
+            for s in (SCOPE_ALL, SCOPE_PRECEDING)]
+    assert outs[0].shape == (5, CFG.K, CFG.d)
+    assert outs[0].tobytes() == outs[1].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(CFG.S, CFG.d), (0, CFG.S, CFG.d)])
+def test_stage_functions_take_only_non_empty_stacks(shape):
+    p = _params()
+    x = Tensor(np.zeros(shape))
+    segments, blocks = r"\(N, 4, 16\)", r"\(blocks, rows, d\)"
+    for call, expected in (
+            (lambda: local_construct(x, p.local, CFG), segments),
+            (lambda: broadcast(x, None, None, p.broadcast, CFG), segments),
+            (lambda: pooled_stats(x), blocks),
+            (lambda: integrate_global(x, p.global_, CFG), blocks)):
+        with pytest.raises(ShapeError, match=expected):
+            call()
 
 
 def test_strict_scope_gradients_at_four_segments():
@@ -233,10 +265,9 @@ def test_global_context_shape_and_size_constant_in_T():
     rng = np.random.default_rng(14)
     sizes = set()
     for n_seg in (4, 8, 16):
-        l_list = [Tensor(rng.normal(size=(CFG.M, CFG.d))) for _ in range(n_seg)]
-        g = integrate_global(l_list, p.global_, CFG)
-        assert g.data.shape == (CFG.K, CFG.d)
-        sizes.add(g.data.nbytes)
+        g = _pool_all(rng.normal(size=(n_seg, CFG.M, CFG.d)), p, CFG)
+        assert g.shape == (CFG.K, CFG.d)
+        sizes.add(g.nbytes)
     assert len(sizes) == 1
 
 
@@ -259,17 +290,15 @@ def test_broadcast_without_context_equals_reference_mha():
 def test_broadcast_causal_row0_ignores_later_tokens():
     # with the mask and fixed G/L inputs, row 0 sees context plus token 0
     # only; perturbing token 1 must not move it
-    from hici.attention import broadcast
-
     p = _params(seed=15)
     rng = np.random.default_rng(16)
-    x = rng.normal(size=(CFG.S, CFG.d))
-    l_ctx = Tensor(rng.normal(size=(CFG.M, CFG.d)))
-    g_ctx = Tensor(rng.normal(size=(CFG.K, CFG.d)))
-    out = broadcast(Tensor(x), l_ctx, g_ctx, p.broadcast, CFG).data
+    x = rng.normal(size=(1, CFG.S, CFG.d))
+    l_ctx = Tensor(rng.normal(size=(1, CFG.M, CFG.d)))
+    g_ctx = Tensor(rng.normal(size=(1, CFG.K, CFG.d)))
+    out = broadcast(Tensor(x), l_ctx, g_ctx, p.broadcast, CFG).data[0]
     x2 = x.copy()
-    x2[1] += 1.0
-    out2 = broadcast(Tensor(x2), l_ctx, g_ctx, p.broadcast, CFG).data
+    x2[0, 1] += 1.0
+    out2 = broadcast(Tensor(x2), l_ctx, g_ctx, p.broadcast, CFG).data[0]
     assert np.array_equal(out[0], out2[0])
     assert not np.allclose(out[1], out2[1])
 
@@ -336,17 +365,15 @@ def test_forward_strict_scope_is_causal():
 
 def test_forward_strict_scope_segment0_gets_zero_context():
     # segment 0 has nothing before it: its broadcast context is all zeros
-    from hici.attention import broadcast
-
     cfg = dataclasses.replace(CFG, global_scope=SCOPE_PRECEDING)
     p = _params(seed=31)
     rng = np.random.default_rng(32)
     x = rng.normal(size=(2 * cfg.S, cfg.d))
     out = hici_forward(Tensor(x), p, cfg).data
-    seg0 = broadcast(Tensor(x[:cfg.S]),
-                     Tensor(np.zeros((cfg.M, cfg.d))),
-                     Tensor(np.zeros((cfg.K, cfg.d))),
-                     p.broadcast, cfg).data
+    seg0 = broadcast(Tensor(x[None, :cfg.S]),
+                     Tensor(np.zeros((1, cfg.M, cfg.d))),
+                     Tensor(np.zeros((1, cfg.K, cfg.d))),
+                     p.broadcast, cfg).data[0]
     assert np.array_equal(out[:cfg.S], seg0)
 
 
