@@ -497,11 +497,13 @@ def prefix_stats(blocks):
 
     def bwd(g):
         coeff = np.divide(g[:, 3], rows * std, out=np.zeros_like(std), where=std > 0)
-        ref = mean[-1]   # one block: exactly the centred (x - mean) * coeff
-        # block j gets the adjoints of every prefix i >= j that holds it
-        a, b, c = np.cumsum(np.stack([coeff, g[:, 0] / rows, coeff * (mean - ref)])[:, ::-1],
-                            axis=1)[:, ::-1]
-        dx = (x - ref) * a[:, None] + (b - c)[:, None]
+        # block j gets the adjoints of every prefix i >= j that holds it; with
+        # a_j = sum_{i>=j} coeff_i, sum_{i>=j} coeff_i (x - mean_i) is
+        # (x - mean_j) a_j - sum_{k>=j} (mean_{k+1} - mean_k) a_{k+1}
+        a, b = np.cumsum(np.stack([coeff, g[:, 0] / rows])[:, ::-1], axis=1)[:, ::-1]
+        step = (np.concatenate([mean[1:], mean[-1:]]) - mean) * np.concatenate([a[1:], a[-1:]])
+        c = np.cumsum(step[::-1], axis=0)[::-1]
+        dx = (x - mean[:, None]) * a[:, None] + (b - c)[:, None]
         dz = np.bincount(i_ext.ravel(), np.concatenate([g[:, 1], -g[:, 2]], axis=1).ravel(),
                          2 * x.size).reshape(x.shape[:2] + (-1,))
         blocks._acc(dx + dz[..., :d] - dz[..., d:])

@@ -228,6 +228,25 @@ def test_prefix_stats_propagates_non_finite_rows():
         assert np.isnan(t[1:, 0]).all() and np.isfinite(t[:, 1]).all()
 
 
+def test_prefix_stats_backward_centres_each_prefix_on_its_own_mean():
+    # means drifting by 1e3 per block: the gradient must match the sum of
+    # one-block backwards over each prefix, each centred on its own mean
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(16, 2, 8)) + 1e3 * np.arange(16)[:, None, None]
+        g = rng.normal(size=(16, 4, 8))
+        p = parameter(x)
+        backward(tsum(mul_const(prefix_stats(p), g)))
+        ref = np.zeros_like(x)
+        for i in range(16):
+            q = parameter(x[:i + 1].reshape(1, -1, 8))
+            backward(tsum(mul_const(prefix_stats(q), g[i:i + 1])))
+            ref[:i + 1] += q.grad.reshape(i + 1, 2, 8)
+        worst = max(worst, np.abs(p.grad - ref).max() / np.abs(ref).max())
+    assert worst <= 1e-14, worst
+
+
 def test_prefix_stats_rejects_empty_blocks():
     for shape in ((0, 2, 3), (2, 0, 3), (2, 3)):
         with pytest.raises(ShapeError, match="prefix_stats"):
