@@ -249,7 +249,7 @@ def partition(x, seg_len):
     return reshape(x, (x_rows // seg_len, seg_len, d))
 
 
-def _segment_stack(x, cfg, where):
+def _check_segment_stack(x, cfg, where):
     """Check that `x` is a non-empty (N, S, d) stack of segments."""
     if x.data.ndim != 3 or x.data.shape[0] == 0 or x.data.shape[1:] != (cfg.S, cfg.d):
         raise ShapeError(f"{where}: segment shape {x.data.shape} vs expected stack "
@@ -257,8 +257,8 @@ def _segment_stack(x, cfg, where):
 
 
 def local_construct(x, p: LocalParams, cfg: HiCIConfig):
-    """Compress each segment of an (N, S, d) stack into M x d: (N, M, d) via bottleneck cross-attention."""
-    _segment_stack(x, cfg, "local_construct")
+    """Compress each segment of an (N, S, d) stack into M slot rows: (N, M, d)."""
+    _check_segment_stack(x, cfg, "local_construct")
     n = x.data.shape[0]
     q = reshape(matmul(concat_rows([p.slots] * n), p.w_q), (n, cfg.M, cfg.d_b))
     attended = attention(q, matmul(x, p.w_k), matmul(x, p.w_v), cfg.H)
@@ -316,7 +316,7 @@ def broadcast(x, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
     mask a query at offset t sees every context position but only segment
     positions <= t. The result is (N, S, d).
     """
-    _segment_stack(x, cfg, "broadcast")
+    _check_segment_stack(x, cfg, "broadcast")
     ctx = [t for t in (g_ctx, l_ctx) if t is not None]
     n_global = g_ctx.data.shape[1] if g_ctx is not None else 0
     n_local = l_ctx.data.shape[1] if l_ctx is not None else 0

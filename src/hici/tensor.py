@@ -499,7 +499,7 @@ def prefix_stats(blocks):
         coeff = np.divide(g[:, 3], rows * std, out=np.zeros_like(std), where=std > 0)
         # block j gets the adjoints of every prefix i >= j that holds it; with
         # a_j = sum_{i>=j} coeff_i, sum_{i>=j} coeff_i (x - mean_i) is
-        # (x - mean_j) a_j - sum_{k>=j} (mean_{k+1} - mean_k) a_{k+1}
+        # (x - mean_j) a_j - sum_{k>=j} (mean_{k+1} - mean_k) a_{k+1}, a zero term for k = B-1
         a, b = np.cumsum(np.stack([coeff, g[:, 0] / rows])[:, ::-1], axis=1)[:, ::-1]
         step = (np.concatenate([mean[1:], mean[-1:]]) - mean) * np.concatenate([a[1:], a[-1:]])
         c = np.cumsum(step[::-1], axis=0)[::-1]
