@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import HiCIParams, hici_forward, init_hici_params
-from .config import SCOPE_PRECEDING, HiCIConfig
+from .config import SCOPE_PRECEDING, ConfigError, HiCIConfig
 from .tensor import ShapeError, Tensor, measure_flops, no_grad
 
 PARAM_COMPONENTS = ("slots", "local_attn", "compression", "global_queries",
@@ -95,7 +95,7 @@ class ParamBreakdown:
 
     @property
     def overhead(self):
-        return self.total / (self.base_params + self.total)
+        return self.total / (self.base_params + self.total) if self.total else 0.0
 
 
 def count_params(cfg, n_layers, base_params):
@@ -109,6 +109,9 @@ def count_params(cfg, n_layers, base_params):
     Broadcast projections are not counted: in the accounting convention
     they stand in for the host block's own attention projections.
     """
+    if n_layers < 1 or base_params < 0:
+        raise ConfigError(f"need n_layers >= 1 and base_params >= 0, "
+                          f"got n_layers={n_layers}, base_params={base_params}")
     d, d_b, d_s, m, k = cfg.d, cfg.d_b, cfg.d_s, cfg.M, cfg.K
     per_layer = {
         "slots": m * d,
@@ -222,6 +225,9 @@ def count_flops(method, T, dims: ModelDims, cfg: HiCIConfig):
 
 def flops_table(preset: Preset, contexts=PAPER_CONTEXTS, n_segments=4):
     """CostBreakdowns for all three methods at each context, S = T/n_segments."""
+    if n_segments < 1 or any(T < 1 for T in contexts):
+        raise ConfigError(f"contexts and n_segments must be >= 1, "
+                          f"got contexts={list(contexts)}, n_segments={n_segments}")
     rows = []
     for T in contexts:
         if T % n_segments != 0:
@@ -357,7 +363,7 @@ def param_table_csv(bd: ParamBreakdown):
     return "\n".join(lines) + "\n"
 
 
-def format_flops_table(rows, paper_layout=False):
+def format_flops_table(rows):
     """Aligned text table in TFLOPs, one row per (context, method)."""
     method_label = {"full": "Full Attn", "segmented": "Segmented", "hici": "Hierarchical"}
     header = (f"{'Context':>8} {'Method':<14} {'Attn':>8} {'Proj':>8} {'FFN':>8} "

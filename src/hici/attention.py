@@ -175,45 +175,20 @@ class AttnMassRecord:
     frac_segment: float
 
 
-class AttnMassAccumulator:
-    """Sums broadcast attention probability mass per head and region.
+def attn_mass_records(probs, n_global, n_local, layer):
+    """The H AttnMassRecords of one broadcast's probabilities (segments, heads, queries, keys).
 
-    Fractions are normalized by the number of queries seen, so with
-    uniform probabilities over K+M+S fully visible positions the global
-    fraction is exactly K/(K+M+S).
+    Per head and region, one exactly rounded fsum over every query of every
+    segment, divided by the query count; the result does not depend on the
+    segment order. With uniform probabilities over K+M+S fully visible
+    positions and one segment the global fraction is exactly K/(K+M+S).
     """
-
-    def __init__(self, n_heads):
-        self.n_heads = n_heads
-        self.mass = np.zeros((n_heads, 3))
-        self.n_queries = np.zeros(n_heads)
-
-    def record(self, probs, n_global, n_local):
-        """Add probabilities of shape (segments, heads, queries, keys)."""
-        # fsum is exactly rounded, so the uniform-probe baseline comes out
-        # as the correctly rounded K/(K+M+S) rather than one ulp off
-        ctx = n_global + n_local
-        for seg in probs:
-            for head, p in enumerate(seg):
-                self.mass[head, 0] += math.fsum(p[:, :n_global].ravel())
-                self.mass[head, 1] += math.fsum(p[:, n_global:ctx].ravel())
-                self.mass[head, 2] += math.fsum(p[:, ctx:].ravel())
-                self.n_queries[head] += p.shape[0]
-
-    def records(self, layer=0):
-        out = []
-        for h in range(self.n_heads):
-            nq = self.n_queries[h]
-            if nq == 0:
-                raise ValueError("no attention mass recorded")
-            out.append(AttnMassRecord(
-                layer=layer,
-                head=h,
-                frac_global=float(self.mass[h, 0] / nq),
-                frac_local=float(self.mass[h, 1] / nq),
-                frac_segment=float(self.mass[h, 2] / nq),
-            ))
-        return out
+    n_seg, n_heads, n_queries, _ = probs.shape
+    ctx = n_global + n_local
+    regions = (slice(0, n_global), slice(n_global, ctx), slice(ctx, None))
+    return [AttnMassRecord(layer, head, *(math.fsum(probs[:, head, :, r].ravel())
+                                          / (n_seg * n_queries) for r in regions))
+            for head in range(n_heads)]
 
 
 _MASS_RECORDERS = []
@@ -221,7 +196,11 @@ _MASS_RECORDERS = []
 
 @contextmanager
 def record_attn_mass():
-    """Yield a list that each `broadcast` in the block adds its AttnMassAccumulator to."""
+    """Yield a list that each `broadcast` in the block appends its H AttnMassRecords to.
+
+    Entry i of the list is the i-th broadcast call's record list, and its
+    records carry layer=i (the host's layer index in an `lm_forward`).
+    """
     per_layer = []
     _MASS_RECORDERS.append(per_layer)
     try:
@@ -329,9 +308,9 @@ def broadcast(x, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
                if cfg.causal_segment_mask else None)
     probe = None
     if _MASS_RECORDERS:
-        acc = AttnMassAccumulator(cfg.H)
-        _MASS_RECORDERS[-1].append(acc)
-        probe = lambda probs: acc.record(probs, n_global, n_local)
+        per_layer = _MASS_RECORDERS[-1]
+        probe = lambda probs: per_layer.append(
+            attn_mass_records(probs, n_global, n_local, len(per_layer)))
     with flop_scope("broadcast_attn"):
         return attention(q, k, v, cfg.H, visible=visible, probe=probe)
 
@@ -416,17 +395,15 @@ def hici_forward(x, params: HiCIParams, cfg: HiCIConfig):
     return run_stages(hici_stages(params, cfg), x)
 
 
-def collect_attn_mass(x, params: HiCIParams, cfg: HiCIConfig,
-                      uniform_probe=False, layer=0):
+def collect_attn_mass(x, params: HiCIParams, cfg: HiCIConfig):
     """Broadcast attention-mass fractions per head for one layer.
 
     Runs a gradient-free forward pass; per head, sums the probability
     mass landing on global / local / segment positions over every query
     of every segment and normalizes by the query count. The three
-    fractions of a record sum to 1 up to softmax rounding.
+    fractions of a record sum to 1 up to softmax rounding. For the
+    uniform baseline pass `uniform_queries(params)`.
     """
-    if uniform_probe:
-        params = uniform_queries(params)
     with no_grad(), record_attn_mass() as per_layer:
         hici_forward(x, params, cfg)
-    return per_layer[0].records(layer=layer)
+    return per_layer[0]

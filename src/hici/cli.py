@@ -232,10 +232,9 @@ def _cmd_attn_stats(args):
     with no_grad(), record_attn_mass() as per_layer:
         lm_forward(params, ids, cfg)
     lines = ["layer,head,frac_global,frac_local,frac_segment"]
-    for layer_idx, acc in enumerate(per_layer):
-        for rec in acc.records(layer=layer_idx):
-            lines.append(f"{rec.layer},{rec.head},{rec.frac_global!r},"
-                         f"{rec.frac_local!r},{rec.frac_segment!r}")
+    lines.extend(f"{rec.layer},{rec.head},{rec.frac_global!r},"
+                 f"{rec.frac_local!r},{rec.frac_segment!r}"
+                 for records in per_layer for rec in records)
     table = "\n".join(lines)
     if args.out:
         _write_text(args.out, "attn_mass.csv", table + "\n")

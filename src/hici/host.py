@@ -176,15 +176,14 @@ def block_forward(x, layer: LayerParams, hici_cfg):
     return run_stages(block_stages(layer, hici_cfg, module), x)
 
 
-def lm_forward(params: HostParams, ids, cfg: HostConfig, hici_cfg=None):
+def lm_forward(params: HostParams, ids, cfg: HostConfig):
     """Token ids to T x vocab logits. T must divide by S and fit max_T."""
-    hc = hici_cfg if hici_cfg is not None else cfg.hici
     ids = np.asarray(ids, dtype=np.int64)
     t = ids.shape[0]
     if t == 0:
         raise ConfigError("empty token sequence")
-    if t % hc.S != 0:
-        raise ConfigError(f"sequence length T={t} not divisible by segment length S={hc.S}")
+    if t % cfg.hici.S != 0:
+        raise ConfigError(f"sequence length T={t} not divisible by segment length S={cfg.hici.S}")
     if t > cfg.max_T:
         raise ConfigError(f"sequence length T={t} exceeds max_T={cfg.max_T}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
@@ -192,8 +191,8 @@ def lm_forward(params: HostParams, ids, cfg: HostConfig, hici_cfg=None):
     with flop_scope("others"):
         x = add(embedding(params.embed, ids), slice_rows(params.pos, 0, t))
     for layer in params.layers:
-        x = block_forward(x, layer, hc)
-    h = layer_norm(x, params.final_g, params.final_b, hc.ln_eps)
+        x = block_forward(x, layer, cfg.hici)
+    h = layer_norm(x, params.final_g, params.final_b, cfg.hici.ln_eps)
     with flop_scope("others"):
         return matmul(h, params.head)
 
@@ -258,16 +257,19 @@ def clip_grad_norm(tensors, max_norm):
 
 
 def train(corpus_ids, cfg: HostConfig, steps, params=None, opt=None, rng=None,
-          start_step=0, trace=None):
+          start_step=0):
     """Next-token training; deterministic given the config seed.
 
     Returns (params, opt, rng, trace) where trace rows are
-    (step, loss, backbone_lr). Pass the previous pieces back in to
-    continue a run (used by checkpoint resume). A non-finite loss or
-    pre-clip hici gradient norm stops the run before that step's update:
-    its row ends the trace and the parameters keep their previous values.
+    (step, loss, backbone_lr) of this call's steps (`steps` >= 0). Pass
+    params, opt, rng and the next step back in to continue a run (used
+    by checkpoint resume). A non-finite loss or pre-clip hici gradient
+    norm stops the run before that step's update: its row ends the trace
+    and the parameters keep their previous values.
     """
     cfg.validate()
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
     if corpus_ids.shape[0] < cfg.max_T + 1:
         raise ConfigError(
@@ -280,8 +282,7 @@ def train(corpus_ids, cfg: HostConfig, steps, params=None, opt=None, rng=None,
     if opt is None:
         opt = AdamW(groups, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                     weight_decay=cfg.weight_decay)
-    if trace is None:
-        trace = []
+    trace = []
 
     n_starts = corpus_ids.shape[0] - cfg.max_T
     for step in range(start_step, start_step + steps):
@@ -313,10 +314,10 @@ def moving_average(values, window):
 
 
 def save_checkpoint(out_dir, cfg: HostConfig, params: HostParams, opt: AdamW,
-                    rng, step, dtype="f8"):
+                    rng, step):
     """Manifest+blob tensors, config, optimizer moments, step and RNG state.
 
-    The default f8 storage makes save/load/continue bit-exact. The files
+    Tensors are stored as f8, so save/load/continue is bit-exact. The files
     go to a temporary sibling of `out_dir` that then replaces `out_dir`
     whole (the old directory is renamed aside, the new one in, the old
     one removed), so a save that fails part-way leaves the previous
@@ -334,7 +335,7 @@ def save_checkpoint(out_dir, cfg: HostConfig, params: HostParams, opt: AdamW,
         for name in opt.m:
             tensors[f"opt.m.{name}"] = opt.m[name]
             tensors[f"opt.v.{name}"] = opt.v[name]
-        save_tensors(os.path.join(tmp_dir, "checkpoint"), tensors, dtype=dtype)
+        save_tensors(os.path.join(tmp_dir, "checkpoint"), tensors, dtype="f8")
         state = {
             "step": int(step),
             "adam_t": int(opt.t),
@@ -414,14 +415,12 @@ def eval_ppl(params: HostParams, cfg: HostConfig, ids, eval_T, stride, mode="hic
     """
     ids = np.asarray(ids, dtype=np.int64)
     if mode == "full":
-        hc = dataclasses.replace(cfg.hici, S=eval_T, M=0, K=0,
-                                 causal_segment_mask=True, global_scope=SCOPE_ALL)
-    elif mode == "hici":
-        hc = cfg.hici
-    else:
+        cfg = dataclasses.replace(cfg, hici=dataclasses.replace(
+            cfg.hici, S=eval_T, M=0, K=0, causal_segment_mask=True, global_scope=SCOPE_ALL))
+    elif mode != "hici":
         raise ConfigError(f"unknown eval mode {mode!r}, use 'hici' or 'full'")
-    if eval_T % hc.S != 0:
-        raise ConfigError(f"eval_T={eval_T} not divisible by segment length S={hc.S}")
+    if eval_T % cfg.hici.S != 0:
+        raise ConfigError(f"eval_T={eval_T} not divisible by segment length S={cfg.hici.S}")
     if eval_T > cfg.max_T:
         raise ConfigError(f"eval_T={eval_T} exceeds max_T={cfg.max_T}")
     if not (1 <= stride <= eval_T):
@@ -435,7 +434,7 @@ def eval_ppl(params: HostParams, cfg: HostConfig, ids, eval_T, stride, mode="hic
     while start + eval_T <= ids.shape[0]:
         window = ids[start:start + eval_T]
         with no_grad():
-            logits = lm_forward(params, window, cfg, hici_cfg=hc)
+            logits = lm_forward(params, window, cfg)
         nll = nll_rows(logits.data[:-1], window[1:])
         scored = nll if first else nll[-stride:]
         nlls.extend(scored.tolist())

@@ -22,6 +22,7 @@ from hici.attention import (
     init_hici_params,
     integrate_global,
     record_attn_mass,
+    uniform_queries,
 )
 from hici.cli import dispatch
 from hici.config import SCOPE_PRECEDING, HiCIConfig, HostConfig
@@ -300,7 +301,7 @@ def test_criterion_8_attention_mass(capsys):
         rng = np.random.default_rng(0)
         params = init_hici_params(cfg, rng)
         x = Tensor(rng.normal(size=(s, cfg.d)))
-        for rec in collect_attn_mass(x, params, cfg, uniform_probe=True):
+        for rec in collect_attn_mass(x, uniform_queries(params), cfg):
             if rec.frac_global != 4.0 / total:
                 failures.append(f"probe S={s} head {rec.head}: {rec.frac_global!r}")
 
@@ -311,12 +312,12 @@ def test_criterion_8_attention_mass(capsys):
     with no_grad(), record_attn_mass() as collectors:
         lm_forward(params, ids, cfg)
     worst_gap = 0.0
-    for layer_idx, acc in enumerate(collectors):
-        for rec in acc.records(layer=layer_idx):
+    for records in collectors:
+        for rec in records:
             gap = abs(rec.frac_global + rec.frac_local + rec.frac_segment - 1.0)
             worst_gap = max(worst_gap, gap)
             if gap > 1e-9:
-                failures.append(f"sum layer {layer_idx} head {rec.head}")
+                failures.append(f"sum layer {rec.layer} head {rec.head}")
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         _report(8, "attention-mass baselines", not failures,

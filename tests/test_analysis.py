@@ -58,6 +58,7 @@ def test_param_count_degenerate_is_zero():
     bd = count_params(cfg, 32, 1e9)
     assert bd.total == 0
     assert bd.overhead == 0.0
+    assert count_params(cfg, 1, 0.0).overhead == 0.0
 
 
 def test_census_matches_formula_for_random_configs():

@@ -6,8 +6,8 @@ import pytest
 
 from hici.attention import (
     _MASS_RECORDERS,
-    AttnMassAccumulator,
     _segment_visibility,
+    attn_mass_records,
     broadcast,
     collect_attn_mass,
     global_stage,
@@ -19,6 +19,7 @@ from hici.attention import (
     partition,
     pooled_stats,
     record_attn_mass,
+    uniform_queries,
 )
 from hici.config import SCOPE_ALL, SCOPE_PRECEDING, ConfigError, HiCIConfig
 from hici.gradcheck import check_module_gradients
@@ -129,9 +130,10 @@ def test_local_attention_weights_sum_to_one():
     q = matmul(p.local.slots, p.local.w_q)
     k = reshape(matmul(x, p.local.w_k), (1, CFG.S, CFG.d_b))
     v = reshape(matmul(x, p.local.w_v), (1, CFG.S, CFG.d_b))
-    acc = AttnMassAccumulator(CFG.H)
-    attention(q, k, v, CFG.H, probe=lambda probs: acc.record(probs, 0, 0))
-    for rec in acc.records():
+    recs = []
+    attention(q, k, v, CFG.H, probe=lambda probs: recs.extend(attn_mass_records(probs, 0, 0, 0)))
+    assert len(recs) == CFG.H
+    for rec in recs:
         assert abs(rec.frac_segment - 1.0) <= 1e-12
 
 
@@ -204,10 +206,11 @@ def test_global_selection_attention_normalized():
     z1 = layer_norm(matmul(z, g.compress_w1), g.compress_g1, g.compress_b1, CFG.ln_eps)
     z2 = layer_norm(matmul(z1, g.compress_w2), g.compress_g2, g.compress_b2, CFG.ln_eps)
     z2 = reshape(z2, (1, 5, CFG.d_b))
-    acc = AttnMassAccumulator(CFG.H)
+    recs = []
     attention(matmul(g.queries, g.w_q), matmul(z2, g.w_k), matmul(z2, g.w_v),
-              CFG.H, probe=lambda probs: acc.record(probs, 0, 0))
-    for rec in acc.records():
+              CFG.H, probe=lambda probs: recs.extend(attn_mass_records(probs, 0, 0, 0)))
+    assert len(recs) == CFG.H
+    for rec in recs:
         assert abs(rec.frac_segment - 1.0) <= 1e-12
 
 
@@ -431,7 +434,7 @@ def test_uniform_probe_baselines_exact():
         rng = np.random.default_rng(26)
         p = init_hici_params(cfg, rng)
         x = Tensor(rng.normal(size=(s, cfg.d)))
-        for rec in collect_attn_mass(x, p, cfg, uniform_probe=True):
+        for rec in collect_attn_mass(x, uniform_queries(p), cfg):
             assert float(rec.frac_global) == 4.0 / total
             assert abs(rec.frac_global + rec.frac_local + rec.frac_segment - 1.0) <= 1e-9
 
@@ -439,9 +442,9 @@ def test_uniform_probe_baselines_exact():
 def test_mass_records_have_layer_and_head_indices():
     p = _params(seed=27)
     x = Tensor(np.random.default_rng(28).normal(size=(CFG.S, CFG.d)))
-    recs = collect_attn_mass(x, p, CFG, layer=3)
+    recs = collect_attn_mass(x, p, CFG)
     assert [r.head for r in recs] == list(range(CFG.H))
-    assert all(r.layer == 3 for r in recs)
+    assert all(r.layer == 0 for r in recs)
 
 
 @pytest.mark.parametrize("scope", [SCOPE_ALL, SCOPE_PRECEDING])
@@ -453,8 +456,23 @@ def test_uniform_baseline_under_causal_mask_matches_closed_form(scope):
     p = init_hici_params(cfg, rng)
     x = Tensor(rng.normal(size=(3 * cfg.S, cfg.d)))
     expected = math.fsum(cfg.K / (cfg.K + cfg.M + t + 1) for t in range(cfg.S)) / cfg.S
-    for rec in collect_attn_mass(x, p, cfg, uniform_probe=True):
+    for rec in collect_attn_mass(x, uniform_queries(p), cfg):
         assert abs(rec.frac_global - expected) <= 1e-15
+
+
+def test_mass_fractions_do_not_depend_on_segment_order():
+    # all_segments is segment-equivariant, so permuting the segments only
+    # permutes the probabilities; one fsum per head and region over all of
+    # them then gives bit-identical fractions
+    cfg = dataclasses.replace(CFG, global_scope=SCOPE_ALL)
+    n_seg = 16
+    for seed in range(5):
+        rng = np.random.default_rng(40 + seed)
+        p = _params(cfg, seed=seed)
+        x = rng.normal(size=(n_seg, cfg.S, cfg.d))
+        moved = x[rng.permutation(n_seg)]
+        base = collect_attn_mass(Tensor(x.reshape(-1, cfg.d)), p, cfg)
+        assert collect_attn_mass(Tensor(moved.reshape(-1, cfg.d)), p, cfg) == base
 
 
 def test_recorder_records_only_inside_its_block():

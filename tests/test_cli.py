@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -78,12 +79,28 @@ def test_flops_rejects_bad_context(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,fragment", [
+    (["params", "--config", str(Path(__file__).parent.parent / "configs" / "micro-hici.json")],
+     "n_layers=0"),
+    (["params", "--layers", "-2"], "n_layers=-2"),
+    (["params", "--base-params", "-5"], "base_params=-5"),
+    (["flops", "--segments", "0"], "n_segments=0"),
+    (["flops", "--segments", "-1"], "n_segments=-1"),
+    (["flops", "--contexts", "0"], "contexts=[0]"),
+], ids=["params-config-no-layers", "params-negative-layers", "params-negative-base",
+        "flops-zero-segments", "flops-negative-segments", "flops-zero-context"])
+def test_bad_counts_are_reported(capsys, argv, fragment):
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+
+
 def test_scaling_command(tmp_path, capsys):
     out_dir = str(tmp_path / "run")
     assert dispatch(["scaling", "--t-list", "64,128", "--out", out_dir]) == 0
     out = capsys.readouterr().out
     assert "ratio" in out
-    csv = open(os.path.join(out_dir, "scaling.csv")).read()
+    csv = Path(out_dir, "scaling.csv").read_text()
     assert csv.splitlines()[0] == "T,flops_total,flops_matmul,analytic_matmul"
 
 
@@ -98,7 +115,7 @@ def test_train_eval_attn_stats_pipeline(tmp_path, host_config_file, corpus_file,
     out_dir = str(tmp_path / "train_run")
     assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
                      "--steps", "30", "--out", out_dir]) == 0
-    trace = open(os.path.join(out_dir, "loss_trace.csv")).read().splitlines()
+    trace = Path(out_dir, "loss_trace.csv").read_text().splitlines()
     assert trace[0] == "step,loss,lr"
     assert len(trace) == 31
     ckpt = os.path.join(out_dir, "checkpoint")
@@ -106,7 +123,7 @@ def test_train_eval_attn_stats_pipeline(tmp_path, host_config_file, corpus_file,
     eval_dir = str(tmp_path / "eval_run")
     assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file,
                      "--eval-len", "32", "--stride", "16", "--out", eval_dir]) == 0
-    result = json.load(open(os.path.join(eval_dir, "eval_ppl.json")))
+    result = json.loads(Path(eval_dir, "eval_ppl.json").read_text())
     assert result["perplexity"] > 0
     assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file,
                      "--eval-len", "32", "--stride", "16", "--mode", "full"]) == 0
@@ -114,7 +131,7 @@ def test_train_eval_attn_stats_pipeline(tmp_path, host_config_file, corpus_file,
     stats_dir = str(tmp_path / "stats_run")
     assert dispatch(["attn-stats", "--ckpt", ckpt, "--text", corpus_file,
                      "--eval-len", "32", "--out", stats_dir]) == 0
-    lines = open(os.path.join(stats_dir, "attn_mass.csv")).read().splitlines()
+    lines = Path(stats_dir, "attn_mass.csv").read_text().splitlines()
     assert lines[0] == "layer,head,frac_global,frac_local,frac_segment"
     assert len(lines) == 3  # 1 layer x 2 heads
     for line in lines[1:]:
@@ -131,8 +148,8 @@ def test_eval_ppl_default_stride_fits_the_micro_host_window(tmp_path, corpus_fil
     eval_dir = str(tmp_path / "eval")
     assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--out", eval_dir]) == 0
     assert "eval_len=32, stride=32)" in capsys.readouterr().out
-    assert json.load(open(os.path.join(eval_dir, "eval_ppl.json")))["stride"] == 32
-    manifest = json.load(open(os.path.join(eval_dir, "run_manifest.json")))
+    assert json.loads(Path(eval_dir, "eval_ppl.json").read_text())["stride"] == 32
+    manifest = json.loads(Path(eval_dir, "run_manifest.json").read_text())
     assert manifest["config"]["stride"] == 32
     assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--stride", "33"]) == 2
     assert "stride=33 must lie in [1, eval_T=32]" in capsys.readouterr().err
@@ -161,7 +178,7 @@ def test_identical_argv_and_seed_give_byte_identical_outputs(
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_train_reports_a_non_finite_loss(tmp_path, host_config_file, corpus_file, capsys):
     # a huge learning rate overflows the parameters after the first update
-    cfg = json.load(open(host_config_file))
+    cfg = json.loads(Path(host_config_file).read_text())
     cfg["lr_backbone"] = 1e300
     path = tmp_path / "huge_lr.json"
     path.write_text(json.dumps(cfg))
@@ -170,6 +187,14 @@ def test_train_reports_a_non_finite_loss(tmp_path, host_config_file, corpus_file
                      "--steps", "5", "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: training stopped at step 1: non-finite loss (nan)")
+    assert not (out_dir / "checkpoint").exists()
+
+
+def test_train_rejects_negative_steps(tmp_path, host_config_file, corpus_file, capsys):
+    out_dir = tmp_path / "run"
+    assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
+                     "--steps", "-1", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: steps must be >= 0, got -1\n"
     assert not (out_dir / "checkpoint").exists()
 
 

@@ -129,15 +129,17 @@ def test_no_grad_forward_memory_does_not_grow_with_depth():
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-def test_mass_recorder_leaves_one_accumulator_per_layer():
+def test_mass_recorder_leaves_one_record_list_per_layer():
     cfg = dataclasses.replace(CFG, n_layers=2)
     params = init_host_params(cfg, np.random.default_rng(12))
     ids = np.random.default_rng(13).integers(0, 256, size=32)
     with no_grad(), record_attn_mass() as per_layer:
         lm_forward(params, ids, cfg)
     assert len(per_layer) == 2
-    for layer_idx, acc in enumerate(per_layer):
-        for rec in acc.records(layer=layer_idx):
+    for layer_idx, records in enumerate(per_layer):
+        assert [(rec.layer, rec.head) for rec in records] == [
+            (layer_idx, head) for head in range(cfg.hici.H)]
+        for rec in records:
             assert abs(rec.frac_global + rec.frac_local + rec.frac_segment - 1.0) <= 1e-12
 
 
@@ -204,6 +206,11 @@ def test_training_stops_on_non_finite_loss_before_the_update():
 def test_training_rejects_tiny_corpus():
     with pytest.raises(ConfigError, match="corpus"):
         train(encode_text("ab"), CFG, 1)
+
+
+def test_training_rejects_negative_steps():
+    with pytest.raises(ConfigError, match="steps must be >= 0, got -1"):
+        train(CORPUS, CFG, -1)
 
 
 def test_warmup_shows_in_lr_column():
