@@ -25,11 +25,14 @@ segments < i and the local block is L_{i-1} (zeros for segment 0), so
 token t never sees information from positions > t.
 
 Every stage function takes one stack: `local_construct` and `broadcast`
-the (N, S, d) segments, `integrate_global` a (B, R, d) stack of local
-blocks, pooling blocks[:i+1] into row i whatever the scope.
-`global_stage` is the one place that knows the scope: it hands
-`integrate_global` all N*M rows as one block or the N-1 earlier blocks,
-and shapes G and L into one context block per segment.
+the (N, S, d) segments, `pooled_stats` a (B, R, d) stack of local
+blocks, pooling blocks[:i+1] into row i whatever the scope, and
+`integrate_global` the (B, 5, d) statistics of those pools. Two stages
+know the scope. The parameter-free `pool_stage` hands `pooled_stats`
+all N*M rows as one block or the N-1 earlier blocks, and shifts L by one
+segment; `global_stage` shapes G into one context block per segment.
+Pooling sits outside the global parameter group, so a gradient probe of
+a global parameter starts from the pooled statistics.
 """
 
 from __future__ import annotations
@@ -248,28 +251,32 @@ def pooled_stats(blocks):
     """Five complementary column statistics of the rows of blocks[:i+1], every i.
 
     Rows: mean, max, min, population std, l2-normalized mean; blocks
-    (B, R, d) give (B, 5, d). Exact sums make any permutation of blocks
-    leave the last row bit-identical.
+    (B, R, d) give (B, 5, d), the input of `integrate_global`. Exact sums
+    make any permutation of blocks leave the last row bit-identical. No
+    parameter enters, so `pool_stage` runs it outside the global group.
     """
     stats = prefix_stats(blocks)
     return concat_rows([stats, l2_normalize(slice_rows(stats, 0, 1, axis=1))], axis=1)
 
 
-def integrate_global(blocks, p: GlobalParams, cfg: HiCIConfig):
-    """Global contexts of every prefix of a (B, R, d) stack of local-slot blocks: (B, K, d).
+def integrate_global(pools, p: GlobalParams, cfg: HiCIConfig):
+    """Global contexts of a (B, 5, d) stack of `pooled_stats` rows: (B, K, d).
 
-    Row i pools blocks[:i+1]; every stage runs once over all B pools.
+    Row i of the output reads only row i of `pools`; every stage runs
+    once over all B pools.
     """
-    z = pooled_stats(blocks)
-    pools = z.data.shape[0]
-    z1 = layer_norm(matmul(reshape(z, (5 * pools, cfg.d)), p.compress_w1),
+    if pools.data.ndim != 3 or pools.data.shape[0] == 0 or pools.data.shape[1:] != (5, cfg.d):
+        raise ShapeError(f"integrate_global: statistics shape {pools.data.shape} vs expected "
+                         f"stack (pools, 5, {cfg.d}) with pools >= 1")
+    n_pools = pools.data.shape[0]
+    z1 = layer_norm(matmul(reshape(pools, (5 * n_pools, cfg.d)), p.compress_w1),
                     p.compress_g1, p.compress_b1, cfg.ln_eps)
     z2 = reshape(layer_norm(matmul(z1, p.compress_w2), p.compress_g2, p.compress_b2,
-                            cfg.ln_eps), (pools, 5, cfg.d_b))
+                            cfg.ln_eps), (n_pools, 5, cfg.d_b))
     q = matmul(p.queries, p.w_q)
     selected = attention(q, matmul(z2, p.w_k), matmul(z2, p.w_v), cfg.H)
-    expanded = matmul(matmul(reshape(selected, (pools * cfg.K, cfg.d_b)), p.w_o), p.expand)
-    return reshape(scale(expanded, softplus(p.gate_raw)), (pools, cfg.K, cfg.d))
+    expanded = matmul(matmul(reshape(selected, (n_pools * cfg.K, cfg.d_b)), p.w_o), p.expand)
+    return reshape(scale(expanded, softplus(p.gate_raw)), (n_pools, cfg.K, cfg.d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,50 +336,73 @@ def local_stage(x, p: LocalParams, cfg: HiCIConfig):
         return segments, local_construct(segments, p, cfg)
 
 
-def global_stage(state, p: GlobalParams, cfg: HiCIConfig):
-    """Stage 2: (segments, L) in, (segments, L_ctx, G_ctx) out, one context block per segment.
+def pool_stage(state, cfg: HiCIConfig):
+    """Stage 2: (segments, L) in, (segments, L_ctx, Z) out; reads no parameter.
 
-    The one place that knows the scope. With 'all_segments' one G pools
-    every segment, repeated for each, and each segment keeps its own L_i.
-    The strictly causal 'preceding_segments' scope gives segment i the G
-    pooled from segments < i and the local block L_{i-1}; segment 0
-    receives zeros for both.
+    With 'all_segments' Z pools every segment's slots as one block (1, 5, d)
+    and each segment keeps its own L_i. The strictly causal
+    'preceding_segments' scope pools the N-1 earlier blocks, row i of Z
+    for segments <= i, and gives segment i the local block L_{i-1}, zeros
+    for segment 0. Z is None when there is no global context (K = 0, or
+    one segment in the strict scope).
     """
     segments, l_ctx = state
     n_seg = segments.data.shape[0]
     if cfg.global_scope != SCOPE_PRECEDING:
-        g_ctx = None
+        z = None
         if cfg.K > 0:
             with flop_scope("global"):
-                g = integrate_global(reshape(l_ctx, (1, n_seg * cfg.M, cfg.d)), p, cfg)
-            g_ctx = concat_rows([g] * n_seg)
-        return segments, l_ctx, g_ctx
+                z = pooled_stats(reshape(l_ctx, (1, n_seg * cfg.M, cfg.d)))
+        return segments, l_ctx, z
     if l_ctx is None:   # M = 0, hence K = 0: no context at all
         return segments, None, None
     earlier = slice_rows(l_ctx, 0, n_seg - 1)
-    g_ctx = Tensor(np.zeros((1, cfg.K, cfg.d))) if cfg.K > 0 else None
-    if g_ctx is not None and n_seg > 1:
+    z = None
+    if cfg.K > 0 and n_seg > 1:
         with flop_scope("global"):
-            g_ctx = concat_rows([g_ctx, integrate_global(earlier, p, cfg)])
-    return segments, concat_rows([Tensor(np.zeros((1, cfg.M, cfg.d))), earlier]), g_ctx
+            z = pooled_stats(earlier)
+    return segments, concat_rows([Tensor(np.zeros((1, cfg.M, cfg.d))), earlier]), z
+
+
+def global_stage(state, p: GlobalParams, cfg: HiCIConfig):
+    """Stage 3: (segments, L_ctx, Z) in, (segments, L_ctx, G_ctx) out, one G per segment.
+
+    With 'all_segments' the one G is repeated for each segment. The
+    strictly causal 'preceding_segments' scope gives segment i the G of
+    row i-1 of Z, and segment 0 zeros.
+    """
+    segments, l_ctx, z = state
+    n_seg = segments.data.shape[0]
+    if cfg.K == 0:
+        return segments, l_ctx, None
+    if cfg.global_scope != SCOPE_PRECEDING:
+        with flop_scope("global"):
+            g = integrate_global(z, p, cfg)
+        return segments, l_ctx, concat_rows([g] * n_seg)
+    g_ctx = Tensor(np.zeros((1, cfg.K, cfg.d)))
+    if z is not None:
+        with flop_scope("global"):
+            g_ctx = concat_rows([g_ctx, integrate_global(z, p, cfg)])
+    return segments, l_ctx, g_ctx
 
 
 def broadcast_stage(state, p: BroadcastParams, cfg: HiCIConfig):
-    """Stage 3: (segments, L_ctx, G_ctx) in, T x d out."""
+    """Stage 4: (segments, L_ctx, G_ctx) in, T x d out."""
     segments, l_ctx, g_ctx = state
     n_seg, seg_len, d = segments.data.shape
     return reshape(broadcast(segments, l_ctx, g_ctx, p, cfg), (n_seg * seg_len, d))
 
 
 def hici_stages(params: HiCIParams, cfg: HiCIConfig):
-    """`hici_forward` as its three stages in order, each a (parameters, stage) pair.
+    """`hici_forward` as its four stages in order, each a (parameters, stage) pair.
 
     Each stage maps the output of the one before it (x for the first) to
-    its own and reads only its own parameter group, so changing a group
-    leaves the outputs of the earlier stages as they were.
+    its own and reads only its own parameter group (`pool_stage` none), so
+    changing a group leaves the outputs of the earlier stages as they were.
     """
     return [
         (tuple(vars(params.local).values()), lambda x: local_stage(x, params.local, cfg)),
+        ((), lambda s: pool_stage(s, cfg)),
         (tuple(vars(params.global_).values()), lambda s: global_stage(s, params.global_, cfg)),
         (tuple(vars(params.broadcast).values()),
          lambda s: broadcast_stage(s, params.broadcast, cfg)),
@@ -387,10 +417,10 @@ def run_stages(stages, state):
 
 
 def hici_forward(x, params: HiCIParams, cfg: HiCIConfig):
-    """Full three-stage pass: T x d in, T x d out, T a positive multiple of S.
+    """Full pass of the four stages: T x d in, T x d out, T a positive multiple of S.
 
-    Each stage builds its graph once over all N segments; `global_stage`
-    wires the context of each segment for the configured scope.
+    Each stage builds its graph once over all N segments; `pool_stage` and
+    `global_stage` wire the context of each segment for the configured scope.
     """
     return run_stages(hici_stages(params, cfg), x)
 

@@ -176,8 +176,10 @@ def _cmd_train(args):
                          "or hici gradient norm; no checkpoint written")
     save_checkpoint(os.path.join(args.out, "checkpoint"), cfg, params, opt, rng,
                     step=args.steps)
-    final = trace[-1][1] if trace else float("nan")
-    print(f"trained {args.steps} steps; final loss {final:.6f}")
+    if trace:
+        print(f"trained {args.steps} steps; final loss {trace[-1][1]:.6f}")
+    else:
+        print("trained 0 steps; no step ran, so there is no loss to report")
     print(f"checkpoint written to {os.path.join(args.out, 'checkpoint')}")
     return 0
 

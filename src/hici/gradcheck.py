@@ -11,17 +11,18 @@ near zero it can exceed 1e-6 with correct derivatives. Module seed 11
 on the micro config gives 1.39e-6 on `global.w_q`.
 
 The probes are staged. The forward is an ordered list of stages (for
-the module: local, global, broadcast; for a host block also ln1 before
-and the two residuals after), each reading only its own parameters. A
-probe of a tensor re-runs the forward only from that tensor's stage,
-starting from the input the stage had in the reverse-mode pass. That
-input is a deterministic function of x and of earlier stages'
-parameters, which the probe does not touch (grad mode only adds graph
-edges, not arithmetic), so it is the same array a full forward would
-recompute, and every finite-difference value is bit-identical to one
-taken over full forwards. At the micro config a module check runs
-1,089 local, 2,131 global and 3,667 broadcast stages instead of 3,667
-of each.
+the module: local, the parameter-free pooling, global and broadcast; for
+a host block also ln1 before and the two residuals after), each reading
+only its own parameters. A probe of a tensor re-runs the forward only
+from that tensor's stage, starting from the input the stage had in the
+reverse-mode pass. That input is a deterministic function of x and of
+earlier stages' parameters, which the probe does not touch (grad mode
+only adds graph edges, not arithmetic), so it is the same array a full
+forward would recompute, and every finite-difference value is
+bit-identical to one taken over full forwards. At the micro config a
+module check runs 1,089 local, 1,089 pool, 2,131 global and 3,667
+broadcast stages instead of 3,667 of each: a probe of a global parameter
+starts from the pooled statistics and pools nothing.
 """
 
 from __future__ import annotations

@@ -140,7 +140,7 @@ def block_stages(layer: LayerParams, hici_cfg, module_stages):
     """A pre-norm residual block as (parameters, stage) pairs in order.
 
     ln1, then `module_stages` (the attention module on the ln1 output, as
-    one stage or as its own three), the out_proj residual and the ln2/FFN
+    one stage or as its own four), the out_proj residual and the ln2/FFN
     residual. The module stages carry the residual stream beside their
     own state.
     """

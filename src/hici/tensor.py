@@ -426,9 +426,12 @@ def layer_norm(a, gain, bias, eps=1e-5):
 def _exact_prefix_sums(v):
     """Exact sums of v (g, B, R, d), |v| < 2**960, over blocks[:i+1], every i: ints * 2**e.
 
-    Error-free extraction (Rump, Ogita and Oishi 2008): adding and subtracting
-    sigma = 2**m cuts every entry at one bit, the cut parts of n <= 2**(h-1)
-    entries add up exactly, and the rest is cut again 53 - h bits lower.
+    The result is (2, B, d): the sums of v[0] and of v[1:] together.
+    Error-free extraction (Rump, Ogita and Oishi 2008): adding and
+    subtracting sigma = 2**m cuts every entry at one bit, the cut parts of
+    n <= 2**(h-1) entries add up exactly below 2**53, and the rest is cut
+    again 53 - h bits lower. So the g - 1 <= 1024 sums of one level add up
+    exactly in int64, and only two groups reach the Python-int arithmetic.
     """
     h = (v.shape[1] * v.shape[2]).bit_length() + 1
     m, rest, total = math.frexp(np.abs(v).max())[1] + h, v, None
@@ -436,7 +439,8 @@ def _exact_prefix_sums(v):
         sigma = math.ldexp(1.0, m)
         cut = (sigma + rest) - sigma
         rest -= cut
-        level = np.ldexp(cut.sum(axis=2).cumsum(axis=1), 53 - m).astype(np.int64).astype(object)
+        level = np.ldexp(cut.sum(axis=2).cumsum(axis=1), 53 - m).astype(np.int64)
+        level = np.add.reduceat(level, [0, 1], axis=0).astype(object)
         total = level if total is None else total * (1 << (53 - h)) + level
         if not np.count_nonzero(rest):
             return total, m - 53
@@ -481,29 +485,35 @@ def prefix_stats(blocks):
     split = xs * 134217729.0                      # Veltkamp: 26-bit halves, exact products
     hi = split - (split - xs)
     lo = xs - hi
-    # sum(xs * 2**480) and the three parts of sum(xs**2), all in units of 2**e (e < 960)
+    # sum(xs * 2**480) and sum(xs**2) from its three exact parts, in units of 2**e (e < 960)
     s, e = _exact_prefix_sums(np.array([xs * 2.0**480, hi * hi, 2.0 * hi * lo, lo * lo]))
     rows = np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1]
     # r * sum(xs**2) - sum(xs)**2 in units of 2**(2e - 960)
-    num = rows.astype(object) * (1 << (960 - e)) * s[1:].sum(axis=0) - s[0] * s[0]
+    num = rows.astype(object) * (1 << (960 - e)) * s[1] - s[0] * s[0]
     var = _rounded(num, 2 * e - 960, (rows * rows).astype(object))
     mean = _rounded(s[0], e - 480 + k) / rows
-    std = np.ldexp(np.sqrt(var), k)
+    std_s = np.sqrt(var)   # the std of xs
     if not finite.all():   # a non-finite row poisons its prefixes, as in plain summation
         poisoned = np.logical_or.accumulate(~finite.all(axis=1), axis=0)
         mean = np.where(poisoned, np.cumsum(x.sum(axis=1), axis=0) / rows, mean)
-        std = np.where(poisoned, np.nan, std)
+        std_s = np.where(poisoned, np.nan, std_s)
+    std = np.ldexp(std_s, k)
     ext, i_ext = _prefix_argmax(np.concatenate([x, -x], axis=2))   # max, then -min
 
     def bwd(g):
-        coeff = np.divide(g[:, 3], rows * std, out=np.zeros_like(std), where=std > 0)
+        # the std adjoint (x - mean) / (r std), in the units of xs (largest entry
+        # near 2**480) so that a subnormal std cannot overflow it; power-of-two
+        # scaling is exact, so normal-range gradients are unchanged
+        mean_s = np.ldexp(mean, -k)
+        coeff = np.divide(g[:, 3], rows * std_s, out=np.zeros_like(std_s), where=std_s > 0)
         # block j gets the adjoints of every prefix i >= j that holds it; with
         # a_j = sum_{i>=j} coeff_i, sum_{i>=j} coeff_i (x - mean_i) is
         # (x - mean_j) a_j - sum_{k>=j} (mean_{k+1} - mean_k) a_{k+1}, a zero term for k = B-1
         a, b = np.cumsum(np.stack([coeff, g[:, 0] / rows])[:, ::-1], axis=1)[:, ::-1]
-        step = (np.concatenate([mean[1:], mean[-1:]]) - mean) * np.concatenate([a[1:], a[-1:]])
+        shifted = np.concatenate([mean_s[1:], mean_s[-1:]])
+        step = (shifted - mean_s) * np.concatenate([a[1:], a[-1:]])
         c = np.cumsum(step[::-1], axis=0)[::-1]
-        dx = (x - mean[:, None]) * a[:, None] + (b - c)[:, None]
+        dx = (np.ldexp(x, -k) - mean_s[:, None]) * a[:, None] + (b - c)[:, None]
         dz = np.bincount(i_ext.ravel(), np.concatenate([g[:, 1], -g[:, 2]], axis=1).ravel(),
                          2 * x.size).reshape(x.shape[:2] + (-1,))
         blocks._acc(dx + dz[..., :d] - dz[..., d:])

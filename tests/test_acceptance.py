@@ -21,6 +21,7 @@ from hici.attention import (
     hici_forward,
     init_hici_params,
     integrate_global,
+    pooled_stats,
     record_attn_mass,
     uniform_queries,
 )
@@ -185,9 +186,10 @@ def test_criterion_5_structural_invariants(capsys):
     for _ in range(100):  # global context invariant under segment permutation
         n_seg = int(rng.integers(2, 7))
         blocks = rng.normal(size=(n_seg, cfg.M, cfg.d))
-        g = integrate_global(Tensor(blocks.reshape(1, -1, cfg.d)), params.global_, cfg).data
+        g = integrate_global(pooled_stats(Tensor(blocks.reshape(1, -1, cfg.d))),
+                             params.global_, cfg).data
         perm = rng.permutation(n_seg)
-        g2 = integrate_global(Tensor(blocks[perm].reshape(1, -1, cfg.d)),
+        g2 = integrate_global(pooled_stats(Tensor(blocks[perm].reshape(1, -1, cfg.d))),
                               params.global_, cfg).data
         if not np.array_equal(g, g2):
             failures.append("pooling permutation invariance")
@@ -225,7 +227,7 @@ def test_criterion_5_structural_invariants(capsys):
     for _ in range(100):  # |G| fixed while T grows
         for n_seg in (4, 8, 16):
             blocks = Tensor(rng.normal(size=(1, n_seg * cfg.M, cfg.d)))
-            g_bytes.add(integrate_global(blocks, params.global_, cfg).data.nbytes)
+            g_bytes.add(integrate_global(pooled_stats(blocks), params.global_, cfg).data.nbytes)
     if len(g_bytes) != 1:
         failures.append("capacity independence")
 

@@ -17,6 +17,7 @@ from hici.attention import (
     local_construct,
     named_tensors,
     partition,
+    pool_stage,
     pooled_stats,
     record_attn_mass,
     uniform_queries,
@@ -36,7 +37,8 @@ def _params(cfg=CFG, seed=0):
 
 def _pool_all(blocks, p, cfg):
     """The all_segments G: one pool over every row of an (N, M, d) array of blocks."""
-    return integrate_global(Tensor(blocks.reshape(1, -1, cfg.d)), p.global_, cfg).data[0]
+    pools = pooled_stats(Tensor(blocks.reshape(1, -1, cfg.d)))
+    return integrate_global(pools, p.global_, cfg).data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def test_global_selection_attention_normalized():
 def test_integrate_global_empty_input():
     p = _params()
     with pytest.raises(ShapeError, match=r"non-empty \(blocks, rows, d\)"):
-        integrate_global(Tensor(np.zeros((0, CFG.M, CFG.d))), p.global_, CFG)
+        integrate_global(pooled_stats(Tensor(np.zeros((0, CFG.M, CFG.d)))), p.global_, CFG)
 
 
 def test_strict_integrate_global_matches_all_segments_on_each_prefix():
@@ -225,7 +227,7 @@ def test_strict_integrate_global_matches_all_segments_on_each_prefix():
     p = _params(seed=42)
     blocks = np.random.default_rng(43).normal(size=(6, CFG.M, CFG.d))
     segments = Tensor(np.zeros((6, CFG.S, CFG.d)))
-    g = global_stage((segments, Tensor(blocks)), p.global_, strict)[2].data
+    g = global_stage(pool_stage((segments, Tensor(blocks)), strict), p.global_, strict)[2].data
     assert g.shape == (6, CFG.K, CFG.d)
     assert np.array_equal(g[0], np.zeros((CFG.K, CFG.d)))
     for i in range(1, 6):
@@ -234,10 +236,10 @@ def test_strict_integrate_global_matches_all_segments_on_each_prefix():
 
 
 def test_integrate_global_ignores_the_scope():
-    # row i pools blocks[:i+1] under either scope; only global_stage wires the scope
+    # row i pools blocks[:i+1] under either scope; only the stages wire the scope
     p = _params(seed=44)
-    blocks = Tensor(np.random.default_rng(45).normal(size=(5, CFG.M, CFG.d)))
-    outs = [integrate_global(blocks, p.global_, dataclasses.replace(CFG, global_scope=s)).data
+    pools = pooled_stats(Tensor(np.random.default_rng(45).normal(size=(5, CFG.M, CFG.d))))
+    outs = [integrate_global(pools, p.global_, dataclasses.replace(CFG, global_scope=s)).data
             for s in (SCOPE_ALL, SCOPE_PRECEDING)]
     assert outs[0].shape == (5, CFG.K, CFG.d)
     assert outs[0].tobytes() == outs[1].tobytes()
@@ -247,12 +249,12 @@ def test_integrate_global_ignores_the_scope():
 def test_stage_functions_take_only_non_empty_stacks(shape):
     p = _params()
     x = Tensor(np.zeros(shape))
-    segments, blocks = r"\(N, 4, 16\)", r"\(blocks, rows, d\)"
+    segments, blocks, pools = r"\(N, 4, 16\)", r"\(blocks, rows, d\)", r"\(pools, 5, 16\)"
     for call, expected in (
             (lambda: local_construct(x, p.local, CFG), segments),
             (lambda: broadcast(x, None, None, p.broadcast, CFG), segments),
             (lambda: pooled_stats(x), blocks),
-            (lambda: integrate_global(x, p.global_, CFG), blocks)):
+            (lambda: integrate_global(x, p.global_, CFG), pools)):
         with pytest.raises(ShapeError, match=expected):
             call()
 

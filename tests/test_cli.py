@@ -190,6 +190,17 @@ def test_train_reports_a_non_finite_loss(tmp_path, host_config_file, corpus_file
     assert not (out_dir / "checkpoint").exists()
 
 
+def test_train_zero_steps_reports_no_loss(tmp_path, host_config_file, corpus_file, capsys):
+    out_dir = tmp_path / "run"
+    assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
+                     "--steps", "0", "--out", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("trained 0 steps; no step ran, so there is no loss to report\n")
+    assert "nan" not in out
+    assert (out_dir / "checkpoint").exists()
+    assert (out_dir / "loss_trace.csv").read_text() == "step,loss,lr\n"
+
+
 def test_train_rejects_negative_steps(tmp_path, host_config_file, corpus_file, capsys):
     out_dir = tmp_path / "run"
     assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,

@@ -14,7 +14,7 @@ import pytest
 from hici import attention, gradcheck
 from hici.attention import hici_forward, init_hici_params, named_tensors
 from hici.config import SCOPE_ALL, SCOPE_PRECEDING, HiCIConfig, HostConfig
-from hici.host import block_forward, host_named_tensors, init_host_params
+from hici.host import block_forward, block_stages, host_named_tensors, init_host_params
 from hici.tensor import Tensor, finite_diff_grad, mul_const, no_grad, tsum
 
 SMALL = HiCIConfig(S=2, M=1, K=1, H=2, d=8, d_b=4, d_s=2)
@@ -102,7 +102,7 @@ def test_host_block_staged_probes_equal_full_forward_probes(monkeypatch, scope):
 @pytest.mark.parametrize("scope", [SCOPE_ALL, SCOPE_PRECEDING])
 def test_probes_run_no_stage_upstream_of_their_tensor(monkeypatch, scope):
     cfg = dataclasses.replace(SMALL, global_scope=scope)
-    calls = {"local_construct": 0, "integrate_global": 0}
+    calls = {"local_construct": 0, "pooled_stats": 0, "integrate_global": 0}
 
     def counted(name):
         original = getattr(attention, name)
@@ -113,8 +113,8 @@ def test_probes_run_no_stage_upstream_of_their_tensor(monkeypatch, scope):
 
         monkeypatch.setattr(attention, name, wrapper)
 
-    counted("local_construct")
-    counted("integrate_global")
+    for name in calls:
+        counted(name)
     per_probe = []
 
     def recording(f, p, h=1e-5):
@@ -131,9 +131,40 @@ def test_probes_run_no_stage_upstream_of_their_tensor(monkeypatch, scope):
     for (name, p), delta in zip(tensors.items(), per_probe):
         evaluations = 2 * p.data.size
         if name.startswith("broadcast."):
-            assert delta == {"local_construct": 0, "integrate_global": 0}, name
+            assert delta == {"local_construct": 0, "pooled_stats": 0,
+                             "integrate_global": 0}, name
         elif name.startswith("global."):
-            assert delta == {"local_construct": 0, "integrate_global": evaluations}, name
-        else:
-            assert delta == {"local_construct": evaluations,
+            assert delta == {"local_construct": 0, "pooled_stats": 0,
                              "integrate_global": evaluations}, name
+        else:
+            assert delta == {"local_construct": evaluations, "pooled_stats": evaluations,
+                             "integrate_global": evaluations}, name
+
+
+def _assert_each_tensor_in_one_stage(tensors, stages):
+    listed = [id(p) for params, _ in stages for p in params]
+    assert sorted(listed) == sorted(id(p) for p in tensors.values())
+
+
+@pytest.mark.parametrize("cfg", [
+    SMALL,
+    dataclasses.replace(SMALL, global_scope=SCOPE_PRECEDING),
+    dataclasses.replace(SMALL, K=0),
+    dataclasses.replace(SMALL, M=0, K=0),
+])
+def test_each_named_tensor_sits_in_exactly_one_stage(cfg):
+    # a probe reruns the stages from its tensor's own; a tensor listed in two
+    # stages would be probed from the later one and miss its earlier use
+    params = init_hici_params(cfg, np.random.default_rng(SEED))
+    module_stages = attention.hici_stages(params, cfg)
+    assert [len(params_) for params_, _ in module_stages] == [5, 0, 13, 3]
+    _assert_each_tensor_in_one_stage(named_tensors(params), module_stages)
+
+    host_cfg = HostConfig(vocab_size=17, n_layers=2, d=cfg.d, ffn_width=2 * cfg.d,
+                          max_T=2 * cfg.S, seed=0, hici=cfg)
+    host_params = init_host_params(host_cfg, np.random.default_rng(SEED))
+    layer = host_params.layers[0]
+    tensors = {name: p for name, p in host_named_tensors(host_params).items()
+               if name.startswith("layers.0.")}
+    _assert_each_tensor_in_one_stage(
+        tensors, block_stages(layer, cfg, attention.hici_stages(layer.hici, cfg)))

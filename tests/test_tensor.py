@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,6 +188,22 @@ def test_prefix_stats_mean_is_correctly_rounded_fsum():
             assert np.array_equal(mean[i], fsum)
 
 
+def test_prefix_stats_std_is_root_of_correctly_rounded_variance():
+    # the x^2 sums are split into three exact parts; their total must be exact
+    rng = np.random.default_rng(44)
+    for x in (rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-100, 100, size=(6, 5, 3)),
+              rng.choice([1e-16, 1.0, 1e16, -1e16, 2.0**-53, 3.0], size=(6, 5, 3)),
+              1e8 + rng.normal(size=(6, 5, 3))):
+        sd = _prefix_stats(x)[3]
+        for i in range(6):
+            rows = x[:i + 1].reshape(-1, 3)
+            r = rows.shape[0]
+            for j in range(3):
+                col = [Fraction(v) for v in rows[:, j]]
+                var = (r * sum(v * v for v in col) - sum(col) ** 2) / (r * r)
+                assert sd[i, j] == math.sqrt(float(var))
+
+
 def test_prefix_stats_permutation_invariant_bitwise():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 13, 4))
@@ -245,6 +262,22 @@ def test_prefix_stats_backward_centres_each_prefix_on_its_own_mean():
             ref[:i + 1] += q.grad.reshape(i + 1, 2, 8)
         worst = max(worst, np.abs(p.grad - ref).max() / np.abs(ref).max())
     assert worst <= 1e-14, worst
+
+
+def test_prefix_stats_std_gradient_of_subnormal_blocks():
+    # std is homogeneous of degree 1, so its gradient at x * 2**-1030 equals
+    # the one at x; r * std is subnormal there and its reciprocal overflows
+    rng = np.random.default_rng(43)
+    tiny = rng.normal(size=(3, 4, 2)) * 1e-310
+    g = np.zeros((3, 4, 2))
+    g[:, 3] = rng.normal(size=(3, 2))
+    grads = []
+    for x in (tiny, np.ldexp(tiny, 1030)):   # exact: subnormals scale up without rounding
+        p = parameter(x)
+        backward(tsum(mul_const(prefix_stats(p), g)))
+        grads.append(p.grad)
+    assert np.isfinite(grads[0]).all()
+    assert np.abs(grads[0] - grads[1]).max() <= 1e-12 * np.abs(grads[1]).max()
 
 
 def test_prefix_stats_rejects_empty_blocks():
