@@ -184,12 +184,19 @@ def _cmd_train(args):
     return 0
 
 
+def _eval_len(args, cfg):
+    """The `--eval-len` window: max_T when 0, and never negative."""
+    if args.eval_len < 0:
+        raise ConfigError(f"--eval-len must be >= 0 (0 = max_T), got {args.eval_len}")
+    return args.eval_len if args.eval_len else cfg.max_T
+
+
 def _cmd_eval_ppl(args):
     cfg, params, _opt, _rng, step = load_checkpoint(args.ckpt)
     cfg = dataclasses.replace(cfg, hici=_apply_overrides(cfg.hici, args))
     with open(args.text, "rb") as fh:
         ids = encode_bytes(fh.read())
-    eval_len = args.eval_len if args.eval_len else cfg.max_T
+    eval_len = _eval_len(args, cfg)
     stride = args.stride if args.stride is not None else min(256, eval_len)
     if args.out:
         _write_manifest(args.out, "eval-ppl",
@@ -217,10 +224,14 @@ def _cmd_attn_stats(args):
     else:
         raise ConfigError("attn-stats needs --ckpt or --config")
     cfg = dataclasses.replace(cfg, hici=_apply_overrides(cfg.hici, args))
-    eval_len = args.eval_len if args.eval_len else cfg.max_T
+    eval_len = _eval_len(args, cfg)
     if args.text:
         with open(args.text, "rb") as fh:
             ids = encode_bytes(fh.read())[:eval_len]
+        if ids.shape[0] == 0:
+            raise ConfigError("empty token sequence")
+        if ids.shape[0] < eval_len:
+            raise ConfigError(f"text has {ids.shape[0]} tokens, shorter than eval_len={eval_len}")
     else:
         ids = np.random.default_rng(args.seed).integers(0, 256, size=eval_len)
     if args.out:

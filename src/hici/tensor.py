@@ -23,12 +23,24 @@ Kernels write only into buffers they allocated themselves, never into
 an input, and stay off numpy's slow paths: `gelu` cubes by
 multiplication, `x * x * x`, never `x**3` (numpy hands an exponent of 3
 to libm `pow`), builds its tanh argument in one scratch buffer and its
-output in one more; `layer_norm` centres into the buffer that becomes
+output in one more (the same one without a graph), and its backward in
+three; `layer_norm` centres into the buffer that becomes
 `xhat` and adds the bias in place; `_softmax` masks (-inf, whose `exp`
 is exactly 0), subtracts the row max, takes `exp` and divides in place
 in the buffer it is given: `attention` hands it the score buffer it
 just made, the `cross_entropy_mean` backward a copy.
 The log-sum-exp of `nll_rows` takes `exp` in its one scratch buffer.
+
+A graph-free forward keeps a bounded working set, bit-identical to the
+whole-array kernels: `attention` runs its blocks in chunks of at most
+`SCORE_BUDGET` score entries when nothing reads the probabilities
+afterwards (no recorded graph, no probe) and the whole score buffer is
+larger; `nll_rows` works in blocks of `NLL_ROW_BLOCK` rows; `gelu`
+builds its output in the tanh buffer when no backward reads it. The
+`h @ head` logits product stays whole: with OpenBLAS, row blocks of a
+(2048, 32) @ (32, 257) product differ in their last bits from the whole
+product, so the (T, vocab) logits are the one array a scoring window
+needs whole.
 
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
 arithmetic issued by a forward pass. Matmuls are charged 2*m*k*n
@@ -53,6 +65,11 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """Autodiff graph misuse (double backward, non-scalar loss, ...)."""
+
+
+# Working-set bounds of graph-free kernels (see the module docstring).
+SCORE_BUDGET = 1 << 15    # attention score entries per chunk: 256 KiB of float64
+NLL_ROW_BLOCK = 256       # logit rows per log-sum-exp block of `nll_rows`
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +216,11 @@ def _make(data, parents, backward_fn):
     return out
 
 
+def _records(parents):
+    """Whether `_make` records a node over `parents`, so that a backward may run."""
+    return _GRAD_MODE[-1] and any(p.requires_grad for p in parents)
+
+
 def grad_or_zero(t):
     """Accumulated gradient, or zeros if the tensor never joined a graph."""
     return t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -339,6 +361,11 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     shared by every block and head. `probe`, a diagnostic hook, is
     called with the probabilities, shape (B, n_heads, Lq, Lk).
 
+    When no graph is recorded, no probe is given and the B*H*Lq*Lk scores
+    exceed `SCORE_BUDGET`, the blocks run in chunks that each stay within
+    it, writing into one output array; every product and softmax row is
+    the one the whole stack computes, so the result is bit-identical.
+
     Backward is closed form: with dP = dO V^T the score adjoint is
     P * (dP - rowsum(dP * P)) (Dao et al. 2022). FLOPs per block and head
     are those of the unfused chain: 4*Lq*Lk*dk matmul (scores and P V)
@@ -364,11 +391,26 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     def merge(x):   # (..., H, L, dk) -> (..., L, W)
         return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     inv_scale = 1.0 / math.sqrt(dk)
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores *= inv_scale
-    p = _softmax(scores, visible)
+
+    def probs(qh, kh):
+        scores = qh @ kh.swapaxes(-1, -2)
+        scores *= inv_scale
+        return _softmax(scores, visible)
+
+    if probe is None and n_scores > SCORE_BUDGET and not _records((q, k, v)):
+        # nothing reads p afterwards: run chunks of blocks, each within the budget
+        step = max(1, SCORE_BUDGET // (n_scores // n_blocks))
+        out = np.empty((n_blocks, q.data.shape[-2], width))
+        out_heads = out.reshape(out.shape[:2] + (n_heads, dk))
+        for b0 in range(0, n_blocks, step):
+            blk = slice(b0, b0 + step)
+            p = probs(split(q.data if q.data.ndim == 2 else q.data[blk]), split(k.data[blk]))
+            out_heads[blk] = (p @ split(v.data[blk])).swapaxes(-3, -2)
+        return Tensor(out)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = probs(qh, kh)
     if probe is not None:
         probe(p)
     out = merge(p @ vh)
@@ -568,13 +610,29 @@ def gelu(x):
     t += x.data
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0   # 0.5 * x * (1 + t): (1 + t) * 0.5 is exact, and * x last cannot overflow early
+    # 0.5 * x * (1 + t): (1 + t) * 0.5 is exact, and * x last cannot overflow early;
+    # built in t's own buffer when no backward will read t
+    out = np.add(t, 1.0, out=None if _records((x,)) else t)
     out *= 0.5
     out *= x.data
 
     def bwd(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
-        x._acc(g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du))
+        # g * ((t + 1) * 0.5 + ((0.5 * x) * (1 - t * t)) * du), du = C * (1 + 3 * 0.044715 * x * x),
+        # in three buffers
+        du = x.data * x.data
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        dx = t * t
+        np.subtract(1.0, dx, out=dx)
+        half = x.data * 0.5
+        dx *= half
+        dx *= du
+        np.add(t, 1.0, out=half)
+        half *= 0.5
+        dx += half
+        dx *= g
+        x._acc(dx)
 
     return _make(out, (x,), bwd)
 
@@ -646,11 +704,19 @@ def embedding(table, ids):
 
 
 def nll_rows(logits, targets):
-    """Per-row NLL of integer targets under logit rows; arrays, stable log-sum-exp."""
-    m = logits.max(axis=1, keepdims=True)
-    e = logits - m
-    np.exp(e, out=e)
-    lse = m[:, 0] + np.log(e.sum(axis=1))
+    """Per-row NLL of integer targets under logit rows; arrays, stable log-sum-exp.
+
+    The log-sum-exp runs over blocks of `NLL_ROW_BLOCK` rows, so its `exp`
+    buffer stays small; each reduction is per row, so the result is the
+    whole array's.
+    """
+    lse = np.empty(logits.shape[0])
+    for r0 in range(0, logits.shape[0], NLL_ROW_BLOCK):
+        rows = slice(r0, r0 + NLL_ROW_BLOCK)
+        m = logits[rows].max(axis=1, keepdims=True)
+        e = logits[rows] - m
+        np.exp(e, out=e)
+        lse[rows] = m[:, 0] + np.log(e.sum(axis=1))
     return lse - logits[np.arange(logits.shape[0]), targets]
 
 

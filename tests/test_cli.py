@@ -290,3 +290,30 @@ def test_attn_stats_reports_empty_text(tmp_path, host_config_file, capsys):
     path.write_bytes(b"")
     assert dispatch(["attn-stats", "--config", host_config_file, "--text", str(path)]) == 2
     assert capsys.readouterr().err == "error: empty token sequence\n"
+
+
+@pytest.mark.parametrize("n_bytes,eval_len,fragment", [
+    (40, "-8", "--eval-len must be >= 0 (0 = max_T), got -8"),
+    (16, "32", "text has 16 tokens, shorter than eval_len=32"),
+], ids=["negative", "short-text"])
+def test_attn_stats_scores_exactly_the_asked_window(tmp_path, host_config_file, capsys,
+                                                     n_bytes, eval_len, fragment):
+    text = tmp_path / "text.bin"
+    text.write_bytes(bytes(range(n_bytes)))
+    out_dir = tmp_path / "run"
+    assert dispatch(["attn-stats", "--config", host_config_file, "--text", str(text),
+                     "--eval-len", eval_len, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {fragment}\n"
+    assert not out_dir.exists()
+
+
+def test_eval_ppl_rejects_negative_eval_len(tmp_path, host_config_file, corpus_file, capsys):
+    run = str(tmp_path / "run")
+    assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
+                     "--steps", "1", "--out", run]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "eval"
+    assert dispatch(["eval-ppl", "--ckpt", os.path.join(run, "checkpoint"), "--text",
+                     corpus_file, "--eval-len", "-32", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: --eval-len must be >= 0 (0 = max_T), got -32\n"
+    assert not out_dir.exists()

@@ -129,6 +129,24 @@ def test_no_grad_forward_memory_does_not_grow_with_depth():
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def test_eval_window_working_set_is_bounded_by_the_logits():
+    hc = HiCIConfig(S=32, M=8, K=4, H=4, d=32, d_b=16, d_s=8)
+    cfg = HostConfig(vocab_size=BYTE_VOCAB, n_layers=2, d=32, ffn_width=128,
+                     max_T=2048, seed=5, hici=hc).validate()
+    params = init_host_params(cfg, np.random.default_rng(5))
+    ids = np.random.default_rng(6).integers(0, 256, size=2048)
+    eval_ppl(params, cfg, ids, 2048, 2048)                  # untraced first call: set-up
+    tracemalloc.start()
+    try:
+        eval_ppl(params, cfg, ids, 2048, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (T, vocab) logits are the one array the window needs whole; whole
+    # score, exp and GELU buffers on top of them would reach about 2.3x
+    assert peak <= 1.5 * 2048 * BYTE_VOCAB * 8, peak
+
+
 def test_mass_recorder_leaves_one_record_list_per_layer():
     cfg = dataclasses.replace(CFG, n_layers=2)
     params = init_host_params(cfg, np.random.default_rng(12))

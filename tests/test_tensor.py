@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hici.tensor import (
+    NLL_ROW_BLOCK,
+    SCORE_BUDGET,
     GraphError,
     _softmax,
     ShapeError,
@@ -366,12 +368,14 @@ def test_unmasked_softmax_equals_formula():
 
 def test_nll_rows_equals_log_sum_exp_formula():
     rng = np.random.default_rng(23)
-    logits = rng.normal(scale=8.0, size=(33, 257))
-    targets = rng.integers(0, 257, size=33)
-    m = logits.max(axis=1, keepdims=True)
-    ref = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
-    ref = ref - logits[np.arange(33), targets]
-    assert np.array_equal(nll_rows(logits, targets), ref)
+    for n_rows in (33, 2 * NLL_ROW_BLOCK + 33):   # one partial block; two whole and a partial
+        logits = rng.normal(scale=8.0, size=(n_rows, 257))
+        targets = rng.integers(0, 257, size=n_rows)
+        out = nll_rows(logits, targets)
+        m = logits.max(axis=1, keepdims=True)
+        ref = m[:, 0] + np.log(np.sum(np.exp(logits - m), axis=1))
+        ref = ref - logits[np.arange(n_rows), targets]
+        assert np.array_equal(out, ref)
 
 
 _GELU_POINTS = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0, 1e3, -1e3]
@@ -382,6 +386,16 @@ def test_gelu_equals_out_of_place_formula():
     out, ref = gelu(Tensor(x)).data, _gelu_formula(x)
     assert np.array_equal(out, ref)
     assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def test_gelu_without_grad_equals_grad_mode_output():
+    x = np.concatenate([_GELU_POINTS, np.random.default_rng(24).normal(scale=3.0, size=4000)])
+    with no_grad():
+        free = gelu(parameter(x)).data
+    recorded = gelu(parameter(x))
+    assert recorded.requires_grad
+    assert np.array_equal(free, recorded.data)
+    assert np.array_equal(np.signbit(free), np.signbit(recorded.data))
 
 
 def test_gelu_matches_scalar_reference():
@@ -449,6 +463,31 @@ def test_attention_equals_out_of_place_formula():
         for mask in (None, visible):
             out = attention(q, k, v, 3, visible=mask).data
             assert np.array_equal(out, _attention_formula(q, k, v, 3, mask))
+
+    # without a graph, over the score budget: chunks of blocks, the last one partial
+    n_blocks, per_block = 100, 2 * 16 * 24
+    step = SCORE_BUDGET // per_block
+    assert n_blocks * per_block > SCORE_BUDGET and n_blocks % step != 0
+    k, v = rng.normal(scale=3.0, size=(2, n_blocks, 24, 12))
+    visible = np.tril(np.ones((16, 24), dtype=bool), k=8)
+    for q in (rng.normal(scale=3.0, size=(n_blocks, 16, 12)), rng.normal(scale=3.0, size=(16, 12))):
+        for mask in (None, visible):
+            with no_grad():
+                out = attention(q, k, v, 2, visible=mask).data
+            assert np.array_equal(out, _attention_formula(q, k, v, 2, mask))
+            assert np.array_equal(out, attention(parameter(q), k, v, 2, visible=mask).data)
+
+
+def test_attention_probe_receives_every_probability_over_the_budget():
+    rng = np.random.default_rng(31)
+    q, k, v = rng.normal(size=(3, 100, 16, 12))
+    seen = []
+    with no_grad():
+        out = attention(q, k, v, 2, probe=seen.append).data
+    assert 100 * 2 * 16 * 16 > SCORE_BUDGET
+    assert len(seen) == 1 and seen[0].shape == (100, 2, 16, 16)
+    assert np.allclose(seen[0].sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(out, _attention_formula(q, k, v, 2))
 
 
 def test_softmax_normalizes_its_argument_in_place():
