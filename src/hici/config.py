@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -13,6 +15,22 @@ class ConfigError(ValueError):
 
 SCOPE_ALL = "all_segments"
 SCOPE_PRECEDING = "preceding_segments"
+
+
+# `int` and `float` come first: the ABC checks are slow, and every module forward validates
+def _require_ints(cfg, names):
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_rate(name, value, upper=None):
+    """A finite real >= 0, and below `upper` when that is given."""
+    if (not isinstance(value, (float, int, numbers.Real)) or isinstance(value, bool)
+            or not math.isfinite(value) or value < 0 or (upper is not None and value >= upper)):
+        bound = ">= 0" if upper is None else f"in [0, {upper})"
+        raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +59,7 @@ class HiCIConfig:
     ln_eps: float = 1e-5
 
     def validate(self):
+        _require_ints(self, ("S", "M", "K", "H", "d", "d_b", "d_s"))
         if self.S < 1:
             raise ConfigError(f"S must be >= 1, got {self.S}")
         if self.M < 0 or self.K < 0:
@@ -59,14 +78,19 @@ class HiCIConfig:
                 f"d_b={self.d_b}, d={self.d}")
         if self.global_scope not in (SCOPE_ALL, SCOPE_PRECEDING):
             raise ConfigError(f"unknown global_scope {self.global_scope!r}")
-        if self.ln_eps < 0:
-            raise ConfigError(f"ln_eps must be >= 0, got {self.ln_eps}")
+        _require_rate("ln_eps", self.ln_eps)
         return self
 
 
 @dataclass(frozen=True)
 class HostConfig:
-    """Toy character-level LM that hosts the attention module."""
+    """Toy character-level LM that hosts the attention module.
+
+    Training: AdamW with betas in [0, 1) and decoupled `weight_decay`;
+    learning rates ramp linearly over `warmup_steps` (0: no warmup);
+    `grad_clip_hici` caps the global gradient norm of the attention-module
+    group, and 0 turns that clip off. Rates are finite and >= 0.
+    """
 
     vocab_size: int
     n_layers: int
@@ -85,15 +109,27 @@ class HostConfig:
 
     def validate(self):
         self.hici.validate()
+        _require_ints(self, ("vocab_size", "n_layers", "d", "ffn_width", "max_T", "seed",
+                             "warmup_steps"))
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        if self.max_T < self.hici.S:
+            raise ConfigError(f"max_T={self.max_T} is shorter than one segment (S={self.hici.S})")
         if self.max_T % self.hici.S != 0:
             raise ConfigError(
                 f"max_T={self.max_T} not divisible by segment length S={self.hici.S}")
         if self.d != self.hici.d:
             raise ConfigError(f"host d={self.d} disagrees with attention d={self.hici.d}")
-        if self.n_layers < 1:
-            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
+        for name in ("n_layers", "ffn_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("seed", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("lr_backbone", "lr_hici", "grad_clip_hici", "weight_decay"):
+            _require_rate(name, getattr(self, name))
+        for name in ("adam_beta1", "adam_beta2"):   # 1 would zero Adam's bias correction
+            _require_rate(name, getattr(self, name), upper=1)
         return self
 
 

@@ -19,28 +19,42 @@ blocks in one node from exact sums, carried from prefix to prefix, so
 each mean equals `math.fsum` over its rows divided by their count, in
 any row order: segment-permutation invariance holds bit-for-bit.
 
+Gradients are handed over, not copied. A backward closure gives each
+input an array that it allocated and holds nowhere else to
+`Tensor._take`: a tensor keeps a first such gradient after adding 0.0
+to it in place, which stores -0.0 as +0.0, the bits of `0.0 + g`. The
+arrays a closure only borrows, the gradient `add` shares between its
+inputs and the views of `reshape` and `concat_rows`, go to
+`Tensor._acc`, which copies a first one, so no two tensors share a
+gradient array.
+
 Kernels write only into buffers they allocated themselves, never into
 an input, and stay off numpy's slow paths: `gelu` cubes by
 multiplication, `x * x * x`, never `x**3` (numpy hands an exponent of 3
 to libm `pow`), builds its tanh argument in one scratch buffer and its
-output in one more (the same one without a graph), and its backward in
-three; `layer_norm` centres into the buffer that becomes
-`xhat` and adds the bias in place; `_softmax` masks (-inf, whose `exp`
-is exactly 0), subtracts the row max, takes `exp` and divides in place
-in the buffer it is given: `attention` hands it the score buffer it
-just made, the `cross_entropy_mean` backward a copy.
-The log-sum-exp of `nll_rows` takes `exp` in its one scratch buffer.
+output in one more (the same one without a graph); `layer_norm` centres
+into the buffer that becomes `xhat` and adds the bias in place;
+`_softmax` masks (-inf, whose `exp` is exactly 0), subtracts the row
+max, takes `exp` and divides in place in the score buffer `attention`
+has just made. `attention` hands matmul strided views of its heads,
+never contiguous copies. The log-sum-exp of `nll_rows` and
+`cross_entropy_mean` takes `exp(logits - row max)` in one scratch
+buffer; with a graph `cross_entropy_mean` keeps that buffer whole, and
+its backward turns it into the softmax in place and hands it over.
 
-A graph-free forward keeps a bounded working set, bit-identical to the
-whole-array kernels: `attention` runs its blocks in chunks of at most
+Working sets stay bounded, bit-identical to the whole-array kernels.
+Without a graph, `attention` runs its blocks in chunks of at most
 `SCORE_BUDGET` score entries when nothing reads the probabilities
 afterwards (no recorded graph, no probe) and the whole score buffer is
 larger; `nll_rows` works in blocks of `NLL_ROW_BLOCK` rows; `gelu`
 builds its output in the tanh buffer when no backward reads it. The
-`h @ head` logits product stays whole: with OpenBLAS, row blocks of a
-(2048, 32) @ (32, 257) product differ in their last bits from the whole
-product, so the (T, vocab) logits are the one array a scoring window
-needs whole.
+backward kernels of `gelu` and `layer_norm` run in blocks of at most
+`SCORE_BUDGET` entries (whole rows for `layer_norm`) written into one
+output array, and `embedding` scatters with one `np.bincount` per
+column, the in-order sums of `np.add.at`. The `h @ head` logits product
+stays whole: with OpenBLAS, row blocks of a (2048, 32) @ (32, 257)
+product differ in their last bits from the whole product, so the
+(T, vocab) logits are the one array a scoring window needs whole.
 
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
 arithmetic issued by a forward pass. Matmuls are charged 2*m*k*n
@@ -67,8 +81,8 @@ class GraphError(RuntimeError):
     """Autodiff graph misuse (double backward, non-scalar loss, ...)."""
 
 
-# Working-set bounds of graph-free kernels (see the module docstring).
-SCORE_BUDGET = 1 << 15    # attention score entries per chunk: 256 KiB of float64
+# Working-set bounds of kernels (see the module docstring).
+SCORE_BUDGET = 1 << 15    # entries per chunk or row block: 256 KiB of float64
 NLL_ROW_BLOCK = 256       # logit rows per log-sum-exp block of `nll_rows`
 
 
@@ -186,8 +200,18 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def _acc(self, g):
+        """Add a borrowed gradient array: a first one is copied, so `g` is never aliased."""
         if self.grad is None:
             self.grad = g + 0.0   # a fresh array, bit-equal to 0.0 + g (-0.0 included)
+        else:
+            self.grad += g
+
+    def _take(self, g):
+        """Add a gradient array the caller hands over: nothing else holds it, so a first
+        one is kept, with 0.0 added in place (the bits of `_acc`'s 0.0 + g)."""
+        if self.grad is None:
+            g += 0.0
+            self.grad = g
         else:
             self.grad += g
 
@@ -219,6 +243,12 @@ def _make(data, parents, backward_fn):
 def _records(parents):
     """Whether `_make` records a node over `parents`, so that a backward may run."""
     return _GRAD_MODE[-1] and any(p.requires_grad for p in parents)
+
+
+def _row_blocks(n_rows, row_size):
+    """Slices of whole rows, at most `SCORE_BUDGET` entries (one row at least) each."""
+    step = max(1, SCORE_BUDGET // max(1, row_size))
+    return (slice(r0, r0 + step) for r0 in range(0, n_rows, step))
 
 
 def grad_or_zero(t):
@@ -277,9 +307,9 @@ def matmul(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            a._acc(g @ b.data.T)
+            a._take(g @ b.data.T)
         if b.requires_grad:
-            b._acc(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            b._take(a.data.reshape(-1, k).T @ g.reshape(-1, n))
 
     return _make(out, (a, b), bwd)
 
@@ -308,7 +338,7 @@ def mul_const(a, c):
     out = a.data * c
 
     def bwd(g):
-        a._acc(g * c)
+        a._take(g * c)
 
     return _make(out, (a,), bwd)
 
@@ -324,9 +354,9 @@ def scale(a, s):
 
     def bwd(g):
         if a.requires_grad:
-            a._acc(g * sval)
+            a._take(g * sval)
         if s.requires_grad:
-            s._acc(np.sum(g * a.data).reshape(s.data.shape))
+            s._take(np.sum(g * a.data).reshape(s.data.shape))
 
     return _make(out, (a, s), bwd)
 
@@ -385,8 +415,8 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     FLOPS.add("matmul", 4 * n_scores * dk)
     FLOPS.add("other", 6 * n_scores)
 
-    def split(x):   # (..., L, W) -> (..., H, L, dk), contiguous
-        return np.ascontiguousarray(x.reshape(x.shape[:-1] + (n_heads, dk)).swapaxes(-3, -2))
+    def split(x):   # (..., L, W) -> (..., H, L, dk), a strided view that matmul reads as is
+        return x.reshape(x.shape[:-1] + (n_heads, dk)).swapaxes(-3, -2)
 
     def merge(x):   # (..., H, L, dk) -> (..., L, W)
         return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
@@ -400,11 +430,9 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
 
     if probe is None and n_scores > SCORE_BUDGET and not _records((q, k, v)):
         # nothing reads p afterwards: run chunks of blocks, each within the budget
-        step = max(1, SCORE_BUDGET // (n_scores // n_blocks))
         out = np.empty((n_blocks, q.data.shape[-2], width))
         out_heads = out.reshape(out.shape[:2] + (n_heads, dk))
-        for b0 in range(0, n_blocks, step):
-            blk = slice(b0, b0 + step)
+        for blk in _row_blocks(n_blocks, n_scores // n_blocks):
             p = probs(split(q.data if q.data.ndim == 2 else q.data[blk]), split(k.data[blk]))
             out_heads[blk] = (p @ split(v.data[blk])).swapaxes(-3, -2)
         return Tensor(out)
@@ -418,16 +446,16 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     def bwd(g):
         gh = split(g)
         if v.requires_grad:
-            v._acc(merge(p.swapaxes(-1, -2) @ gh))
+            v._take(merge(p.swapaxes(-1, -2) @ gh))
         if not (q.requires_grad or k.requires_grad):
             return
         dp = gh @ vh.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_scale
         if q.requires_grad:
             dq = ds @ kh
-            q._acc(merge(dq if q.data.ndim == 3 else dq.sum(axis=0)))
+            q._take(merge(dq if q.data.ndim == 3 else dq.sum(axis=0)))
         if k.requires_grad:
-            k._acc(merge(ds.swapaxes(-1, -2) @ qh))
+            k._take(merge(ds.swapaxes(-1, -2) @ qh))
 
     return _make(out, (q, k, v), bwd)
 
@@ -453,14 +481,24 @@ def layer_norm(a, gain, bias, eps=1e-5):
 
     def bwd(g):
         if gain.requires_grad:
-            gain._acc((g * xhat).sum(axis=0))
+            gain._take((g * xhat).sum(axis=0))
         if bias.requires_grad:
-            bias._acc(g.sum(axis=0))
-        if a.requires_grad:
-            dxhat = g * gain.data
+            bias._take(g.sum(axis=0))
+        if not a.requires_grad:
+            return
+        # (dxhat - m1 - xhat * m2) * inv, dxhat = g * gain, in row blocks written into dx
+        dx = np.empty_like(xhat)
+        for rows in _row_blocks(*xhat.shape):
+            xh, out = xhat[rows], dx[rows]
+            dxhat = g[rows] * gain.data
             m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            a._acc((dxhat - m1 - xhat * m2) * inv)
+            np.multiply(dxhat, xh, out=out)
+            m2 = out.mean(axis=1, keepdims=True)
+            dxhat -= m1
+            np.multiply(xh, m2, out=out)
+            np.subtract(dxhat, out, out=out)
+            out *= inv[rows]
+        a._take(dx)
 
     return _make(out, (a, gain, bias), bwd)
 
@@ -558,7 +596,7 @@ def prefix_stats(blocks):
         dx = (np.ldexp(x, -k) - mean_s[:, None]) * a[:, None] + (b - c)[:, None]
         dz = np.bincount(i_ext.ravel(), np.concatenate([g[:, 1], -g[:, 2]], axis=1).ravel(),
                          2 * x.size).reshape(x.shape[:2] + (-1,))
-        blocks._acc(dx + dz[..., :d] - dz[..., d:])
+        blocks._take(dx + dz[..., :d] - dz[..., d:])
 
     out = np.concatenate([mean[:, None], ext[:, None, :d], -ext[:, None, d:], std[:, None]], 1)
     return _make(out, (blocks,), bwd)
@@ -574,7 +612,7 @@ def l2_normalize(v, eps=1e-12):
 
     def bwd(g):
         dot = (v.data[..., None, :] @ g[..., :, None])[..., 0]
-        v._acc(np.where(norm > eps, g / denom - v.data * (dot / denom**3), g / eps))
+        v._take(np.where(norm > eps, g / denom - v.data * (dot / denom**3), g / eps))
 
     return _make(out, (v,), bwd)
 
@@ -592,7 +630,7 @@ def softplus(x):
         pos = x.data >= 0
         ex = np.exp(-np.abs(x.data))
         sig = np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-        x._acc(g * sig)
+        x._take(g * sig)
 
     return _make(out, (x,), bwd)
 
@@ -618,21 +656,25 @@ def gelu(x):
 
     def bwd(g):
         # g * ((t + 1) * 0.5 + ((0.5 * x) * (1 - t * t)) * du), du = C * (1 + 3 * 0.044715 * x * x),
-        # in three buffers
-        du = x.data * x.data
-        du *= 3 * 0.044715
-        du += 1.0
-        du *= _GELU_C
-        dx = t * t
-        np.subtract(1.0, dx, out=dx)
-        half = x.data * 0.5
-        dx *= half
-        dx *= du
-        np.add(t, 1.0, out=half)
-        half *= 0.5
-        dx += half
-        dx *= g
-        x._acc(dx)
+        # in blocks of the flat arrays, each through two scratch buffers into dx
+        dx = np.empty(x.data.shape)
+        xf, tf, gf, df = x.data.reshape(-1), t.reshape(-1), np.ravel(g), dx.reshape(-1)
+        for blk in _row_blocks(dx.size, 1):
+            xb, tb, out = xf[blk], tf[blk], df[blk]
+            du = xb * xb
+            du *= 3 * 0.044715
+            du += 1.0
+            du *= _GELU_C
+            np.multiply(tb, tb, out=out)
+            np.subtract(1.0, out, out=out)
+            half = xb * 0.5
+            out *= half
+            out *= du
+            np.add(tb, 1.0, out=half)
+            half *= 0.5
+            out += half
+            out *= gf[blk]
+        x._take(dx)
 
     return _make(out, (x,), bwd)
 
@@ -679,7 +721,7 @@ def slice_rows(a, start, stop, axis=0):
     def bwd(g):
         d = np.zeros_like(a.data)
         d[index] = g
-        a._acc(d)
+        a._take(d)
 
     return _make(out, (a,), bwd)
 
@@ -696,28 +738,36 @@ def embedding(table, ids):
     out = table.data[ids]
 
     def bwd(g):
-        d = np.zeros_like(table.data)
-        np.add.at(d, ids, g)
-        table._acc(d)
+        # np.add.at(zeros, ids, g) a column at a time: bincount adds in the same order
+        d = np.empty_like(table.data)
+        for j in range(d.shape[1]):
+            d[:, j] = np.bincount(ids, g[:, j], d.shape[0])
+        table._take(d)
 
     return _make(out, (table,), bwd)
 
 
-def nll_rows(logits, targets):
-    """Per-row NLL of integer targets under logit rows; arrays, stable log-sum-exp.
+def _log_sum_exp(logits, exp_out):
+    """Row log-sum-exp of logits and the row sums of exp(logits - row max).
 
-    The log-sum-exp runs over blocks of `NLL_ROW_BLOCK` rows, so its `exp`
-    buffer stays small; each reduction is per row, so the result is the
-    whole array's.
+    It runs over blocks of `NLL_ROW_BLOCK` rows, taking `exp` in a
+    block-sized buffer, or in the rows of `exp_out` unless that is None;
+    each reduction is per row, so the result is the whole array's.
     """
-    lse = np.empty(logits.shape[0])
+    lse, sums = np.empty((2, logits.shape[0]))
     for r0 in range(0, logits.shape[0], NLL_ROW_BLOCK):
         rows = slice(r0, r0 + NLL_ROW_BLOCK)
         m = logits[rows].max(axis=1, keepdims=True)
-        e = logits[rows] - m
+        e = np.subtract(logits[rows], m, out=None if exp_out is None else exp_out[rows])
         np.exp(e, out=e)
-        lse[rows] = m[:, 0] + np.log(e.sum(axis=1))
-    return lse - logits[np.arange(logits.shape[0]), targets]
+        sums[rows] = e.sum(axis=1)
+        lse[rows] = m[:, 0] + np.log(sums[rows])
+    return lse, sums
+
+
+def nll_rows(logits, targets):
+    """Per-row NLL of integer targets under logit rows; arrays, stable log-sum-exp."""
+    return _log_sum_exp(logits, None)[0] - logits[np.arange(logits.shape[0]), targets]
 
 
 def cross_entropy_mean(logits, targets):
@@ -734,13 +784,17 @@ def cross_entropy_mean(logits, targets):
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ShapeError(f"cross_entropy_mean: target id out of range [0, {v})")
     FLOPS.add("other", 6 * logits.data.size)
-    out = np.array(nll_rows(logits.data, targets).mean())
+    # a backward reads exp(logits - row max) whole, so the forward keeps it
+    e = np.empty_like(logits.data) if _records((logits,)) else None
+    lse, sums = _log_sum_exp(logits.data, e)
+    out = np.array((lse - logits.data[np.arange(t), targets]).mean())
 
     def bwd(g):
-        p = _softmax(logits.data.copy())
+        p = e                # the softmax, made in the buffer the closure alone holds
+        p /= sums[:, None]
         p[np.arange(t), targets] -= 1.0
         p *= float(g) / t
-        logits._acc(p)
+        logits._take(p)
 
     return _make(out, (logits,), bwd)
 
@@ -752,7 +806,7 @@ def tsum(a):
     out = np.array(a.data.sum())
 
     def bwd(g):
-        a._acc(np.full_like(a.data, float(g)))
+        a._take(np.full_like(a.data, float(g)))
 
     return _make(out, (a,), bwd)
 

@@ -209,6 +209,33 @@ def test_train_rejects_negative_steps(tmp_path, host_config_file, corpus_file, c
     assert not (out_dir / "checkpoint").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr_backbone", "fast"),
+    ("n_layers", 1.5),
+    ("n_layers", True),
+    ("adam_beta1", 1.0),
+    ("adam_beta2", 1.0),
+    ("grad_clip_hici", -0.3),
+    ("warmup_steps", -1),
+    ("weight_decay", -0.1),
+    ("lr_hici", float("inf")),
+    ("max_T", 0),
+    ("seed", -1),
+])
+def test_train_rejects_bad_training_fields(tmp_path, corpus_file, capsys, field, value):
+    config = Path(__file__).parent.parent / "configs" / "micro-host.json"
+    cfg = json.loads(config.read_text())
+    cfg[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "run"
+    assert dispatch(["train", "--config", str(path), "--corpus", corpus_file,
+                     "--steps", "2", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_attn_stats_uniform_probe_baseline(tmp_path, capsys):
     cfg = {
         "vocab_size": BYTE_VOCAB, "n_layers": 1, "d": 16, "ffn_width": 32,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hici.tensor import (
     _softmax,
     ShapeError,
     Tensor,
+    add,
     attention,
     backward,
     concat_rows,
@@ -435,6 +437,61 @@ def test_layer_norm_equals_out_of_place_formula():
         assert np.array_equal(out, _layer_norm_formula(x, gain, bias, eps))
 
 
+def test_gelu_backward_equals_whole_array_formula():
+    rng = np.random.default_rng(32)
+    x = rng.normal(scale=3.0, size=(300, 250))   # 75,000 entries: two whole blocks and a part
+    assert x.size > 2 * SCORE_BUDGET and x.size % SCORE_BUDGET != 0
+    x.flat[:len(_GELU_POINTS)] = _GELU_POINTS
+    upstream = rng.normal(size=x.shape)
+    upstream.flat[::7] = -0.0
+    p = parameter(x)
+    y = gelu(p)
+    backward(tsum(mul_const(y, upstream)))
+    g = y.grad
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    du = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    ref = g * (((1.0 - t * t) * (x * 0.5)) * du + (t + 1.0) * 0.5) + 0.0
+    assert np.array_equal(p.grad, ref)
+    assert np.array_equal(np.signbit(p.grad), np.signbit(ref))
+
+
+def test_layer_norm_backward_equals_whole_array_formula():
+    rng = np.random.default_rng(33)
+    n_rows = 2 * (SCORE_BUDGET // 33) + 17             # two whole row blocks and a part
+    x = rng.normal(loc=3.0, scale=5.0, size=(n_rows, 33))
+    x[0] = 7.0                                        # a constant row
+    upstream = rng.normal(size=x.shape)
+    upstream[1] = -0.0
+    a, gain, bias = parameter(x), parameter(rng.normal(size=33)), parameter(rng.normal(size=33))
+    eps = 1e-5
+    y = layer_norm(a, gain, bias, eps)
+    backward(tsum(mul_const(y, upstream)))
+    g = y.grad
+    xhat = x - x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True) + eps)
+    xhat = xhat * inv
+    dxhat = g * gain.data
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    for got, ref in ((a.grad, (dxhat - m1 - xhat * m2) * inv + 0.0),
+                     (gain.grad, (g * xhat).sum(axis=0) + 0.0), (bias.grad, g.sum(axis=0) + 0.0)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_embedding_backward_equals_in_order_scatter_add():
+    rng = np.random.default_rng(34)
+    ids = rng.integers(0, 39, size=3000)                # repeated ids; row 39 never read
+    upstream = rng.normal(scale=1e3, size=(3000, 7))
+    upstream[::5, 2] = -0.0
+    table = parameter(rng.normal(size=(40, 7)))
+    backward(tsum(mul_const(embedding(table, ids), upstream)))
+    ref = np.zeros((40, 7))
+    np.add.at(ref, ids, upstream)
+    assert np.array_equal(table.grad, ref)
+    assert np.array_equal(np.signbit(table.grad), np.signbit(ref))
+
+
 def _attention_formula(q, k, v, n_heads, visible=None):
     """Head split, scaled scores, three-`where` masked softmax, P V, head merge."""
     width = k.shape[-1]
@@ -570,6 +627,47 @@ def test_first_gradient_is_a_fresh_array_equal_to_zero_plus_g():
     assert np.array_equal(w.grad, [0.0, 0.0, -2.5, 1e-310])           # no alias of g
     w._acc(g)
     assert np.array_equal(w.grad, [7.0, 7.0, 4.5, 7.0])
+
+
+def test_a_handed_over_first_gradient_is_kept_with_zero_added():
+    w = parameter(np.ones(4))
+    g = np.array([-0.0, 0.0, -2.5, 1e-310])
+    w._take(g)
+    assert w.grad is g                                                # kept, not copied
+    assert np.array_equal(g, [0.0, 0.0, -2.5, 1e-310]) and not np.signbit(g[0])
+    w._take(np.full(4, 7.0))
+    assert np.array_equal(w.grad, [7.0, 7.0, 4.5, 7.0])
+
+    w = parameter(np.ones(3))
+    backward(tsum(mul_const(w, [-0.0, 1.0, -2.0])))   # mul_const hands over 1.0 * -0.0
+    assert np.array_equal(w.grad, [0.0, 1.0, -2.0]) and not np.signbit(w.grad[0])
+
+
+def test_a_tensor_read_twice_through_add_sums_both_gradients():
+    rng = np.random.default_rng(36)
+    x = parameter(rng.normal(size=(3, 4)))
+    upstream = rng.normal(size=(3, 4))
+    y = add(x, x)
+    backward(tsum(mul_const(y, upstream)))
+    assert np.array_equal(x.grad, upstream + upstream)
+    assert np.array_equal(y.grad, upstream)            # the shared gradient was copied
+
+
+def test_cross_entropy_backward_makes_no_second_logits_array():
+    rng = np.random.default_rng(35)
+    logits = parameter(rng.normal(scale=4.0, size=(2048, 257)))
+    targets = rng.integers(0, 257, size=2048)
+    tracemalloc.start()
+    try:
+        backward(cross_entropy_mean(logits, targets))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * logits.data.nbytes
+    ref = _softmax(logits.data.copy())
+    ref[np.arange(2048), targets] -= 1.0
+    ref *= 1.0 / 2048
+    assert np.array_equal(logits.grad, ref + 0.0)
 
 
 def test_backward_linear_layer():
