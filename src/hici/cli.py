@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -128,6 +129,8 @@ def _cmd_flops(args):
 
 
 def _cmd_gradcheck(args):
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     cfg = load_hici_config(args.config) if args.config else MICRO_CFG
     cfg = _apply_overrides(cfg, args)
     if args.out:
@@ -140,7 +143,7 @@ def _cmd_gradcheck(args):
     errors.update({f"host.{k}": v
                    for k, v in check_host_block_gradients(host_cfg, seed=args.seed).items()})
     elapsed = time.perf_counter() - t0
-    worst = max(errors, key=errors.get)
+    worst = max(errors, key=lambda name: (math.isnan(errors[name]), errors[name]))   # NaN worst
     lines = ["tensor,rel_error"]
     for name in sorted(errors):
         lines.append(f"{name},{errors[name]!r}")
@@ -149,7 +152,7 @@ def _cmd_gradcheck(args):
     print(f"checked {len(errors)} parameter tensors "
           f"(module + one host block), h=1e-5, 64-bit, in {elapsed:.1f} s")
     print(f"max relative error: {errors[worst]:.3e} ({worst})")
-    if errors[worst] > args.tolerance:
+    if not errors[worst] <= args.tolerance:
         print(f"FAIL: exceeds tolerance {args.tolerance:g}")
         return 1
     print(f"PASS: within tolerance {args.tolerance:g}")

@@ -92,6 +92,10 @@ def load_tensors(prefix):
         missing = sorted({"name", "shape", "dtype", "offset", "nbytes"} - set(e))
         if missing:
             raise ValueError(f"{where}: manifest entry lacks {', '.join(missing)}")
+        if not isinstance(e["name"], str):
+            raise ValueError(f"{where}: the name is not a string")
+        if e["name"] in out:
+            raise ValueError(f"{where}: duplicate name")
         shape, offset = e["shape"], e["offset"]
         dt = _DTYPES.get(e["dtype"]) if isinstance(e["dtype"], str) else None
         if dt is None:

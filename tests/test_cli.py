@@ -111,6 +111,24 @@ def test_gradcheck_micro_passes(capsys):
     assert re.search(r"64-bit, in \d+\.\d s\n", out)
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-6"])
+def test_gradcheck_rejects_bad_tolerance(tolerance, capsys):
+    assert dispatch(["gradcheck", f"--tolerance={tolerance}"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --tolerance" in captured.err and "PASS" not in captured.out
+
+
+def test_gradcheck_fails_on_nan_error(monkeypatch, capsys):
+    # a NaN relative error is the worst one, whichever tensor it belongs to
+    import hici.cli as cli
+    monkeypatch.setattr(cli, "check_module_gradients",
+                        lambda cfg, seed: {"a": 1e-9, "b": float("nan"), "c": 1e-8})
+    monkeypatch.setattr(cli, "check_host_block_gradients", lambda cfg, seed: {"d": 1e-9})
+    assert dispatch(["gradcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "max relative error: nan (b)" in out and "FAIL" in out
+
+
 def test_train_eval_attn_stats_pipeline(tmp_path, host_config_file, corpus_file, capsys):
     out_dir = str(tmp_path / "train_run")
     assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,

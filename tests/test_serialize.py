@@ -113,6 +113,12 @@ def test_corrupt_manifest_or_blob_raises_value_error_naming_the_tensor(tmp_path)
     for cut in rng.integers(1, len(blob) + 1, size=10):
         with pytest.raises(ValueError, match="outside the"):
             load_with(manifest["tensors"], blob[:len(blob) - int(cut)])
+    for name, error in (("a", r"t\.json: tensor 'a': duplicate name"),
+                        (["b"], r"t\.json: tensor \['b'\]: the name is not a string")):
+        entries = [dict(e) for e in manifest["tensors"]]
+        entries[1]["name"] = name
+        with pytest.raises(ValueError, match=error):
+            load_with(entries, blob)
     assert set(load_with(manifest["tensors"], blob)) == set(shapes)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hici import tensor as tensor_module
 from hici.tensor import (
     NLL_ROW_BLOCK,
     SCORE_BUDGET,
@@ -184,11 +185,12 @@ def test_prefix_stats_mean_is_correctly_rounded_fsum():
     for x in (rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-200, 200, size=(6, 5, 3)),
               rng.choice([1e-16, 1.0, 1e16, -1e16, 2.0**-53, 3.0], size=(6, 5, 3)),
               rng.normal(size=(6, 5, 3)) * 2.0 ** -1070,
-              1e8 + rng.normal(size=(6, 5, 3))):
+              1e8 + rng.normal(size=(6, 5, 3)),
+              rng.normal(size=(63, 8, 32))):
         mean = _prefix_stats(x)[0]
-        for i in range(6):
-            rows = x[:i + 1].reshape(-1, 3)
-            fsum = [math.fsum(rows[:, j]) / rows.shape[0] for j in range(3)]
+        for i in range(len(x)):
+            rows = x[:i + 1].reshape(-1, x.shape[2])
+            fsum = [math.fsum(rows[:, j]) / rows.shape[0] for j in range(x.shape[2])]
             assert np.array_equal(mean[i], fsum)
 
 
@@ -197,15 +199,93 @@ def test_prefix_stats_std_is_root_of_correctly_rounded_variance():
     rng = np.random.default_rng(44)
     for x in (rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-100, 100, size=(6, 5, 3)),
               rng.choice([1e-16, 1.0, 1e16, -1e16, 2.0**-53, 3.0], size=(6, 5, 3)),
-              1e8 + rng.normal(size=(6, 5, 3))):
+              1e8 + rng.normal(size=(6, 5, 3)),
+              rng.normal(size=(63, 8, 32))):
         sd = _prefix_stats(x)[3]
-        for i in range(6):
-            rows = x[:i + 1].reshape(-1, 3)
-            r = rows.shape[0]
-            for j in range(3):
-                col = [Fraction(v) for v in rows[:, j]]
-                var = (r * sum(v * v for v in col) - sum(col) ** 2) / (r * r)
+        s, q = [0] * x.shape[2], [0] * x.shape[2]   # running exact sums of x and x^2
+        for i in range(len(x)):
+            r = (i + 1) * x.shape[1]
+            for j in range(x.shape[2]):
+                col = [Fraction(v) for v in x[i, :, j]]
+                s[j] += sum(col)
+                q[j] += sum(v * v for v in col)
+                var = (r * q[j] - s[j] ** 2) / (r * r)
                 assert sd[i, j] == math.sqrt(float(var))
+
+
+def _stats_and_grad(x, g):
+    p = parameter(x)
+    out = prefix_stats(p)
+    backward(tsum(mul_const(out, g)))
+    return out.data, p.grad
+
+
+def _exact_path_stats(x, g, monkeypatch):
+    """prefix_stats and its gradient with the Python-int path alone."""
+    with monkeypatch.context() as m:
+        m.setattr(tensor_module, "_certified_moments", lambda *args: None)
+        return _stats_and_grad(x, g)
+
+
+def test_prefix_stats_certified_path_covers_normal_blocks(monkeypatch):
+    # the strict-scope shape of one L stack: every cell is certified, and its
+    # bits are those of the exact path
+    def fail(*args):
+        raise AssertionError("exact fallback called")
+
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x, g = rng.normal(size=(63, 8, 32)), rng.normal(size=(63, 4, 32))
+        ref = _exact_path_stats(x, g, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(tensor_module, "_exact_moments", fail)
+            out = _stats_and_grad(x, g)
+            with no_grad():
+                assert np.array_equal(prefix_stats(Tensor(x)).data, ref[0])
+        assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+
+
+def _tie_stacks():
+    """(input, refused) pairs of (2, 2, 16) stacks of ones: a cell on or a
+    hair beside a value half-way between two floats, which no error bound
+    can place, then the same cell moved off the tie.
+
+    Column 0 sums to 1 + 2**-53 (a tie), 1.5 + 2**-53 + 2**-120 (just above
+    one) or 1 + 2**-52, with a part below the second extraction level; in
+    column 1 the first block is (c, 0), variance c**2 / 4, with c**2 of 54
+    bits for the odd c."""
+    pairs = []
+    for col, tie in (((1.0, 2.0**-53, 2.0**-120, -2.0**-120), True),
+                     ((1.0, 2.0**-53, 2.0**-120, 0.5), True),
+                     ((1.0, 2.0**-52, 2.0**-120, -2.0**-120), False)):
+        x = np.ones((2, 2, 16))
+        x[:, :, 0] = np.reshape(col, (2, 2))
+        pairs.append((x, tie))
+    for c, tie in ((94906267.0, True), (94906266.0, False)):
+        x = np.ones((2, 2, 16))
+        x[0, :, 1] = c, 0.0
+        pairs.append((x, tie))
+    return pairs
+
+
+def test_prefix_stats_fallback_inputs_match_exact_path(monkeypatch):
+    rng = np.random.default_rng(45)
+    const = rng.normal(size=(63, 8, 32))
+    const[:, :, ::3] = 0.1     # certified: equal rows have variance exactly 0
+    cases = [(const, False),
+             (1e8 + rng.normal(size=(63, 8, 32)), True),
+             (rng.normal(size=(9, 4, 8)) * 10.0 ** rng.integers(-150, 151, size=(9, 4, 8)), True),
+             (rng.normal(size=(9, 4, 8)) * 1e-310, True)] + _tie_stacks()
+    for x, refused in cases:
+        g = rng.normal(size=(x.shape[0], 4, x.shape[2]))
+        calls = []
+        exact = tensor_module._exact_moments
+        with monkeypatch.context() as m:
+            m.setattr(tensor_module, "_exact_moments", lambda *a: calls.append(1) or exact(*a))
+            out = _stats_and_grad(x, g)
+        ref = _exact_path_stats(x, g, monkeypatch)
+        assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+        assert bool(calls) == refused
 
 
 def test_prefix_stats_permutation_invariant_bitwise():
