@@ -15,6 +15,7 @@ model and the implementation police each other.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
@@ -109,8 +110,8 @@ def count_params(cfg, n_layers, base_params):
     Broadcast projections are not counted: in the accounting convention
     they stand in for the host block's own attention projections.
     """
-    if n_layers < 1 or base_params < 0:
-        raise ConfigError(f"need n_layers >= 1 and base_params >= 0, "
+    if n_layers < 1 or not (math.isfinite(base_params) and base_params >= 0):
+        raise ConfigError(f"need n_layers >= 1 and a finite base_params >= 0, "
                           f"got n_layers={n_layers}, base_params={base_params}")
     d, d_b, d_s, m, k = cfg.d, cfg.d_b, cfg.d_s, cfg.M, cfg.K
     per_layer = {

@@ -121,7 +121,6 @@ def _xavier(rng, fan_in, fan_out):
 def init_hici_params(cfg: HiCIConfig, rng) -> HiCIParams:
     """Fresh parameters: slots/queries ~ N(0, 0.02), Xavier projections,
     unit LayerNorm affine, gate_raw = 0 (gate = ln 2)."""
-    cfg.validate()
     d, d_b, d_s = cfg.d, cfg.d_b, cfg.d_s
     local = LocalParams(
         slots=parameter(rng.normal(0.0, 0.02, size=(cfg.M, d))),
@@ -324,7 +323,6 @@ def broadcast(x, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
 
 def local_stage(x, p: LocalParams, cfg: HiCIConfig):
     """Stage 1: T x d in, (segments (N, S, d), L (N, M, d) or None when M=0) out."""
-    cfg.validate()
     if x.data.ndim != 2 or x.data.shape[1] != cfg.d:
         raise ShapeError(f"hici_forward: input shape {x.data.shape} vs width d={cfg.d}")
     if x.data.shape[0] == 0:

@@ -164,7 +164,6 @@ def _cmd_train(args):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     cfg = dataclasses.replace(cfg, hici=_apply_overrides(cfg.hici, args))
-    cfg.validate()
     with open(args.corpus, "rb") as fh:
         corpus = encode_bytes(fh.read())
     _write_manifest(args.out, "train", config_to_dict(cfg), cfg.seed,

@@ -1,4 +1,8 @@
-"""Configuration types and their file format (JSON, unknown keys rejected)."""
+"""Configuration types and their file format (JSON, unknown keys rejected).
+
+Both config types are frozen and validate themselves when built, so every
+construction and every `dataclasses.replace` is checked, once.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ SCOPE_ALL = "all_segments"
 SCOPE_PRECEDING = "preceding_segments"
 
 
-# `int` and `float` come first: the ABC checks are slow, and every module forward validates
+# `int` and `float` come first: the ABC checks are slow
 def _require_ints(cfg, names):
     for name in names:
         value = getattr(cfg, name)
@@ -57,6 +61,9 @@ class HiCIConfig:
     causal_segment_mask: bool = True
     global_scope: str = SCOPE_ALL
     ln_eps: float = 1e-5
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         _require_ints(self, ("S", "M", "K", "H", "d", "d_b", "d_s"))
@@ -107,8 +114,12 @@ class HostConfig:
     adam_beta2: float = 0.95
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        self.hici.validate()
+        if not isinstance(self.hici, HiCIConfig):   # a HiCIConfig validated itself when built
+            raise ConfigError(f"hici must be a HiCIConfig, got {type(self.hici).__name__}")
         _require_ints(self, ("vocab_size", "n_layers", "d", "ffn_width", "max_T", "seed",
                              "warmup_steps"))
         if self.vocab_size < 2:
@@ -150,13 +161,13 @@ def _from_mapping(cls, obj, where):
 
 def hici_config_from_dict(obj, where="config"):
     obj = dict(_from_mapping(HiCIConfig, obj, where))
-    return HiCIConfig(**obj).validate()
+    return HiCIConfig(**obj)
 
 
 def host_config_from_dict(obj, where="config"):
     obj = dict(_from_mapping(HostConfig, obj, where))
     obj["hici"] = hici_config_from_dict(obj["hici"], where=f"{where}.hici")
-    return HostConfig(**obj).validate()
+    return HostConfig(**obj)
 
 
 def load_hici_config(path):

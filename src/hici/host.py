@@ -267,7 +267,6 @@ def train(corpus_ids, cfg: HostConfig, steps, params=None, opt=None, rng=None,
     norm stops the run before that step's update: its row ends the trace
     and the parameters keep their previous values.
     """
-    cfg.validate()
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)

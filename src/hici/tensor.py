@@ -18,18 +18,19 @@ backward, so a module pass builds the same small graph at any length.
 blocks in one node from exact sums, carried from prefix to prefix, so
 each mean equals `math.fsum` over its rows divided by their count, and
 each variance is the correctly rounded (r*sum(x^2) - sum(x)^2) / r^2, in
-any row order: segment-permutation invariance holds bit-for-bit. Two
-error-free extraction levels per column give each sum exactly but for a
-small remainder summed in float64; double-double arithmetic with a
-proven error bound then rounds each mean and variance, and Ziv's test
-keeps a value only where both ends of 2**10 times that bound round to
-the same float. A stack of at least `CERTIFIED_MIN_CELLS` (prefix,
-column) cells takes this path; if any of its cells is refused (a value
-on or within the bound of a rounding tie, heavy cancellation such as
-1e8 + N(0, 1), spreads of 10**+-150 within a column, results outside
-normal range), or the stack is smaller, the whole call takes the exact
-path: more levels joined as Python ints per cell. Both give the same
-bits.
+any row order: segment-permutation invariance holds bit-for-bit. A
+stack of at most `EXACT_MAX_ENTRIES` entries is summed exactly as
+Python ints: each entry's 53-bit integer mantissa, shifted onto the
+stack's smallest exponent, and its square. A larger stack first takes
+the certified path: two error-free extraction levels per column give
+each sum exactly but for a small remainder summed in float64,
+double-double arithmetic with a proven error bound rounds each mean and
+variance, and Ziv's test keeps a value only where both ends of 2**10
+times that bound round to the same float. If any cell is refused (a
+value on or within the bound of a rounding tie, heavy cancellation such
+as 1e8 + N(0, 1), spreads of 10**+-150 within a column, results outside
+normal range), the whole call takes the integer sums. Both give the
+same bits.
 
 Gradients are handed over, not copied. A backward closure gives each
 input an array that it allocated and holds nowhere else to
@@ -58,12 +59,12 @@ Working sets stay bounded, bit-identical to the whole-array kernels.
 Without a graph, `attention` runs its blocks in chunks of at most
 `SCORE_BUDGET` score entries when nothing reads the probabilities
 afterwards (no recorded graph, no probe) and the whole score buffer is
-larger; `nll_rows` works in blocks of `NLL_ROW_BLOCK` rows; `gelu`
-builds its output in the tanh buffer when no backward reads it. The
-backward kernels of `gelu` and `layer_norm` run in blocks of at most
-`SCORE_BUDGET` entries (whole rows for `layer_norm`) written into one
-output array, and `embedding` scatters with one `np.bincount` per
-column, the in-order sums of `np.add.at`. The `h @ head` logits product
+larger; `nll_rows` works in row blocks of at most `SCORE_BUDGET`
+logits; `gelu` builds its output in the tanh buffer when no backward
+reads it. The backward kernels of `gelu` and `layer_norm` run in blocks
+of at most `SCORE_BUDGET` entries (whole rows for `layer_norm`) written
+into one output array, and `embedding` scatters with one `np.bincount`
+per column, the in-order sums of `np.add.at`. The `h @ head` logits product
 stays whole: with OpenBLAS, row blocks of a (2048, 32) @ (32, 257)
 product differ in their last bits from the whole product, so the
 (T, vocab) logits are the one array a scoring window needs whole.
@@ -95,9 +96,8 @@ class GraphError(RuntimeError):
 
 
 # Working-set bounds of kernels (see the module docstring).
-SCORE_BUDGET = 1 << 15    # entries per chunk or row block: 256 KiB of float64
-NLL_ROW_BLOCK = 256       # logit rows per log-sum-exp block of `nll_rows`
-CERTIFIED_MIN_CELLS = 32  # (prefix, column) cells from which `prefix_stats` tries its fast path
+SCORE_BUDGET = 1 << 15     # entries per chunk or row block: 256 KiB of float64
+EXACT_MAX_ENTRIES = 1024   # `prefix_stats` sums stacks this small as Python ints
 
 
 # ---------------------------------------------------------------------------
@@ -590,46 +590,27 @@ def _extraction_height(v):
     return (v.shape[1] * v.shape[2]).bit_length() + 1
 
 
-def _exact_prefix_sums(v):
-    """Exact sums of v (g, B, R, d), |v| < 2**961, over blocks[:i+1], every i: ints * 2**e.
-
-    The result is (2, B, d): the sums of v[0] and of v[1:] together. Each
-    level cuts the groups that still have a remainder (`_cut_sums`) 53 - h
-    bits below the last, so the g - 1 <= 1024 level sums add up exactly in
-    int64, and only two groups reach the Python-int arithmetic. Groups leave
-    from the front, in the order in which their remainders run out: x,
-    hi*hi, 2*hi*lo, lo*lo.
-    """
-    h = _extraction_height(v)
-    m, total, rest, cut = 961 + h, None, v, np.empty_like(v)
-    while True:
-        level = np.zeros((len(v), v.shape[1], v.shape[3]), np.int64)
-        sums = _cut_sums(rest, math.ldexp(1.0, m), cut[:len(rest)])
-        level[len(v) - len(rest):] = np.ldexp(sums, 53 - m).astype(np.int64)
-        level = np.add.reduceat(level, [0, 1], axis=0).astype(object)
-        total = level if total is None else total * (1 << (53 - h)) + level
-        if not np.count_nonzero(rest):
-            return total, m - 53
-        while not np.count_nonzero(rest[0]):
-            rest = rest[1:]
-        m -= 53 - h
-
-
 def _rounded(num, e, den=1):
     """num * 2**e / den for Python ints, correctly rounded to float64."""
     return (num * (1 << e) / den if e >= 0 else num / (den * (1 << -e))).astype(np.float64)
 
 
-def _exact_moments(v, rows, k):
+def _exact_moments(xs, rows, k):
     """fl(sum(x)) / r and the correctly rounded variance of xs, from Python ints.
 
-    `v` is `_moment_groups(xs)` with x = xs * 2**k; it is consumed.
+    Each entry of xs is its 53-bit integer mantissa shifted onto the
+    stack's smallest exponent e, so the prefix sums of those ints and of
+    their squares are the sums of xs and xs**2 in units 2**e and 2**(2e),
+    exactly; x = xs * 2**k.
     """
-    s, e = _exact_prefix_sums(v)
-    # r * sum(xs**2) - sum(xs)**2 in units of 2**(2e - 960)
-    num = rows.astype(object) * (1 << (960 - e)) * s[1] - s[0] * s[0]
-    var = _rounded(num, 2 * e - 960, (rows * rows).astype(object))
-    return _rounded(s[0], e - 480 + k) / rows, var
+    mant, ex = np.frexp(xs)
+    e = int(ex.min(initial=1024, where=mant != 0)) - 53
+    ints = np.ldexp(mant, 53).astype(np.int64).astype(object) << np.maximum(ex - 53 - e, 0)
+    s = ints.sum(axis=1).cumsum(axis=0)
+    q = (ints * ints).sum(axis=1).cumsum(axis=0)
+    r = rows.astype(object)
+    var = _rounded(r * q - s * s, 2 * e, r * r)   # (r sum(xs**2) - sum(xs)**2) / r**2
+    return _rounded(s, e + k) / rows, var
 
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -732,8 +713,11 @@ def prefix_stats(blocks):
     `blocks` is (B, R, d); the result is (B, 4, d). From exact sums of x and
     x^2 (entries within 2**900 of the largest), a mean is the correctly rounded
     sum of r rows divided by r, math.fsum(rows) / r, and a variance the correctly
-    rounded (r*sum(x^2) - sum(x)^2) / r^2, 0 on a constant column. Max and min
-    route their gradient to the first argmax / argmin. FLOPs: 7 per element.
+    rounded (r*sum(x^2) - sum(x)^2) / r^2, 0 on a constant column. Up to
+    `EXACT_MAX_ENTRIES` entries the sums are Python ints (`_exact_moments`);
+    a larger stack tries `_certified_moments` first and falls back on the
+    ints if it refuses. Max and min route their gradient to the first
+    argmax / argmin. FLOPs: 7 per element.
     """
     blocks = _as_tensor(blocks)
     x = blocks.data
@@ -748,10 +732,10 @@ def prefix_stats(blocks):
     rows = np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1]
     ext, i_ext = _prefix_argmax(np.concatenate([x, -x], axis=2))   # max, then -min
     moments = None
-    if x.shape[0] * d >= CERTIFIED_MIN_CELLS:
+    if x.size > EXACT_MAX_ENTRIES:
         flat = ext[:, :d] == -ext[:, d:]
         moments = _certified_moments(_moment_groups(xs), rows, k, flat)
-    mean, var = moments or _exact_moments(_moment_groups(xs), rows, k)
+    mean, var = moments or _exact_moments(xs, rows, k)
     std_s = np.sqrt(var)   # the std of xs
     if not finite.all():   # a non-finite row poisons its prefixes, as in plain summation
         poisoned = np.logical_or.accumulate(~finite.all(axis=1), axis=0)
@@ -929,13 +913,12 @@ def embedding(table, ids):
 def _log_sum_exp(logits, exp_out):
     """Row log-sum-exp of logits and the row sums of exp(logits - row max).
 
-    It runs over blocks of `NLL_ROW_BLOCK` rows, taking `exp` in a
-    block-sized buffer, or in the rows of `exp_out` unless that is None;
-    each reduction is per row, so the result is the whole array's.
+    It runs over `_row_blocks`, taking `exp` in a block-sized buffer, or
+    in the rows of `exp_out` unless that is None; each reduction is per
+    row, so the result is the whole array's.
     """
     lse, sums = np.empty((2, logits.shape[0]))
-    for r0 in range(0, logits.shape[0], NLL_ROW_BLOCK):
-        rows = slice(r0, r0 + NLL_ROW_BLOCK)
+    for rows in _row_blocks(*logits.shape):
         m = logits[rows].max(axis=1, keepdims=True)
         e = np.subtract(logits[rows], m, out=None if exp_out is None else exp_out[rows])
         np.exp(e, out=e)

@@ -54,7 +54,7 @@ def test_param_table_displays_published_values():
 
 
 def test_param_count_degenerate_is_zero():
-    cfg = HiCIConfig(S=1, M=0, K=0, H=1, d=128, d_b=0, d_s=0)
+    cfg = HiCIConfig(S=1, M=0, K=0, H=1, d=128, d_b=2, d_s=1)
     bd = count_params(cfg, 32, 1e9)
     assert bd.total == 0
     assert bd.overhead == 0.0

@@ -84,10 +84,13 @@ def test_flops_rejects_bad_context(capsys):
      "n_layers=0"),
     (["params", "--layers", "-2"], "n_layers=-2"),
     (["params", "--base-params", "-5"], "base_params=-5"),
+    (["params", "--base-params", "inf"], "base_params=inf"),
+    (["params", "--base-params", "nan"], "base_params=nan"),
     (["flops", "--segments", "0"], "n_segments=0"),
     (["flops", "--segments", "-1"], "n_segments=-1"),
     (["flops", "--contexts", "0"], "contexts=[0]"),
 ], ids=["params-config-no-layers", "params-negative-layers", "params-negative-base",
+        "params-infinite-base", "params-nan-base",
         "flops-zero-segments", "flops-negative-segments", "flops-zero-context"])
 def test_bad_counts_are_reported(capsys, argv, fragment):
     assert dispatch(argv) == 2

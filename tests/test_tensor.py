@@ -7,7 +7,7 @@ import pytest
 
 from hici import tensor as tensor_module
 from hici.tensor import (
-    NLL_ROW_BLOCK,
+    EXACT_MAX_ENTRIES,
     SCORE_BUDGET,
     GraphError,
     _softmax,
@@ -179,38 +179,54 @@ def test_prefix_stats_vs_two_pass_oracle():
         assert np.abs(stats[3][i] - osd).max() <= 1e-12
 
 
+def _reference_stacks(rng):
+    """(6, 5, 3) stacks, below `EXACT_MAX_ENTRIES`, with a zero column, a NaN
+    row, subnormals and a 10**+-150 spread."""
+    zero_col, nan_row = rng.normal(size=(2, 6, 5, 3))
+    zero_col[:, :, 1] = 0.0
+    nan_row[2, 1] = np.nan
+    return [zero_col, nan_row, rng.normal(size=(6, 5, 3)) * 1e-310,
+            rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-150, 151, size=(6, 5, 3))]
+
+
 def test_prefix_stats_mean_is_correctly_rounded_fsum():
     # wide exponent ranges, cancellation and half-way cases included
     rng = np.random.default_rng(40)
-    for x in (rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-200, 200, size=(6, 5, 3)),
+    for x in [rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-200, 200, size=(6, 5, 3)),
               rng.choice([1e-16, 1.0, 1e16, -1e16, 2.0**-53, 3.0], size=(6, 5, 3)),
               rng.normal(size=(6, 5, 3)) * 2.0 ** -1070,
               1e8 + rng.normal(size=(6, 5, 3)),
-              rng.normal(size=(63, 8, 32))):
+              rng.normal(size=(63, 8, 32))] + _reference_stacks(rng):
         mean = _prefix_stats(x)[0]
         for i in range(len(x)):
             rows = x[:i + 1].reshape(-1, x.shape[2])
             fsum = [math.fsum(rows[:, j]) / rows.shape[0] for j in range(x.shape[2])]
-            assert np.array_equal(mean[i], fsum)
+            assert np.array_equal(mean[i], fsum, equal_nan=True)
 
 
 def test_prefix_stats_std_is_root_of_correctly_rounded_variance():
-    # the x^2 sums are split into three exact parts; their total must be exact
+    # the x^2 sums must be exact; a variance scaled by 4**shift, an exact power
+    # of two, keeps subnormal blocks apart from 0
     rng = np.random.default_rng(44)
-    for x in (rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-100, 100, size=(6, 5, 3)),
+    for x in [rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-100, 100, size=(6, 5, 3)),
               rng.choice([1e-16, 1.0, 1e16, -1e16, 2.0**-53, 3.0], size=(6, 5, 3)),
               1e8 + rng.normal(size=(6, 5, 3)),
-              rng.normal(size=(63, 8, 32))):
+              rng.normal(size=(63, 8, 32))] + _reference_stacks(rng):
         sd = _prefix_stats(x)[3]
-        s, q = [0] * x.shape[2], [0] * x.shape[2]   # running exact sums of x and x^2
+        shift = 600 if np.abs(x).max() < 1e-300 else 0
+        s, q = [0] * x.shape[2], [0] * x.shape[2]   # running exact sums of x and x^2, None after a NaN
         for i in range(len(x)):
             r = (i + 1) * x.shape[1]
             for j in range(x.shape[2]):
+                if s[j] is None or np.isnan(x[i, :, j]).any():
+                    s[j] = None
+                    assert math.isnan(sd[i, j])
+                    continue
                 col = [Fraction(v) for v in x[i, :, j]]
                 s[j] += sum(col)
                 q[j] += sum(v * v for v in col)
                 var = (r * q[j] - s[j] ** 2) / (r * r)
-                assert sd[i, j] == math.sqrt(float(var))
+                assert sd[i, j] == math.ldexp(math.sqrt(float(var * 4**shift)), -shift)
 
 
 def _stats_and_grad(x, g):
@@ -268,7 +284,20 @@ def _tie_stacks():
     return pairs
 
 
+def _both_moments(x):
+    """`_certified_moments` and `_exact_moments` on x (B, R, d), whatever its size,
+    given what `prefix_stats` gives them."""
+    k = math.frexp(np.abs(x).max())[1] - 480
+    xs = np.ldexp(x, -k)
+    rows = np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1]
+    flat = np.maximum.accumulate(x.max(axis=1)) == np.minimum.accumulate(x.min(axis=1))
+    return (tensor_module._certified_moments(tensor_module._moment_groups(xs), rows, k, flat),
+            tensor_module._exact_moments(xs, rows, k))
+
+
 def test_prefix_stats_fallback_inputs_match_exact_path(monkeypatch):
+    # the certified path refuses these stacks, or gives the exact path's bits;
+    # the (9, 4, 8) and (2, 2, 16) stacks lie below `EXACT_MAX_ENTRIES`
     rng = np.random.default_rng(45)
     const = rng.normal(size=(63, 8, 32))
     const[:, :, ::3] = 0.1     # certified: equal rows have variance exactly 0
@@ -277,15 +306,35 @@ def test_prefix_stats_fallback_inputs_match_exact_path(monkeypatch):
              (rng.normal(size=(9, 4, 8)) * 10.0 ** rng.integers(-150, 151, size=(9, 4, 8)), True),
              (rng.normal(size=(9, 4, 8)) * 1e-310, True)] + _tie_stacks()
     for x, refused in cases:
+        certified, exact = _both_moments(x)
+        if refused:
+            assert certified is None
+        else:
+            assert all(np.array_equal(c, e) for c, e in zip(certified, exact))
         g = rng.normal(size=(x.shape[0], 4, x.shape[2]))
-        calls = []
-        exact = tensor_module._exact_moments
-        with monkeypatch.context() as m:
-            m.setattr(tensor_module, "_exact_moments", lambda *a: calls.append(1) or exact(*a))
-            out = _stats_and_grad(x, g)
-        ref = _exact_path_stats(x, g, monkeypatch)
+        out, ref = _stats_and_grad(x, g), _exact_path_stats(x, g, monkeypatch)
         assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
-        assert bool(calls) == refused
+
+
+def test_prefix_stats_routes_by_entry_count(monkeypatch):
+    # up to `EXACT_MAX_ENTRIES` entries the integer sums alone run; above, the
+    # certified path runs first and is kept unless it refuses
+    calls = []
+    for name in ("_certified_moments", "_exact_moments"):
+        f = getattr(tensor_module, name)
+        monkeypatch.setattr(tensor_module, name,
+                            lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    rng = np.random.default_rng(47)
+    n = EXACT_MAX_ENTRIES
+    for shape, offset, route in (((1, n, 1), 0.0, ["_exact_moments"]),
+                                 ((n // 64, 4, 16), 0.0, ["_exact_moments"]),
+                                 ((1, 4, 32), 0.0, ["_exact_moments"]),
+                                 ((1, n + 1, 1), 0.0, ["_certified_moments"]),
+                                 ((n // 32 + 1, 1, 32), 0.0, ["_certified_moments"]),
+                                 ((1, n + 1, 1), 1e8, ["_certified_moments", "_exact_moments"])):
+        calls.clear()
+        prefix_stats(Tensor(offset + rng.normal(size=shape)))
+        assert calls == route, shape
 
 
 def test_prefix_stats_permutation_invariant_bitwise():
@@ -450,7 +499,8 @@ def test_unmasked_softmax_equals_formula():
 
 def test_nll_rows_equals_log_sum_exp_formula():
     rng = np.random.default_rng(23)
-    for n_rows in (33, 2 * NLL_ROW_BLOCK + 33):   # one partial block; two whole and a partial
+    block = SCORE_BUDGET // 257
+    for n_rows in (33, 2 * block + 33):   # one partial block; two whole and a partial
         logits = rng.normal(scale=8.0, size=(n_rows, 257))
         targets = rng.integers(0, 257, size=n_rows)
         out = nll_rows(logits, targets)
