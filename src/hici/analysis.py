@@ -273,8 +273,11 @@ def scaling_probe(cfg: HiCIConfig, T_list, seed=0):
 
     Uses one shared random parameter set and fresh random input per T.
     Doubling T at fixed S should double the measured total up to the
-    constant-size global stage.
+    constant-size global stage. Every T is checked before any runs.
     """
+    for T in T_list:
+        if T < 1 or T % cfg.S != 0:
+            raise ConfigError(f"scaling context T={T} must be >= 1 and a multiple of S={cfg.S}")
     rng = np.random.default_rng(seed)
     params = init_hici_params(cfg, rng)
     rows = []

@@ -397,13 +397,15 @@ def hici_stages(params: HiCIParams, cfg: HiCIConfig):
     Each stage maps the output of the one before it (x for the first) to
     its own and reads only its own parameter group (`pool_stage` none), so
     changing a group leaves the outputs of the earlier stages as they were.
+    The parameters of a stage are a live view of its group's fields, built
+    without copying them into a tuple on every forward.
     """
+    local, global_, broadcast_p = params.local, params.global_, params.broadcast
     return [
-        (tuple(vars(params.local).values()), lambda x: local_stage(x, params.local, cfg)),
+        (vars(local).values(), lambda x: local_stage(x, local, cfg)),
         ((), lambda s: pool_stage(s, cfg)),
-        (tuple(vars(params.global_).values()), lambda s: global_stage(s, params.global_, cfg)),
-        (tuple(vars(params.broadcast).values()),
-         lambda s: broadcast_stage(s, params.broadcast, cfg)),
+        (vars(global_).values(), lambda s: global_stage(s, global_, cfg)),
+        (vars(broadcast_p).values(), lambda s: broadcast_stage(s, broadcast_p, cfg)),
     ]
 
 

@@ -262,12 +262,11 @@ def _cmd_scaling(args):
     cfg = _apply_overrides(cfg, args)
     t_list = ([int(t) for t in args.t_list.split(",")] if args.t_list
               else [2 * cfg.S, 4 * cfg.S, 8 * cfg.S, 16 * cfg.S])
+    rows = scaling_probe(cfg, t_list, seed=args.seed)   # checks t_list before writing
     if args.out:
         _write_manifest(args.out, "scaling",
                         {"t_list": t_list, "config": config_to_dict(cfg)},
                         args.seed, ["scaling.csv"])
-    rows = scaling_probe(cfg, t_list, seed=args.seed)
-    if args.out:
         _write_text(args.out, "scaling.csv", probe_table_csv(rows))
     print(format_probe_table(rows))
     return 0

@@ -69,6 +69,18 @@ stays whole: with OpenBLAS, row blocks of a (2048, 32) @ (32, 257)
 product differ in their last bits from the whole product, so the
 (T, vocab) logits are the one array a scoring window needs whole.
 
+Fixed costs per call stay small, because at tiny shapes they are the
+whole cost: the gradient oracle at T=8 makes about 80k ops per check.
+No hot path enters a generator context manager (`no_grad` and
+`flop_scope` are small classes). An op hands the fresh float64 array
+numpy made to `_make`, which wraps it as it is and copies only a strided
+one, with no re-validation. `attention` converts, checks and inverts its
+mask once per call, not once per chunk, and builds no helper closures.
+Row means and softmax reductions call the numpy ufuncs (`np.add.reduce`,
+`np.maximum.reduce`) that `ndarray.mean`, `sum` and `max` call, without
+their Python wrappers, so the bits are the same. `prefix_stats` finds the
+first argmax and argmin rows only when a backward runs.
+
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
 arithmetic issued by a forward pass. Matmuls are charged 2*m*k*n
 (multiply-add = 2 FLOPs); elementwise ops are charged with the
@@ -82,7 +94,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -106,18 +117,20 @@ EXACT_MAX_ENTRIES = 1024   # `prefix_stats` sums stacks this small as Python int
 _GRAD_MODE = [True]
 
 
-@contextmanager
-def no_grad():
+class no_grad:
     """Record no graph inside the block (pure inference); blocks nest.
 
     Ops return tensors with `requires_grad=False`, no parents and no
     backward closure, so intermediate arrays are freed as soon as the
     forward pass stops using them.
     """
-    _GRAD_MODE.append(False)
-    try:
-        yield
-    finally:
+
+    __slots__ = ()
+
+    def __enter__(self):
+        _GRAD_MODE.append(False)
+
+    def __exit__(self, *exc):
         _GRAD_MODE.pop()
 
 
@@ -157,12 +170,18 @@ class FlopCounter:
 FLOPS = FlopCounter()
 
 
-@contextmanager
-def flop_scope(name):
-    FLOPS._scope.append(name)
-    try:
-        yield
-    finally:
+class flop_scope:
+    """Charge the FLOPs of the block to the scope `name`; scopes nest."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __enter__(self):
+        FLOPS._scope.append(self.name)
+
+    def __exit__(self, *exc):
         FLOPS._scope.pop()
 
 
@@ -193,9 +212,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -242,11 +259,26 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_new_object = object.__new__
+
+
+def _wrap(data):
+    """A Tensor around a float64 array an op has just made, copied only if not C-contiguous."""
+    out = _new_object(Tensor)
+    out.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    out._spent = False
+    return out
+
+
 def _make(data, parents, backward_fn):
-    """Interior graph node; records edges only to grad-requiring parents."""
-    out = Tensor(data)
+    """Interior graph node over `_wrap(data)`; records edges only to grad-requiring parents."""
+    out = _wrap(data)
     if _GRAD_MODE[-1]:
-        tracked = tuple(p for p in parents if p.requires_grad)
+        tracked = tuple([p for p in parents if p.requires_grad])
         if tracked:
             out.requires_grad = True
             out._parents = tracked
@@ -313,19 +345,19 @@ def matmul(a, b):
     FLOPs: 2*m*k*n per block.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    k, n = b.data.shape
-    FLOPS.add("matmul", 2 * a.data.size * n)
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}")
+    k, n = bd.shape
+    FLOPS.add("matmul", 2 * ad.size * n)
 
     def bwd(g):
         if a.requires_grad:
-            a._take(g @ b.data.T)
+            a._take(g @ bd.T)
         if b.requires_grad:
-            b._take(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            b._take(ad.reshape(-1, k).T @ g.reshape(-1, n))
 
-    return _make(out, (a, b), bwd)
+    return _make(ad @ bd, (a, b), bwd)
 
 
 def add(a, b):
@@ -382,17 +414,43 @@ def _softmax(a, visible=None):
     copy. `visible` is an optional boolean mask shaped like the trailing
     axes of `a`; every row must keep at least one visible entry.
     """
-    if visible is not None:
-        visible = np.asarray(visible, dtype=bool)
-        if visible.shape != a.shape[a.ndim - visible.ndim:]:
-            raise ShapeError(f"softmax: mask shape {visible.shape} vs scores {a.shape}")
-        if not visible.any(axis=-1).all():
-            raise ShapeError("softmax: some row has no visible entry")
-        np.copyto(a, -np.inf, where=~visible)   # exp(-inf - max) is exactly 0
-    a -= a.max(axis=-1, keepdims=True)
+    return _softmax_hidden(a, None if visible is None else _hidden(visible, a.shape))
+
+
+def _hidden(visible, score_shape):
+    """The entries a `visible` mask hides from scores of `score_shape`, once checked."""
+    visible = np.asarray(visible, dtype=bool)
+    if visible.shape != score_shape[len(score_shape) - visible.ndim:]:
+        raise ShapeError(f"softmax: mask shape {visible.shape} vs scores {score_shape}")
+    if not np.logical_and.reduce(np.logical_or.reduce(visible, axis=-1), axis=None):
+        raise ShapeError("softmax: some row has no visible entry")
+    return ~visible
+
+
+def _softmax_hidden(a, hidden):
+    """`_softmax` of `a` in place, with the mask given as the entries it hides (or None)."""
+    if hidden is not None:
+        np.copyto(a, -np.inf, where=hidden)   # exp(-inf - max) is exactly 0
+    a -= np.maximum.reduce(a, axis=-1, keepdims=True)
     np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
+    a /= np.add.reduce(a, axis=-1, keepdims=True)
     return a
+
+
+def _split_heads(x, n_heads, dk):
+    """(..., L, W) -> (..., H, L, dk), a strided view that matmul reads as is."""
+    return x.reshape(x.shape[:-1] + (n_heads, dk)).swapaxes(-3, -2)
+
+
+def _merge_heads(x, width):
+    """(..., H, L, dk) -> (..., L, W)."""
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
+
+
+def _probs(qh, kh, inv_scale, hidden):
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= inv_scale
+    return _softmax_hidden(scores, hidden)
 
 
 def attention(q, k, v, n_heads, visible=None, probe=None):
@@ -402,8 +460,9 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     block shares it. Heads split W contiguously into slices of width dk,
     scores are scaled by 1/sqrt(dk), and the result is (B, Lq, W) with no
     output projection. `visible` is an optional (Lq, Lk) boolean mask
-    shared by every block and head. `probe`, a diagnostic hook, is
-    called with the probabilities, shape (B, n_heads, Lq, Lk).
+    shared by every block and head, checked once per call. `probe`, a
+    diagnostic hook, is called with the probabilities, shape (B, n_heads,
+    Lq, Lk).
 
     When no graph is recorded, no probe is given and the B*H*Lq*Lk scores
     exceed `SCORE_BUDGET`, the blocks run in chunks that each stay within
@@ -416,62 +475,67 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     and 6*Lq*Lk other (scaling and softmax).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (k.data.ndim != 3 or v.data.shape != k.data.shape
-            or q.data.shape[-1] != k.data.shape[2]
-            or q.data.ndim not in (2, 3) or q.data.shape[:-2] not in ((), k.data.shape[:1])):
+    qd, kd, vd = q.data, k.data, v.data
+    if (kd.ndim != 3 or vd.shape != kd.shape or qd.shape[-1] != kd.shape[2]
+            or qd.ndim not in (2, 3) or qd.shape[:-2] not in ((), kd.shape[:1])):
         raise ShapeError(
-            f"attention: incompatible q/k/v shapes {q.data.shape} {k.data.shape} {v.data.shape}")
-    n_blocks, n_keys, width = k.data.shape
+            f"attention: incompatible q/k/v shapes {qd.shape} {kd.shape} {vd.shape}")
+    n_blocks, n_keys, width = kd.shape
     if width % n_heads != 0:
         raise ShapeError(f"attention width {width} not divisible by {n_heads} heads")
     dk = width // n_heads
-    n_scores = n_blocks * n_heads * q.data.shape[-2] * n_keys
+    n_queries = qd.shape[-2]
+    n_scores = n_blocks * n_heads * n_queries * n_keys
     FLOPS.add("matmul", 4 * n_scores * dk)
     FLOPS.add("other", 6 * n_scores)
-
-    def split(x):   # (..., L, W) -> (..., H, L, dk), a strided view that matmul reads as is
-        return x.reshape(x.shape[:-1] + (n_heads, dk)).swapaxes(-3, -2)
-
-    def merge(x):   # (..., H, L, dk) -> (..., L, W)
-        return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
-
     inv_scale = 1.0 / math.sqrt(dk)
-
-    def probs(qh, kh):
-        scores = qh @ kh.swapaxes(-1, -2)
-        scores *= inv_scale
-        return _softmax(scores, visible)
 
     if probe is None and n_scores > SCORE_BUDGET and not _records((q, k, v)):
         # nothing reads p afterwards: run chunks of blocks, each within the budget
-        out = np.empty((n_blocks, q.data.shape[-2], width))
+        blocks = list(_row_blocks(n_blocks, n_scores // n_blocks))
+        hidden = None
+        if visible is not None:   # checked against the scores of the first and the last chunk
+            for blk in (blocks[0], blocks[-1]):
+                chunk = min(blk.stop, n_blocks) - blk.start
+                hidden = _hidden(visible, (chunk, n_heads, n_queries, n_keys))
+        out = np.empty((n_blocks, n_queries, width))
         out_heads = out.reshape(out.shape[:2] + (n_heads, dk))
-        for blk in _row_blocks(n_blocks, n_scores // n_blocks):
-            p = probs(split(q.data if q.data.ndim == 2 else q.data[blk]), split(k.data[blk]))
-            out_heads[blk] = (p @ split(v.data[blk])).swapaxes(-3, -2)
-        return Tensor(out)
+        qh = _split_heads(qd, n_heads, dk) if qd.ndim == 2 else None
+        for blk in blocks:
+            p = _probs(_split_heads(qd[blk], n_heads, dk) if qh is None else qh,
+                       _split_heads(kd[blk], n_heads, dk), inv_scale, hidden)
+            out_heads[blk] = (p @ _split_heads(vd[blk], n_heads, dk)).swapaxes(-3, -2)
+        return _wrap(out)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = probs(qh, kh)
+    qh, kh, vh = (_split_heads(qd, n_heads, dk), _split_heads(kd, n_heads, dk),
+                  _split_heads(vd, n_heads, dk))
+    p = _probs(qh, kh, inv_scale, None if visible is None else
+               _hidden(visible, (n_blocks, n_heads, n_queries, n_keys)))
     if probe is not None:
         probe(p)
-    out = merge(p @ vh)
 
     def bwd(g):
-        gh = split(g)
+        gh = _split_heads(g, n_heads, dk)
         if v.requires_grad:
-            v._take(merge(p.swapaxes(-1, -2) @ gh))
+            v._take(_merge_heads(p.swapaxes(-1, -2) @ gh, width))
         if not (q.requires_grad or k.requires_grad):
             return
         dp = gh @ vh.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_scale
         if q.requires_grad:
             dq = ds @ kh
-            q._take(merge(dq if q.data.ndim == 3 else dq.sum(axis=0)))
+            q._take(_merge_heads(dq if qd.ndim == 3 else dq.sum(axis=0), width))
         if k.requires_grad:
-            k._take(merge(ds.swapaxes(-1, -2) @ qh))
+            k._take(_merge_heads(ds.swapaxes(-1, -2) @ qh, width))
 
-    return _make(out, (q, k, v), bwd)
+    return _make(_merge_heads(p @ vh, width), (q, k, v), bwd)
+
+
+def _row_means(a):
+    """a.mean(axis=1, keepdims=True) of a 2-d array: numpy's own two ufunc calls."""
+    means = np.add.reduce(a, axis=1, keepdims=True)
+    means /= a.shape[1]
+    return means
 
 
 def layer_norm(a, gain, bias, eps=1e-5):
@@ -480,15 +544,16 @@ def layer_norm(a, gain, bias, eps=1e-5):
     FLOPs: ~10 per element.
     """
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    if a.data.ndim != 2:
-        raise ShapeError(f"layer_norm: need a 2-d tensor, got shape {a.data.shape}")
-    n = a.data.shape[1]
+    ad = a.data
+    if ad.ndim != 2:
+        raise ShapeError(f"layer_norm: need a 2-d tensor, got shape {ad.shape}")
+    n = ad.shape[1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(
             f"layer_norm: affine shapes {gain.data.shape}/{bias.data.shape} vs width {n}")
-    FLOPS.add("other", 10 * a.data.size)
-    xhat = a.data - a.data.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=1, keepdims=True) + eps)
+    FLOPS.add("other", 10 * ad.size)
+    xhat = ad - _row_means(ad)
+    inv = 1.0 / np.sqrt(_row_means(np.square(xhat)) + eps)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
@@ -505,9 +570,9 @@ def layer_norm(a, gain, bias, eps=1e-5):
         for rows in _row_blocks(*xhat.shape):
             xh, out = xhat[rows], dx[rows]
             dxhat = g[rows] * gain.data
-            m1 = dxhat.mean(axis=1, keepdims=True)
+            m1 = _row_means(dxhat)
             np.multiply(dxhat, xh, out=out)
-            m2 = out.mean(axis=1, keepdims=True)
+            m2 = _row_means(out)
             dxhat -= m1
             np.multiply(xh, m2, out=out)
             np.subtract(dxhat, out, out=out)
@@ -591,8 +656,20 @@ def _extraction_height(v):
 
 
 def _rounded(num, e, den=1):
-    """num * 2**e / den for Python ints, correctly rounded to float64."""
-    return (num * (1 << e) / den if e >= 0 else num / (den * (1 << -e))).astype(np.float64)
+    """num * 2**e / den for Python ints, correctly rounded to float64; +-inf past its range."""
+    num, den = (num * (1 << e), den) if e >= 0 else (num, den * (1 << -e))
+    try:
+        return (num / den).astype(np.float64)
+    except OverflowError:   # a quotient rounds past the largest float (den > 0)
+        return np.vectorize(_quotient, otypes=[np.float64])(num, den)
+
+
+def _quotient(num, den):
+    """num / den for Python ints, den > 0, or +-inf where it rounds past the largest float."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _exact_moments(xs, rows, k):
@@ -604,10 +681,12 @@ def _exact_moments(xs, rows, k):
     exactly; x = xs * 2**k.
     """
     mant, ex = np.frexp(xs)
-    e = int(ex.min(initial=1024, where=mant != 0)) - 53
+    e = int(np.minimum.reduce(ex, axis=None, initial=1024, where=mant != 0)) - 53
     ints = np.ldexp(mant, 53).astype(np.int64).astype(object) << np.maximum(ex - 53 - e, 0)
-    s = ints.sum(axis=1).cumsum(axis=0)
-    q = (ints * ints).sum(axis=1).cumsum(axis=0)
+    s = np.add.reduce(ints, axis=1)
+    q = np.add.reduce(ints * ints, axis=1)
+    if len(s) > 1:
+        s, q = np.add.accumulate(s, axis=0), np.add.accumulate(q, axis=0)
     r = rows.astype(object)
     var = _rounded(r * q - s * s, 2 * e, r * r)   # (r sum(xs**2) - sum(xs)**2) / r**2
     return _rounded(s, e + k) / rows, var
@@ -689,22 +768,48 @@ def _certified_moments(v, rows, k, flat):
     inexact = np.logical_or.accumulate(v[0].any(axis=1), axis=0)
     sum_u = np.where(inexact, s_hi + (s_lo - 2.0**10 * err_s), s_hi)
     ok &= ~inexact | (sum_u == s_hi + (s_lo + 2.0**10 * err_s))
-    total = np.ldexp(sum_u, e[0] - 480 + k)
+    with np.errstate(over="ignore"):   # a sum past the float range is refused below
+        total = np.ldexp(sum_u, e[0] - 480 + k)
     ok &= (_normal(sum_u) & _normal(total)) | (~inexact & (s_hi == 0))
     if not ok.all():
         return None
     return total / rows, np.where(flat, 0.0, var)
 
 
-def _prefix_argmax(x):
-    """Column maxima over the rows of blocks[:i+1] and the flat index of the first argmax:
-    the first row of the first block that holds the prefix maximum."""
+def _prefix_extremes(x):
+    """Column max and min of each block, and over the rows of blocks[:i+1], every i.
+
+    Returns (best, ext), each (B, 2, d): max in [:, 0], min in [:, 1].
+    """
+    best = np.empty((x.shape[0], 2, x.shape[2]))
+    np.maximum.reduce(x, axis=1, out=best[:, 0])
+    np.minimum.reduce(x, axis=1, out=best[:, 1])
+    if x.shape[0] == 1:
+        return best, best
+    ext = np.empty_like(best)
+    np.maximum.accumulate(best[:, 0], axis=0, out=ext[:, 0])
+    np.minimum.accumulate(best[:, 1], axis=0, out=ext[:, 1])
+    return best, ext
+
+
+def _first_extremes(x, best, ext):
+    """The flat index in x of the first row holding each prefix extreme of `_prefix_extremes`:
+    the first row of the first block that holds the prefix max (min), (B, 2, d)."""
     n_blocks, n_rows, d = x.shape
-    best = x.max(axis=1)
-    run = np.maximum.accumulate(best, axis=0)
-    prev = np.concatenate([np.full((1, d), np.inf), run[:-1]])
-    blk = np.maximum.accumulate(np.where(best > prev, np.arange(n_blocks)[:, None], 0), axis=0)
-    return run, (blk * n_rows + x.argmax(axis=1)[blk, np.arange(d)]) * d + np.arange(d)
+    first = np.empty(ext.shape, dtype=np.intp)   # rows within a block
+    cols = x.swapaxes(1, 2)   # numpy's arg-reductions run faster along the last axis
+    cols.argmax(axis=2, out=first[:, 0])
+    cols.argmin(axis=2, out=first[:, 1])
+    if n_blocks > 1:
+        blk = np.zeros(first.shape, dtype=np.intp)   # the block that set a new extreme last
+        np.greater(best[1:, 0], ext[:-1, 0], out=blk[1:, 0], casting="unsafe")
+        np.less(best[1:, 1], ext[:-1, 1], out=blk[1:, 1], casting="unsafe")
+        blk *= np.arange(n_blocks)[:, None, None]
+        np.maximum.accumulate(blk, axis=0, out=blk)
+        first = first.reshape(-1)[blk * (2 * d) + np.arange(2 * d).reshape(2, d)] + blk * n_rows
+    first *= d
+    first += np.arange(d)
+    return first
 
 
 def prefix_stats(blocks):
@@ -717,27 +822,28 @@ def prefix_stats(blocks):
     `EXACT_MAX_ENTRIES` entries the sums are Python ints (`_exact_moments`);
     a larger stack tries `_certified_moments` first and falls back on the
     ints if it refuses. Max and min route their gradient to the first
-    argmax / argmin. FLOPs: 7 per element.
+    argmax / argmin, which only the backward looks for. FLOPs: 7 per element.
     """
     blocks = _as_tensor(blocks)
     x = blocks.data
     if x.ndim != 3 or 0 in x.shape[:2]:
         raise ShapeError(f"prefix_stats: need non-empty (blocks, rows, d), got shape {x.shape}")
     FLOPS.add("other", 7 * x.size)
-    d = x.shape[2]
     finite = np.isfinite(x)
-    xf = x if finite.all() else np.where(finite, x, 0.0)
-    k = math.frexp(np.abs(xf).max())[1] - 480    # x * 2**-k: squares below 2**960
+    all_finite = finite.all()
+    xf = x if all_finite else np.where(finite, x, 0.0)
+    largest = np.maximum.reduce(np.abs(xf), axis=None)
+    k = math.frexp(largest)[1] - 480    # x * 2**-k: squares below 2**960
     xs = np.ldexp(xf, -k)
     rows = np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1]
-    ext, i_ext = _prefix_argmax(np.concatenate([x, -x], axis=2))   # max, then -min
+    best, ext = _prefix_extremes(x)
     moments = None
     if x.size > EXACT_MAX_ENTRIES:
-        flat = ext[:, :d] == -ext[:, d:]
+        flat = ext[:, 0] == ext[:, 1]
         moments = _certified_moments(_moment_groups(xs), rows, k, flat)
     mean, var = moments or _exact_moments(xs, rows, k)
     std_s = np.sqrt(var)   # the std of xs
-    if not finite.all():   # a non-finite row poisons its prefixes, as in plain summation
+    if not all_finite:   # a non-finite row poisons its prefixes, as in plain summation
         poisoned = np.logical_or.accumulate(~finite.all(axis=1), axis=0)
         mean = np.where(poisoned, np.cumsum(x.sum(axis=1), axis=0) / rows, mean)
         std_s = np.where(poisoned, np.nan, std_s)
@@ -757,12 +863,12 @@ def prefix_stats(blocks):
         step = (shifted - mean_s) * np.concatenate([a[1:], a[-1:]])
         c = np.cumsum(step[::-1], axis=0)[::-1]
         dx = (np.ldexp(x, -k) - mean_s[:, None]) * a[:, None] + (b - c)[:, None]
-        dz = np.bincount(i_ext.ravel(), np.concatenate([g[:, 1], -g[:, 2]], axis=1).ravel(),
-                         2 * x.size).reshape(x.shape[:2] + (-1,))
-        blocks._take(dx + dz[..., :d] - dz[..., d:])
+        first = _first_extremes(x, best, ext)
+        d_max = np.bincount(first[:, 0].ravel(), g[:, 1].ravel(), x.size).reshape(x.shape)
+        d_neg_min = np.bincount(first[:, 1].ravel(), -g[:, 2].ravel(), x.size).reshape(x.shape)
+        blocks._take(dx + d_max - d_neg_min)   # min = -max(-x)
 
-    out = np.concatenate([mean[:, None], ext[:, None, :d], -ext[:, None, d:], std[:, None]], 1)
-    return _make(out, (blocks,), bwd)
+    return _make(np.concatenate([mean[:, None], ext, std[:, None]], 1), (blocks,), bwd)
 
 
 def l2_normalize(v, eps=1e-12):
@@ -857,20 +963,25 @@ def concat_rows(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat_rows: empty input")
-    shapes = [t.data.shape for t in tensors]
-    if (len({len(s) for s in shapes}) != 1 or not 0 <= axis < len(shapes[0])
-            or len({s[:axis] + s[axis + 1:] for s in shapes}) != 1):
-        raise ShapeError(f"concat_rows: incompatible shapes {shapes} along axis {axis}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = list(accumulate((s[axis] for s in shapes), initial=0))
-    lead = (slice(None),) * axis
+    arrays = [t.data for t in tensors]
+    try:   # numpy checks the ranks and the other axes, and reads no negative axis here
+        if not 0 <= axis < arrays[0].ndim:
+            raise ValueError
+        out = np.concatenate(arrays, axis=axis)
+    except ValueError:
+        shapes = [a.shape for a in arrays]
+        raise ShapeError(
+            f"concat_rows: incompatible shapes {shapes} along axis {axis}") from None
 
     def bwd(g):
-        for t, i0, i1 in zip(tensors, offsets[:-1], offsets[1:]):
+        lead = (slice(None),) * axis
+        i1 = 0
+        for t, a in zip(tensors, arrays):
+            i0, i1 = i1, i1 + a.shape[axis]
             if t.requires_grad:
                 t._acc(g[lead + (slice(i0, i1),)])
 
-    return _make(out, tuple(tensors), bwd)
+    return _make(out, tensors, bwd)
 
 
 def slice_rows(a, start, stop, axis=0):
@@ -965,7 +1076,7 @@ def tsum(a):
     """Sum of all elements as a scalar node."""
     a = _as_tensor(a)
     FLOPS.add("other", a.data.size)
-    out = np.array(a.data.sum())
+    out = np.array(np.add.reduce(a.data, axis=None))   # a.data.sum()
 
     def bwd(g):
         a._take(np.full_like(a.data, float(g)))

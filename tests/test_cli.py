@@ -107,6 +107,15 @@ def test_scaling_command(tmp_path, capsys):
     assert csv.splitlines()[0] == "T,flops_total,flops_matmul,analytic_matmul"
 
 
+@pytest.mark.parametrize("t_list,bad", [("64,-64", "T=-64"), ("33", "T=33"), ("0", "T=0")])
+def test_scaling_rejects_bad_context_before_writing(tmp_path, capsys, t_list, bad):
+    out_dir = tmp_path / "run"
+    assert dispatch(["scaling", "--t-list", t_list, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and bad in err and "multiple of S=32" in err
+    assert not out_dir.exists()
+
+
 def test_gradcheck_micro_passes(capsys):
     assert dispatch(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

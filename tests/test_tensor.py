@@ -8,6 +8,7 @@ import pytest
 from hici import tensor as tensor_module
 from hici.tensor import (
     EXACT_MAX_ENTRIES,
+    FLOPS,
     SCORE_BUDGET,
     GraphError,
     _softmax,
@@ -20,6 +21,7 @@ from hici.tensor import (
     cross_entropy_mean,
     embedding,
     finite_diff_grad,
+    flop_scope,
     gelu,
     grad_or_zero,
     l2_normalize,
@@ -30,7 +32,9 @@ from hici.tensor import (
     no_grad,
     parameter,
     prefix_stats,
+    reshape,
     scale,
+    slice_rows,
     softplus,
     tsum,
 )
@@ -413,6 +417,41 @@ def test_prefix_stats_std_gradient_of_subnormal_blocks():
     assert np.abs(grads[0] - grads[1]).max() <= 1e-12 * np.abs(grads[1]).max()
 
 
+def test_prefix_stats_mean_past_the_float_range_is_the_plain_sum_over_r():
+    # a column sum past the largest float is +-inf, fl(sum) / r, with no exception and
+    # no warning (the suite turns warnings into errors); the +-1.7e308 column is a control
+    for shape in ((1, 2, 1), (2, 1, 1), (40, 8, 2)):   # the last one takes the certified path
+        for v in (1.7e308, -1.7e308):
+            x = np.full(shape, v)
+            mean, mx, mn, sd = _prefix_stats(x)
+            assert mean[-1, 0] == math.copysign(math.inf, v)
+            assert mean[0, 0] == (v if shape[1] == 1 else math.copysign(math.inf, v))
+            assert (mx == v).all() and (mn == v).all() and (sd == 0.0).all()
+    mean, mx, mn, sd = _prefix_stats(np.array([[[1.7e308], [-1.7e308]]]))
+    assert (mean[0, 0], mx[0, 0], mn[0, 0], sd[0, 0]) == (0.0, 1.7e308, -1.7e308, 1.7e308)
+
+
+def test_prefix_stats_routes_max_and_min_gradients_to_their_first_rows():
+    # ties inside a block and across blocks: each prefix's max (min) gradient goes to the
+    # first row of the first block that holds the prefix extreme
+    x = np.array([[[1.0, -2.0], [3.0, -2.0]],
+                  [[3.0, -5.0], [0.0, -5.0]],
+                  [[4.0, 7.0], [4.0, -5.0]]])
+    for which in (1, 2):
+        g = np.zeros((3, 4, 2))
+        g[:, which] = [[1.0, 10.0], [100.0, 1000.0], [1e4, 1e5]]
+        p = parameter(x)
+        backward(tsum(mul_const(prefix_stats(p), g)))
+        want = np.zeros_like(x)
+        if which == 1:   # max: col 0 rows (0,1), (0,1), (2,0); col 1 rows (0,0), (0,0), (2,0)
+            want[0, 1, 0], want[2, 0, 0] = 1.0 + 100.0, 1e4
+            want[0, 0, 1], want[2, 0, 1] = 10.0 + 1000.0, 1e5
+        else:            # min: col 0 rows (0,0), (1,1), (1,1); col 1 rows (0,0), (1,0), (1,0)
+            want[0, 0, 0], want[1, 1, 0] = 1.0, 100.0 + 1e4
+            want[0, 0, 1], want[1, 0, 1] = 10.0, 1000.0 + 1e5
+        assert np.array_equal(p.grad, want), which
+
+
 def test_prefix_stats_rejects_empty_blocks():
     for shape in ((0, 2, 3), (2, 0, 3), (2, 3)):
         with pytest.raises(ShapeError, match="prefix_stats"):
@@ -665,6 +704,38 @@ def test_attention_equals_out_of_place_formula():
             assert np.array_equal(out, attention(parameter(q), k, v, 2, visible=mask).data)
 
 
+def test_attention_rejects_a_bad_mask_alike_on_every_path():
+    # checked once per call, a bad mask still fails as the per-chunk check did: graph-free
+    # below and above the score budget, and with a recorded graph
+    rng = np.random.default_rng(32)
+    n_blocks, per_block = 100, 2 * 16 * 24
+    step = SCORE_BUDGET // per_block
+    k, v = rng.normal(size=(2, n_blocks, 24, 12))
+    q = rng.normal(size=(n_blocks, 16, 12))
+    no_row = np.ones((16, 24), dtype=bool)
+    no_row[3] = False
+    last = n_blocks % step
+    shape_error = "softmax: mask shape {} vs scores ({}, 2, 16, 24)"
+    cases = (   # mask, then the score blocks named below the budget, in chunks, recorded
+        (np.ones((16, 23), dtype=bool), (3, step, n_blocks)),
+        (np.ones((2, 16, 23), dtype=bool), (3, step, n_blocks)),
+        (np.ones((step, 2, 16, 24), dtype=bool), (3, last, n_blocks)),   # passes whole chunks
+        (no_row, None),
+    )
+    for mask, named in cases:
+        paths = ((3, False), (n_blocks, False), (n_blocks, True))
+        for i, (blocks, grad) in enumerate(paths):
+            args = (parameter(q[:blocks]) if grad else q[:blocks], k[:blocks], v[:blocks], 2)
+            with pytest.raises(ShapeError) as err:
+                if grad:
+                    attention(*args, visible=mask)
+                else:
+                    with no_grad():
+                        attention(*args, visible=mask)
+            assert str(err.value) == ("softmax: some row has no visible entry" if named is None
+                                      else shape_error.format(mask.shape, named[i]))
+
+
 def test_attention_probe_receives_every_probability_over_the_budget():
     rng = np.random.default_rng(31)
     q, k, v = rng.normal(size=(3, 100, 16, 12))
@@ -746,6 +817,34 @@ def test_no_grad_nests_and_restores_the_mode_after_an_exception():
         with no_grad():
             raise KeyError("inside")
     assert matmul(w, w).requires_grad
+
+
+def test_flop_scope_nests_and_pops_after_an_exception():
+    a = Tensor(np.ones((2, 3)))
+    b = Tensor(np.ones((3, 4)))
+    outer = list(FLOPS._scope)
+    with tensor_module.measure_flops() as counter:
+        with flop_scope("outer"):
+            with flop_scope("inner"):
+                matmul(a, b)
+            matmul(a, b)
+            with pytest.raises(KeyError):
+                with flop_scope("failed"):
+                    assert FLOPS._scope[-1] == "failed"
+                    raise KeyError("inside")
+            assert FLOPS._scope == outer + ["outer"]
+    assert FLOPS._scope == outer
+    assert counter.total("inner", "matmul") == counter.total("outer", "matmul") == 48
+    assert "failed" not in counter.buckets
+
+
+def test_results_are_c_contiguous_float64_and_copied_only_when_strided():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+    cut = slice_rows(x, 1, 2, axis=1)   # numpy gives a strided view here
+    assert cut.data.flags.c_contiguous and cut.data.dtype == np.float64
+    assert np.array_equal(cut.data, x.data[:, 1:2]) and not np.shares_memory(cut.data, x.data)
+    flat = reshape(x, (6, 4))           # a contiguous view is wrapped as it is
+    assert flat.data.flags.c_contiguous and np.shares_memory(flat.data, x.data)
 
 
 def test_first_gradient_is_a_fresh_array_equal_to_zero_plus_g():
