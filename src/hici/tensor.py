@@ -18,19 +18,15 @@ backward, so a module pass builds the same small graph at any length.
 blocks in one node from exact sums, carried from prefix to prefix, so
 each mean equals `math.fsum` over its rows divided by their count, and
 each variance is the correctly rounded (r*sum(x^2) - sum(x)^2) / r^2, in
-any row order: segment-permutation invariance holds bit-for-bit. A
-stack of at most `EXACT_MAX_ENTRIES` entries is summed exactly as
-Python ints: each entry's 53-bit integer mantissa, shifted onto the
-stack's smallest exponent, and its square. A larger stack first takes
-the certified path: two error-free extraction levels per column give
-each sum exactly but for a small remainder summed in float64,
-double-double arithmetic with a proven error bound rounds each mean and
-variance, and Ziv's test keeps a value only where both ends of 2**10
-times that bound round to the same float. If any cell is refused (a
-value on or within the bound of a rounding tie, heavy cancellation such
-as 1e8 + N(0, 1), spreads of 10**+-150 within a column, results outside
-normal range), the whole call takes the integer sums. Both give the
-same bits.
+any row order: segment-permutation invariance holds bit-for-bit. Two
+exact routes, chosen by size, compute the same integer sums. A stack of
+at most `EXACT_MAX_ENTRIES` entries is summed as Python ints: each
+entry's 53-bit integer mantissa, shifted onto the stack's smallest
+exponent, and its square. A larger stack is cut on a ladder of
+error-free extraction levels until nothing is left; each level sums
+exactly in float64, and each (prefix, column) cell joins its level sums
+as Python ints. Both routes round those sums through the same tail, so
+they give the same bits for every input.
 
 Gradients are handed over, not copied. A backward closure gives each
 input an array that it allocated and holds nowhere else to
@@ -582,42 +578,6 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return _make(out, (a, gain, bias), bwd)
 
 
-def _halves(a):
-    """Veltkamp split a = hi + lo into 26-bit halves, whose products are exact."""
-    split = a * 134217729.0
-    hi = split - (split - a)
-    return hi, a - hi
-
-
-def _two_sum(a, b):
-    """a + b = s + err exactly (Knuth), s = fl(a + b)."""
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
-
-
-def _two_prod(a, b):
-    """a * b = p + err exactly (Dekker), p = fl(a * b), barring underflow."""
-    p = a * b
-    a1, a2 = _halves(a)
-    b1, b2 = _halves(b)
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-
-
-def _moment_groups(xs):
-    """(4, B, R, d): xs * 2**480 and the exact parts hi*hi, 2*hi*lo, lo*lo of xs**2.
-
-    With max|xs| in [2**479, 2**480), every entry is below 2**961 in magnitude.
-    """
-    hi, lo = _halves(xs)
-    v = np.empty((4,) + xs.shape)
-    np.multiply(xs, 2.0**480, out=v[0])
-    np.multiply(hi, hi, out=v[1])
-    np.multiply(2.0 * hi, lo, out=v[2])
-    np.multiply(lo, lo, out=v[3])
-    return v
-
-
 @lru_cache(maxsize=16)
 def _ones(n):
     """A read-only vector of n ones, shared between calls."""
@@ -626,41 +586,21 @@ def _ones(n):
     return ones
 
 
-def _prefix_row_sums(a):
-    """Sums of a (g, B, R, d) over the rows of blocks[:i+1], every i: (g, B, d).
-
-    A product with ones, 3-5 times faster than `a.sum(axis=2)` at R = 8-512.
-    """
-    return (_ones(a.shape[2]) @ a).cumsum(axis=1)
-
-
-def _cut_sums(rest, sigma, cut):
-    """Cut `rest` at sigma * 2**-53 in place, the cut parts into `cut`; their prefix sums, exact.
-
-    Error-free extraction (Rump, Ogita and Oishi 2008): with |rest| <=
-    sigma * 2**-h, adding and subtracting sigma, a power of two, cuts every
-    entry into a multiple of sigma * 2**-53 of at most 2**(53-h) + 1 units
-    and a remainder of at most one unit. The cut parts of n < 2**(h-1)
-    entries add up below 2**53 units, so their sums are exact in float64 in
-    any order.
-    """
-    np.add(rest, sigma, out=cut)
-    cut -= sigma
-    rest -= cut
-    return _prefix_row_sums(cut)
-
-
-def _extraction_height(v):
-    """h with (B * R entries of a column) < 2**(h-1): one level holds 53 - h bits."""
-    return (v.shape[1] * v.shape[2]).bit_length() + 1
-
-
 def _rounded(num, e, den=1):
-    """num * 2**e / den for Python ints, correctly rounded to float64; +-inf past its range."""
-    num, den = (num * (1 << e), den) if e >= 0 else (num, den * (1 << -e))
+    """num * 2**e / den for Python ints, 0 < den < 2**1022, correctly rounded to
+    float64; +-inf past its range.
+
+    Python rounds num / den correctly, to a normal float or 0, and scaling
+    that by 2**e keeps the rounding unless the result is subnormal, which
+    numpy reports; only then, or where num / den is past the float range,
+    is num * 2**e or den * 2**-e formed, an int |e| bits longer.
+    """
     try:
-        return (num / den).astype(np.float64)
-    except OverflowError:   # a quotient rounds past the largest float (den > 0)
+        q = (num / den).astype(np.float64)
+        with np.errstate(over="ignore", under="raise"):   # +-inf is the rounded value
+            return np.ldexp(q, e)
+    except (OverflowError, FloatingPointError):
+        num, den = (num * (1 << e), den) if e >= 0 else (num, den * (1 << -e))
         return np.vectorize(_quotient, otypes=[np.float64])(num, den)
 
 
@@ -672,13 +612,25 @@ def _quotient(num, den):
         return math.inf if num > 0 else -math.inf
 
 
+def _moments(s, es, q, eq, rows, k):
+    """fl(sum(x)) / r and the correctly rounded variance of xs, x = xs * 2**k, from
+    the exact prefix sums s * 2**es of xs and q * 2**eq of xs**2 (Python ints)."""
+    e = min(es, eq // 2)   # whole units 2**e of sum(xs) and 2**(2e) of sum(xs**2)
+    if es > e:
+        s = s << (es - e)
+    r = rows.astype(object)
+    # the variance (r sum(xs**2) - sum(xs)**2) / r**2
+    var = _rounded((r << (eq - 2 * e)) * q - s * s, 2 * e, r * r)
+    return _rounded(s, e + k) / rows, var
+
+
 def _exact_moments(xs, rows, k):
-    """fl(sum(x)) / r and the correctly rounded variance of xs, from Python ints.
+    """`_moments` of xs, summed entry by entry as Python ints.
 
     Each entry of xs is its 53-bit integer mantissa shifted onto the
     stack's smallest exponent e, so the prefix sums of those ints and of
     their squares are the sums of xs and xs**2 in units 2**e and 2**(2e),
-    exactly; x = xs * 2**k.
+    exactly.
     """
     mant, ex = np.frexp(xs)
     e = int(np.minimum.reduce(ex, axis=None, initial=1024, where=mant != 0)) - 53
@@ -687,93 +639,59 @@ def _exact_moments(xs, rows, k):
     q = np.add.reduce(ints * ints, axis=1)
     if len(s) > 1:
         s, q = np.add.accumulate(s, axis=0), np.add.accumulate(q, axis=0)
-    r = rows.astype(object)
-    var = _rounded(r * q - s * s, 2 * e, r * r)   # (r sum(xs**2) - sum(xs)**2) / r**2
-    return _rounded(s, e + k) / rows, var
+    return _moments(s, e, q, 2 * e, rows, k)
 
 
-_FLOAT_MAX = float(np.finfo(np.float64).max)
+def _level_sums(v, h, parts):
+    """Exact prefix sums over blocks of v (g, B, R, d), |v| <= 2**960, each over
+    `parts` consecutive groups: Python ints J (g / parts, B, d) and m, sums
+    J * 2**(m-53). Cuts v in place on levels from 2**(960+h) down until
+    nothing is left (see `_ladder_moments`)."""
+    m, cut, ints = 960 + h, np.empty_like(v), None
+    while True:
+        np.add(v, 2.0**m, out=cut)
+        cut -= 2.0**m
+        v -= cut
+        lev = np.ldexp(_ones(v.shape[2]) @ cut, 53 - m).astype(np.int64)
+        lev = lev.reshape((-1, parts) + lev.shape[1:]).sum(axis=1).cumsum(axis=1).astype(object)
+        ints = lev if ints is None else (ints << (53 - h)) + lev
+        if not v.any():
+            return ints, m
+        m -= 53 - h
 
 
-def _normal(a):
-    """Where |a| lies in [2**-1021, max float]: scaling by 2**j is exact there."""
-    a = np.abs(a)
-    return (a >= 2.0**-1021) & (a <= _FLOAT_MAX)
+def _ladder_moments(xs, rows, k):
+    """`_moments` of xs, summed level by level in float64 and joined as Python ints.
 
-
-def _certified_moments(v, rows, k, flat):
-    """The results of `_exact_moments` from two extraction levels, or None.
-
-    `v` is `_moment_groups(xs)`, which is consumed; `flat` marks the
-    (prefix, column) cells whose rows are all equal, of variance exactly 0.
-    Each column is cut on its own ladder: with |xs| < 2**E in the column
-    (E >= -200), the sums S = sum(xs * 2**480) and Q = sum(xs**2) are
-    counted in units U_S = 2**e_S, e_S = E + 374 + 2h, and U_Q = 2**(2E -
-    105 + 2h), the units of their second levels, so r Q - (S 2**-480)**2 =
-    U_S**2 2**-960 N with N = r W Q - S**2, W = 2**(107 - 2h). Each sum is
-    its exact level sums plus remainders of at most one unit per entry,
-    summed in float64 with an error below 16 r**2 u (u = 2**-53, r rows).
-    A tree of TwoSums adds its eight parts into a double-double hi + lo
-    with an error below 2**-100 times the parts' magnitudes. N and N / r**2
-    are double-double expressions with rounding errors below 2**-100
-    (r W |Q| + S**2); each bound also carries 2**-1000 units for
-    underflow. A cell is certified when both ends of 2**10 times its error
-    bound round to the same float (Ziv 1991) and its values lie in normal
-    range: that float is the correctly rounded one, the bits of
-    `_exact_moments`. Where no remainder is left in S, fl(S) is the
-    TwoSum of its two levels, exact.
+    Error-free extraction (Rump, Ogita and Oishi 2008): with |v| <= sigma *
+    2**-h, adding and subtracting sigma, a power of two, cuts each entry
+    into a multiple of sigma * 2**-53 (the unit) of at most 2**(53-h) + 1
+    units and a remainder of at most one unit, cut next at sigma * 2**(h-53).
+    With R < 2**(h-1) the cut parts of a block sum exactly in float64; with
+    B * R < 2**(h+7) three such block sums added, and their prefix sums
+    over blocks, stay exact in int64. Each cell joins its level sums as
+    Python ints: the sums of `_exact_moments` up to a power of two, so both
+    routes give the same bits. Entries below 2**-480, whose float squares
+    would lose bits, are squared at xs * 2**960, in parts of their own.
     """
-    h = _extraction_height(v)
-    if v.shape[1] * v.shape[2] >= 1 << 26:   # r (26 bits) and r**2 (52 bits) are exact
-        return None
-    col_e = np.maximum(np.frexp(np.abs(v[0]).max(axis=(0, 1)))[1] - 480, -200)   # E
-    m = np.array([col_e + 480, 2 * col_e + 1, 2 * col_e + 1, 2 * col_e + 1])[:, None, None, :] + h
-    cut = np.empty_like(v)
-    lev0 = _cut_sums(v, np.ldexp(1.0, m), cut)
-    lev1 = _cut_sums(v, np.ldexp(1.0, m - 53 + h), cut)
-    rem = _prefix_row_sums(v)                # |v| <= 2**(m - 106 + h), one unit, now
-    e = np.array([col_e + 374, 2 * col_e - 105])[:, None, :] + 2 * h
-    parts = np.zeros((8, 2) + lev0.shape[1:])
-    parts[0, 0], parts[1, 0], parts[2, 0] = lev0[0], lev1[0], rem[0]
-    parts[:3, 1], parts[3:6, 1], parts[6, 1] = lev0[1:], lev1[1:], rem[1] + rem[2] + rem[3]
-    parts = np.ldexp(parts, -e)
-    # TwoSums are exact; each err reaches lo through at most four roundings
-    top, lo = _two_sum(parts[:4], parts[4:])
-    top, err = _two_sum(top[:2], top[2:])
-    lo = (lo[:2] + lo[2:]) + err
-    top, err = _two_sum(top[0], top[1])
-    (s_hi, q_hi), (s_lo, q_lo) = _two_sum(top, (lo[0] + lo[1]) + err)
-    r = rows.astype(np.float64)
-    err_s, err_q = 2.0**-100 * np.abs(parts).sum(axis=0) + 16 * r * r * 2.0**-53 + 2.0**-1000
-    # TwoSquare (Dekker) and TwoProduct with the 26-bit rw, which needs no split
-    s1, s2 = _halves(s_hi)
-    sq = s_hi * s_hi
-    sq_err = ((s1 * s1 - sq) + 2.0 * s1 * s2) + s2 * s2
-    rw = np.ldexp(r, 107 - 2 * h)
-    q1, q2 = _halves(q_hi)
-    rq = rw * q_hi
-    rq_err = (rw * q1 - rq) + rw * q2
-    n_hi, n_lo = _two_sum(rq, -sq)
-    n_lo = n_lo + (rq_err - sq_err) + (rw * q_lo - 2.0 * s_hi * s_lo)
-    r2 = r * r
-    v_hi = n_hi / r2
-    w, w_err = _two_prod(v_hi, r2)
-    v_lo = (((n_hi - w) - w_err) + n_lo) / r2   # n_hi - w is exact (Sterbenz)
-    err_v = (2.0**-100 * (np.abs(rq) + sq) + rw * err_q + err_s * (3 * np.abs(s_hi) + err_s)) / r2
-    err_v += 2.0**-1000
-    var_u = v_hi + (v_lo - 2.0**10 * err_v)
-    var = np.ldexp(var_u, 2 * e[0] - 960)
-    ok = flat | ((var_u == v_hi + (v_lo + 2.0**10 * err_v)) & _normal(var_u) & _normal(var))
-    # where no remainder is left in S, S = lev0 + lev1 and s_hi = fl(S)
-    inexact = np.logical_or.accumulate(v[0].any(axis=1), axis=0)
-    sum_u = np.where(inexact, s_hi + (s_lo - 2.0**10 * err_s), s_hi)
-    ok &= ~inexact | (sum_u == s_hi + (s_lo + 2.0**10 * err_s))
-    with np.errstate(over="ignore"):   # a sum past the float range is refused below
-        total = np.ldexp(sum_u, e[0] - 480 + k)
-    ok &= (_normal(sum_u) & _normal(total)) | (~inexact & (s_hi == 0))
-    if not ok.all():
-        return None
-    return total / rows, np.where(flat, 0.0, var)
+    n_blocks, n_rows, _ = xs.shape
+    tiny = (np.abs(xs) < 2.0**-480) & (xs != 0)   # whose parts of xs**2 would lose bits
+    sq = xs[None]
+    if tiny.any():
+        sq = np.stack([np.where(tiny, 0.0, xs), np.where(tiny, xs, 0.0) * 2.0**960])
+    split = sq * 134217729.0   # Veltkamp: 26-bit halves sq = hi + lo, whose products are exact
+    hi = split - (split - sq)
+    lo = sq - hi
+    v = np.empty((3 * len(sq),) + xs.shape)
+    np.multiply(hi, hi, out=v[0::3])
+    np.multiply(2.0 * hi, lo, out=v[1::3])
+    np.multiply(lo, lo, out=v[2::3])
+    h = max(n_rows.bit_length() + 1, (n_blocks * n_rows).bit_length() - 7)
+    s, ms = _level_sums(xs[None] * 2.0**480, h, 1)
+    q, mq = _level_sums(v, h, 3)
+    if len(sq) > 1:   # the tiny squares, in units 2**(mq-53-1920)
+        q, mq = [(q[0] << 1920) + q[1]], mq - 1920
+    return _moments(s[0], ms - 533, q[0], mq - 53, rows, k)
 
 
 def _prefix_extremes(x):
@@ -819,10 +737,11 @@ def prefix_stats(blocks):
     x^2 (entries within 2**900 of the largest), a mean is the correctly rounded
     sum of r rows divided by r, math.fsum(rows) / r, and a variance the correctly
     rounded (r*sum(x^2) - sum(x)^2) / r^2, 0 on a constant column. Up to
-    `EXACT_MAX_ENTRIES` entries the sums are Python ints (`_exact_moments`);
-    a larger stack tries `_certified_moments` first and falls back on the
-    ints if it refuses. Max and min route their gradient to the first
-    argmax / argmin, which only the backward looks for. FLOPs: 7 per element.
+    `EXACT_MAX_ENTRIES` entries the sums are Python ints, entry by entry
+    (`_exact_moments`); a larger stack is summed exactly in float64 on a
+    ladder of extraction levels (`_ladder_moments`). Both give the same
+    bits. Max and min route their gradient to the first argmax / argmin,
+    which only the backward looks for. FLOPs: 7 per element.
     """
     blocks = _as_tensor(blocks)
     x = blocks.data
@@ -837,11 +756,8 @@ def prefix_stats(blocks):
     xs = np.ldexp(xf, -k)
     rows = np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1]
     best, ext = _prefix_extremes(x)
-    moments = None
-    if x.size > EXACT_MAX_ENTRIES:
-        flat = ext[:, 0] == ext[:, 1]
-        moments = _certified_moments(_moment_groups(xs), rows, k, flat)
-    mean, var = moments or _exact_moments(xs, rows, k)
+    moments = _ladder_moments if x.size > EXACT_MAX_ENTRIES else _exact_moments
+    mean, var = moments(xs, rows, k)
     std_s = np.sqrt(var)   # the std of xs
     if not all_finite:   # a non-finite row poisons its prefixes, as in plain summation
         poisoned = np.logical_or.accumulate(~finite.all(axis=1), axis=0)

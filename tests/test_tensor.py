@@ -200,7 +200,9 @@ def test_prefix_stats_mean_is_correctly_rounded_fsum():
               rng.choice([1e-16, 1.0, 1e16, -1e16, 2.0**-53, 3.0], size=(6, 5, 3)),
               rng.normal(size=(6, 5, 3)) * 2.0 ** -1070,
               1e8 + rng.normal(size=(6, 5, 3)),
-              rng.normal(size=(63, 8, 32))] + _reference_stacks(rng):
+              rng.normal(size=(63, 8, 32)),
+              1e8 + rng.normal(size=(63, 8, 32)),
+              rng.normal(size=(63, 8, 32)) * 1e-310] + _reference_stacks(rng):
         mean = _prefix_stats(x)[0]
         for i in range(len(x)):
             rows = x[:i + 1].reshape(-1, x.shape[2])
@@ -215,7 +217,9 @@ def test_prefix_stats_std_is_root_of_correctly_rounded_variance():
     for x in [rng.normal(size=(6, 5, 3)) * 10.0 ** rng.integers(-100, 100, size=(6, 5, 3)),
               rng.choice([1e-16, 1.0, 1e16, -1e16, 2.0**-53, 3.0], size=(6, 5, 3)),
               1e8 + rng.normal(size=(6, 5, 3)),
-              rng.normal(size=(63, 8, 32))] + _reference_stacks(rng):
+              rng.normal(size=(63, 8, 32)),
+              1e8 + rng.normal(size=(63, 8, 32)),
+              rng.normal(size=(63, 8, 32)) * 1e-310] + _reference_stacks(rng):
         sd = _prefix_stats(x)[3]
         shift = 600 if np.abs(x).max() < 1e-300 else 0
         s, q = [0] * x.shape[2], [0] * x.shape[2]   # running exact sums of x and x^2, None after a NaN
@@ -240,105 +244,108 @@ def _stats_and_grad(x, g):
     return out.data, p.grad
 
 
-def _exact_path_stats(x, g, monkeypatch):
-    """prefix_stats and its gradient with the Python-int path alone."""
-    with monkeypatch.context() as m:
-        m.setattr(tensor_module, "_certified_moments", lambda *args: None)
-        return _stats_and_grad(x, g)
-
-
-def test_prefix_stats_certified_path_covers_normal_blocks(monkeypatch):
-    # the strict-scope shape of one L stack: every cell is certified, and its
-    # bits are those of the exact path
-    def fail(*args):
-        raise AssertionError("exact fallback called")
-
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        x, g = rng.normal(size=(63, 8, 32)), rng.normal(size=(63, 4, 32))
-        ref = _exact_path_stats(x, g, monkeypatch)
-        with monkeypatch.context() as m:
-            m.setattr(tensor_module, "_exact_moments", fail)
-            out = _stats_and_grad(x, g)
-            with no_grad():
-                assert np.array_equal(prefix_stats(Tensor(x)).data, ref[0])
-        assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
-
-
 def _tie_stacks():
-    """(input, refused) pairs of (2, 2, 16) stacks of ones: a cell on or a
-    hair beside a value half-way between two floats, which no error bound
-    can place, then the same cell moved off the tie.
+    """(2, 2, 16) stacks of ones with a cell on or a hair beside a value
+    half-way between two floats, then the same cell moved off the tie.
 
     Column 0 sums to 1 + 2**-53 (a tie), 1.5 + 2**-53 + 2**-120 (just above
-    one) or 1 + 2**-52, with a part below the second extraction level; in
-    column 1 the first block is (c, 0), variance c**2 / 4, with c**2 of 54
-    bits for the odd c."""
-    pairs = []
-    for col, tie in (((1.0, 2.0**-53, 2.0**-120, -2.0**-120), True),
-                     ((1.0, 2.0**-53, 2.0**-120, 0.5), True),
-                     ((1.0, 2.0**-52, 2.0**-120, -2.0**-120), False)):
+    one) or 1 + 2**-52, with a part far below the rest; in column 1 the
+    first block is (c, 0), variance c**2 / 4, with c**2 of 54 bits for the
+    odd c."""
+    stacks = []
+    for col in ((1.0, 2.0**-53, 2.0**-120, -2.0**-120),
+                (1.0, 2.0**-53, 2.0**-120, 0.5),
+                (1.0, 2.0**-52, 2.0**-120, -2.0**-120)):
         x = np.ones((2, 2, 16))
         x[:, :, 0] = np.reshape(col, (2, 2))
-        pairs.append((x, tie))
-    for c, tie in ((94906267.0, True), (94906266.0, False)):
+        stacks.append(x)
+    for c in (94906267.0, 94906266.0):
         x = np.ones((2, 2, 16))
         x[0, :, 1] = c, 0.0
-        pairs.append((x, tie))
-    return pairs
+        stacks.append(x)
+    return stacks
 
 
-def _both_moments(x):
-    """`_certified_moments` and `_exact_moments` on x (B, R, d), whatever its size,
-    given what `prefix_stats` gives them."""
-    k = math.frexp(np.abs(x).max())[1] - 480
-    xs = np.ldexp(x, -k)
-    rows = np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1]
-    flat = np.maximum.accumulate(x.max(axis=1)) == np.minimum.accumulate(x.min(axis=1))
-    return (tensor_module._certified_moments(tensor_module._moment_groups(xs), rows, k, flat),
-            tensor_module._exact_moments(xs, rows, k))
+def _stress_stacks(rng, shape):
+    """One stack of `shape` per stress family of the exact pooled sums."""
+    x = rng.normal(size=shape)
+    sparse = np.where(rng.random(shape) < 0.9, 0.0, x)
+    wide = x * 1e-4   # beside a 1e300 column these scale to about 2**-530: float squares lose bits
+    wide[..., 0] = 1e300
+    nan_row = x.copy()
+    nan_row[-1, 0] = np.nan
+    return [x, 1e8 + x, x * 10.0 ** rng.integers(-150, 151, size=shape), x * 1e-310,
+            x * 1e300, np.where(x > 0, 1.7e308, -1.7e308), np.full(shape, 0.1), sparse,
+            wide, nan_row]
 
 
-def test_prefix_stats_fallback_inputs_match_exact_path(monkeypatch):
-    # the certified path refuses these stacks, or gives the exact path's bits;
-    # the (9, 4, 8) and (2, 2, 16) stacks lie below `EXACT_MAX_ENTRIES`
+def _moments_args(x):
+    """The (xs, rows, k) that `prefix_stats` hands a moments routine for x (B, R, d)."""
+    xf = np.where(np.isfinite(x), x, 0.0)
+    k = math.frexp(np.abs(xf).max())[1] - 480
+    return np.ldexp(xf, -k), np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1], k
+
+
+def test_prefix_stats_moment_routes_give_equal_bits(monkeypatch):
+    # the Python-int sums and the extraction ladder compute the same exact sums,
+    # so they round to the same bits whatever the stack's size
     rng = np.random.default_rng(45)
     const = rng.normal(size=(63, 8, 32))
-    const[:, :, ::3] = 0.1     # certified: equal rows have variance exactly 0
-    cases = [(const, False),
-             (1e8 + rng.normal(size=(63, 8, 32)), True),
-             (rng.normal(size=(9, 4, 8)) * 10.0 ** rng.integers(-150, 151, size=(9, 4, 8)), True),
-             (rng.normal(size=(9, 4, 8)) * 1e-310, True)] + _tie_stacks()
-    for x, refused in cases:
-        certified, exact = _both_moments(x)
-        if refused:
-            assert certified is None
-        else:
-            assert all(np.array_equal(c, e) for c, e in zip(certified, exact))
-        g = rng.normal(size=(x.shape[0], 4, x.shape[2]))
-        out, ref = _stats_and_grad(x, g), _exact_path_stats(x, g, monkeypatch)
-        assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+    const[:, :, ::3] = 0.1     # equal rows: variance exactly 0
+    cases = (_stress_stacks(rng, (9, 4, 8)) + _stress_stacks(rng, (40, 4, 8)) + _tie_stacks()
+             + [const, 1e8 + rng.normal(size=(63, 8, 32))])
+    for x in cases:
+        with np.errstate(over="ignore", invalid="ignore"):   # +-1.7e308: sums past the float range
+            ladder = tensor_module._ladder_moments(*_moments_args(x))
+            exact = tensor_module._exact_moments(*_moments_args(x))
+            g = rng.normal(size=(x.shape[0], 4, x.shape[2]))
+            outs = []
+            for n in (0, x.size):   # every stack on the ladder, then on the ints
+                monkeypatch.setattr(tensor_module, "EXACT_MAX_ENTRIES", n)
+                outs.append(_stats_and_grad(x, g))
+        for a, b in zip(ladder + outs[0], exact + outs[1]):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), x.shape
 
 
 def test_prefix_stats_routes_by_entry_count(monkeypatch):
-    # up to `EXACT_MAX_ENTRIES` entries the integer sums alone run; above, the
-    # certified path runs first and is kept unless it refuses
+    # up to `EXACT_MAX_ENTRIES` entries the integer sums run, above it the ladder;
+    # exactly one of them per call
     calls = []
-    for name in ("_certified_moments", "_exact_moments"):
+    for name in ("_ladder_moments", "_exact_moments"):
         f = getattr(tensor_module, name)
         monkeypatch.setattr(tensor_module, name,
                             lambda *a, f=f, name=name: calls.append(name) or f(*a))
     rng = np.random.default_rng(47)
     n = EXACT_MAX_ENTRIES
-    for shape, offset, route in (((1, n, 1), 0.0, ["_exact_moments"]),
-                                 ((n // 64, 4, 16), 0.0, ["_exact_moments"]),
-                                 ((1, 4, 32), 0.0, ["_exact_moments"]),
-                                 ((1, n + 1, 1), 0.0, ["_certified_moments"]),
-                                 ((n // 32 + 1, 1, 32), 0.0, ["_certified_moments"]),
-                                 ((1, n + 1, 1), 1e8, ["_certified_moments", "_exact_moments"])):
+    for shape, offset, route in (((1, n, 1), 0.0, "_exact_moments"),
+                                 ((n // 64, 4, 16), 1e8, "_exact_moments"),
+                                 ((1, 4, 32), 0.0, "_exact_moments"),
+                                 ((1, n + 1, 1), 0.0, "_ladder_moments"),
+                                 ((n // 32 + 1, 1, 32), 0.0, "_ladder_moments"),
+                                 ((1, n + 1, 1), 1e8, "_ladder_moments")):
         calls.clear()
         prefix_stats(Tensor(offset + rng.normal(size=shape)))
-        assert calls == route, shape
+        assert calls == [route], shape
+
+
+def test_prefix_stats_ladder_edge_stacks():
+    # above `EXACT_MAX_ENTRIES`: an all-zero stack (no warning: the suite turns
+    # warnings into errors), one nonzero entry, and 5,000 blocks of full mantissas,
+    # whose prefix sums over blocks overflow int64 unless the levels narrow with B
+    mean, mx, mn, sd = _prefix_stats(np.zeros((63, 8, 32)))
+    assert not mean.any() and not sd.any() and not mx.any() and not mn.any()
+    x = np.zeros((63, 8, 32))
+    x[5, 3, 7] = -3.0
+    mean, mx, mn, sd = _prefix_stats(x)
+    r = 8 * np.arange(1, 64)
+    assert np.array_equal(mean[:, 7], np.where(np.arange(63) < 5, 0.0, -3.0 / r))
+    var = np.where(np.arange(63) < 5, 0.0, 9.0 * (r - 1) / (r * r))   # correctly rounded
+    assert np.array_equal(sd[:, 7], np.sqrt(var))
+    assert not np.delete(mean, 7, axis=1).any() and not np.delete(sd, 7, axis=1).any()
+    full = np.full((5000, 2, 1), 1 - 2.0**-52)
+    exact = tensor_module._exact_moments(*_moments_args(full))
+    for a, b in zip(tensor_module._ladder_moments(*_moments_args(full)), exact):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_prefix_stats_permutation_invariant_bitwise():
@@ -420,7 +427,7 @@ def test_prefix_stats_std_gradient_of_subnormal_blocks():
 def test_prefix_stats_mean_past_the_float_range_is_the_plain_sum_over_r():
     # a column sum past the largest float is +-inf, fl(sum) / r, with no exception and
     # no warning (the suite turns warnings into errors); the +-1.7e308 column is a control
-    for shape in ((1, 2, 1), (2, 1, 1), (40, 8, 2)):   # the last one takes the certified path
+    for shape in ((1, 2, 1), (2, 1, 1), (80, 8, 2)):   # the last one takes the ladder
         for v in (1.7e308, -1.7e308):
             x = np.full(shape, v)
             mean, mx, mn, sd = _prefix_stats(x)
