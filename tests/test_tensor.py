@@ -286,25 +286,66 @@ def _moments_args(x):
     return np.ldexp(xf, -k), np.arange(1, x.shape[0] + 1)[:, None] * x.shape[1], k
 
 
-def test_prefix_stats_moment_routes_give_equal_bits(monkeypatch):
-    # the Python-int sums and the extraction ladder compute the same exact sums,
-    # so they round to the same bits whatever the stack's size
+def _route_outputs(x, g, monkeypatch):
+    """prefix_stats outputs and gradients with x forced onto the ladder, then
+    onto the Python-int sums, by moving `EXACT_MAX_ENTRIES`."""
+    outs = []
+    with monkeypatch.context() as m:
+        for n in (0, x.size):
+            m.setattr(tensor_module, "EXACT_MAX_ENTRIES", n)
+            outs.append(_stats_and_grad(x, g))
+    return outs
+
+
+def _assert_routines_agree(x, g, monkeypatch):
+    """Both moments routines, and prefix_stats on both routes, give the same bits."""
+    with np.errstate(over="ignore", invalid="ignore"):   # +-1.7e308: sums past the float range
+        ladder = tensor_module._ladder_moments(*_moments_args(x))
+        exact = tensor_module._exact_moments(*_moments_args(x))
+        on_ladder, on_ints = _route_outputs(x, g, monkeypatch)
+    for a, b in zip(ladder + on_ladder, exact + on_ints):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), x.shape
+
+
+def test_prefix_stats_certified_path_covers_normal_blocks(monkeypatch):
+    # the strict-scope shape of one L stack lies above `EXACT_MAX_ENTRIES`: the
+    # large-stack route (the ladder, which replaced the certified path) covers
+    # every cell alone, and its bits are those of the Python-int sums
+    def fail(*args):
+        raise AssertionError("integer sums called")
+
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x, g = rng.normal(size=(63, 8, 32)), rng.normal(size=(63, 4, 32))
+        ref = _route_outputs(x, g, monkeypatch)[1]
+        with monkeypatch.context() as m:
+            m.setattr(tensor_module, "_exact_moments", fail)
+            out = _stats_and_grad(x, g)
+            with no_grad():
+                assert np.array_equal(prefix_stats(Tensor(x)).data, ref[0])
+        assert np.array_equal(out[0], ref[0]) and np.array_equal(out[1], ref[1])
+
+
+def test_prefix_stats_fallback_inputs_match_exact_path(monkeypatch):
+    # the inputs the deleted certified path refused or special-cased (constant
+    # columns, 1e8 + N(0,1), 10**+-150 spreads, subnormal sums, rounding ties)
+    # give the Python-int sums' bits on the ladder too
     rng = np.random.default_rng(45)
     const = rng.normal(size=(63, 8, 32))
     const[:, :, ::3] = 0.1     # equal rows: variance exactly 0
-    cases = (_stress_stacks(rng, (9, 4, 8)) + _stress_stacks(rng, (40, 4, 8)) + _tie_stacks()
-             + [const, 1e8 + rng.normal(size=(63, 8, 32))])
+    cases = [const, 1e8 + rng.normal(size=(63, 8, 32)),
+             rng.normal(size=(9, 4, 8)) * 10.0 ** rng.integers(-150, 151, size=(9, 4, 8)),
+             rng.normal(size=(9, 4, 8)) * 1e-310] + _tie_stacks()
     for x in cases:
-        with np.errstate(over="ignore", invalid="ignore"):   # +-1.7e308: sums past the float range
-            ladder = tensor_module._ladder_moments(*_moments_args(x))
-            exact = tensor_module._exact_moments(*_moments_args(x))
-            g = rng.normal(size=(x.shape[0], 4, x.shape[2]))
-            outs = []
-            for n in (0, x.size):   # every stack on the ladder, then on the ints
-                monkeypatch.setattr(tensor_module, "EXACT_MAX_ENTRIES", n)
-                outs.append(_stats_and_grad(x, g))
-        for a, b in zip(ladder + outs[0], exact + outs[1]):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), x.shape
+        _assert_routines_agree(x, rng.normal(size=(x.shape[0], 4, x.shape[2])), monkeypatch)
+
+
+def test_prefix_stats_moment_routes_give_equal_bits(monkeypatch):
+    # the Python-int sums and the extraction ladder compute the same exact sums,
+    # so they round to the same bits whatever the stack's size
+    rng = np.random.default_rng(46)
+    for x in _stress_stacks(rng, (9, 4, 8)) + _stress_stacks(rng, (40, 4, 8)):
+        _assert_routines_agree(x, rng.normal(size=(x.shape[0], 4, x.shape[2])), monkeypatch)
 
 
 def test_prefix_stats_routes_by_entry_count(monkeypatch):
