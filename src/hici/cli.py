@@ -46,7 +46,9 @@ from .config import (
 from .gradcheck import check_host_block_gradients, check_module_gradients
 from .host import (
     HostConfig,
+    check_train_input,
     encode_bytes,
+    eval_config,
     eval_ppl,
     lm_forward,
     load_checkpoint,
@@ -166,6 +168,7 @@ def _cmd_train(args):
     cfg = dataclasses.replace(cfg, hici=_apply_overrides(cfg.hici, args))
     with open(args.corpus, "rb") as fh:
         corpus = encode_bytes(fh.read())
+    check_train_input(corpus, cfg, args.steps)
     _write_manifest(args.out, "train", config_to_dict(cfg), cfg.seed,
                     ["loss_trace.csv", "checkpoint/"])
     params, opt, rng, trace = train(corpus, cfg, args.steps)
@@ -200,6 +203,7 @@ def _cmd_eval_ppl(args):
         ids = encode_bytes(fh.read())
     eval_len = _eval_len(args, cfg)
     stride = args.stride if args.stride is not None else min(256, eval_len)
+    eval_config(cfg, ids.shape[0], eval_len, stride, args.mode)
     if args.out:
         _write_manifest(args.out, "eval-ppl",
                         {"ckpt_step": step, "eval_len": eval_len,

@@ -256,6 +256,15 @@ def clip_grad_norm(tensors, max_norm):
 # training
 
 
+def check_train_input(corpus_ids, cfg: HostConfig, steps):
+    """Raise ConfigError unless `train` can run `steps` steps on the token array `corpus_ids`."""
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
+    if corpus_ids.shape[0] < cfg.max_T + 1:
+        raise ConfigError(
+            f"corpus has {corpus_ids.shape[0]} tokens, needs at least max_T+1={cfg.max_T + 1}")
+
+
 def train(corpus_ids, cfg: HostConfig, steps, params=None, opt=None, rng=None,
           start_step=0):
     """Next-token training; deterministic given the config seed.
@@ -267,12 +276,8 @@ def train(corpus_ids, cfg: HostConfig, steps, params=None, opt=None, rng=None,
     norm stops the run before that step's update: its row ends the trace
     and the parameters keep their previous values.
     """
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
     corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
-    if corpus_ids.shape[0] < cfg.max_T + 1:
-        raise ConfigError(
-            f"corpus has {corpus_ids.shape[0]} tokens, needs at least max_T+1={cfg.max_T + 1}")
+    check_train_input(corpus_ids, cfg, steps)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     if params is None:
@@ -403,16 +408,9 @@ def load_checkpoint(ckpt_dir):
 # evaluation
 
 
-def eval_ppl(params: HostParams, cfg: HostConfig, ids, eval_T, stride, mode="hici"):
-    """Sliding-window perplexity: exp(mean NLL over scored positions).
-
-    Windows start at multiples of `stride`; the first window scores all
-    its targets, later windows only their last `stride` targets (the new
-    ones). Texts shorter than one window raise. mode='full' evaluates
-    with plain causal attention over the whole window (one segment, no
-    slots) instead of the training-consistent hierarchical attention.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
+def eval_config(cfg: HostConfig, n_tokens, eval_T, stride, mode="hici"):
+    """The config `eval_ppl` scores a text of `n_tokens` tokens with, once its
+    arguments are checked; ConfigError if any of them is out of range."""
     if mode == "full":
         cfg = dataclasses.replace(cfg, hici=dataclasses.replace(
             cfg.hici, S=eval_T, M=0, K=0, causal_segment_mask=True, global_scope=SCOPE_ALL))
@@ -424,9 +422,22 @@ def eval_ppl(params: HostParams, cfg: HostConfig, ids, eval_T, stride, mode="hic
         raise ConfigError(f"eval_T={eval_T} exceeds max_T={cfg.max_T}")
     if not (1 <= stride <= eval_T):
         raise ConfigError(f"stride={stride} must lie in [1, eval_T={eval_T}]")
-    if ids.shape[0] < eval_T:
-        raise ConfigError(f"text has {ids.shape[0]} tokens, shorter than eval_T={eval_T}")
+    if n_tokens < eval_T:
+        raise ConfigError(f"text has {n_tokens} tokens, shorter than eval_T={eval_T}")
+    return cfg
 
+
+def eval_ppl(params: HostParams, cfg: HostConfig, ids, eval_T, stride, mode="hici"):
+    """Sliding-window perplexity: exp(mean NLL over scored positions).
+
+    Windows start at multiples of `stride`; the first window scores all
+    its targets, later windows only their last `stride` targets (the new
+    ones). Texts shorter than one window raise. mode='full' evaluates
+    with plain causal attention over the whole window (one segment, no
+    slots) instead of the training-consistent hierarchical attention.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    cfg = eval_config(cfg, ids.shape[0], eval_T, stride, mode)
     nlls = []
     start = 0
     first = True

@@ -2,10 +2,13 @@
 
 Every value flowing through the attention module is a `Tensor`: a
 C-contiguous float64 numpy array plus an optional autodiff record. Each
-primitive op returns a fresh Tensor; when gradients are enabled and an
-input requires grad, the op attaches a closure that propagates the
-output adjoint to its inputs. `backward(loss)` replays those closures in
-reverse topological order. A graph can be differentiated once; calling
+primitive op takes its operands as Tensors, as its callers hold them,
+and converts none; only non-differentiable arguments (a constant factor,
+integer ids or targets, a boolean mask) are plain arrays. Each op
+returns a fresh Tensor; when gradients are enabled and an input requires
+grad, the op attaches a closure that propagates the output adjoint to
+its inputs. `backward(loss)` replays those closures in reverse
+topological order. A graph can be differentiated once; calling
 `backward` a second time without a new forward pass raises instead of
 silently accumulating garbage. Inside `no_grad()` no op records parents
 or a closure, so a forward pass holds only its live activations.
@@ -13,6 +16,8 @@ or a closure, so a forward pass holds only its live activations.
 `attention` is the one multi-head attention op: it runs every head of
 B stacked blocks (segments) in a single graph node with a closed-form
 backward, so a module pass builds the same small graph at any length.
+Its one forward loop runs the blocks in chunks; its one mask shape is
+(Lq, Lk), shared by every block and head.
 
 `prefix_stats` pools the statistics of every prefix of a stack of
 blocks in one node from exact sums, carried from prefix to prefix, so
@@ -52,30 +57,31 @@ buffer; with a graph `cross_entropy_mean` keeps that buffer whole, and
 its backward turns it into the softmax in place and hands it over.
 
 Working sets stay bounded, bit-identical to the whole-array kernels.
-Without a graph, `attention` runs its blocks in chunks of at most
-`SCORE_BUDGET` score entries when nothing reads the probabilities
-afterwards (no recorded graph, no probe) and the whole score buffer is
-larger; `nll_rows` works in row blocks of at most `SCORE_BUDGET`
-logits; `gelu` builds its output in the tanh buffer when no backward
-reads it. The backward kernels of `gelu` and `layer_norm` run in blocks
-of at most `SCORE_BUDGET` entries (whole rows for `layer_norm`) written
-into one output array, and `embedding` scatters with one `np.bincount`
-per column, the in-order sums of `np.add.at`. The `h @ head` logits product
+`attention` runs its blocks in chunks of at most `SCORE_BUDGET` score
+entries when nothing reads the probabilities afterwards (no recorded
+graph, no probe), and in one chunk of every block when something does;
+`nll_rows` works in row blocks of at most `SCORE_BUDGET` logits; `gelu`
+builds its output in the tanh buffer when no backward reads it. The
+backward kernels of `gelu` and `layer_norm` run in blocks of at most
+`SCORE_BUDGET` entries (whole rows for `layer_norm`) written into one
+output array, and `embedding` scatters with one `np.bincount` per
+column, the in-order sums of `np.add.at`. The `h @ head` logits product
 stays whole: with OpenBLAS, row blocks of a (2048, 32) @ (32, 257)
 product differ in their last bits from the whole product, so the
 (T, vocab) logits are the one array a scoring window needs whole.
 
 Fixed costs per call stay small, because at tiny shapes they are the
-whole cost: the gradient oracle at T=8 makes about 80k ops per check.
-No hot path enters a generator context manager (`no_grad` and
-`flop_scope` are small classes). An op hands the fresh float64 array
-numpy made to `_make`, which wraps it as it is and copies only a strided
-one, with no re-validation. `attention` converts, checks and inverts its
-mask once per call, not once per chunk, and builds no helper closures.
-Row means and softmax reductions call the numpy ufuncs (`np.add.reduce`,
-`np.maximum.reduce`) that `ndarray.mean`, `sum` and `max` call, without
-their Python wrappers, so the bits are the same. `prefix_stats` finds the
-first argmax and argmin rows only when a backward runs.
+whole cost: the gradient oracle at T=8 makes about 80k ops per check. No
+hot path enters a generator context manager (`no_grad` and `flop_scope`
+are small classes). An op hands the fresh float64 array numpy made to
+`_make`, which wraps it as it is and copies only a strided one, with no
+re-validation, and no op coerces its operands into Tensors. `attention`
+converts its mask, checks it against (Lq, Lk) and inverts it once per
+call, before the first chunk. Row means and softmax reductions call the
+numpy ufuncs (`np.add.reduce`, `np.maximum.reduce`) that `ndarray.mean`,
+`sum` and `max` call, without their Python wrappers, so the bits are the
+same. `prefix_stats` finds the first argmax and argmin rows only when a
+backward runs.
 
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
 arithmetic issued by a forward pass. Matmuls are charged 2*m*k*n
@@ -251,10 +257,6 @@ def parameter(data):
     return Tensor(data, requires_grad=True)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 _new_object = object.__new__
 
 
@@ -340,7 +342,6 @@ def matmul(a, b):
 
     FLOPs: 2*m*k*n per block.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}")
@@ -357,7 +358,6 @@ def matmul(a, b):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
     FLOPS.add("other", a.data.size)
@@ -374,8 +374,6 @@ def add(a, b):
 
 def mul_const(a, c):
     """Elementwise product with a non-differentiable constant (array or scalar)."""
-    a = _as_tensor(a)
-    c = np.asarray(c, dtype=np.float64)
     FLOPS.add("other", a.data.size)
     out = a.data * c
 
@@ -387,7 +385,6 @@ def mul_const(a, c):
 
 def scale(a, s):
     """Product with a single-element gate tensor; differentiable in both."""
-    a, s = _as_tensor(a), _as_tensor(s)
     if s.data.size != 1:
         raise ShapeError(f"scale: gate must hold one value, got shape {s.data.shape}")
     FLOPS.add("other", a.data.size)
@@ -407,16 +404,16 @@ def _softmax(a, visible=None):
     """Softmax over the last axis with max subtraction, in place; masked entries get 0.
 
     Overwrites and returns `a`, so a caller that does not own `a` passes a
-    copy. `visible` is an optional boolean mask shaped like the trailing
+    copy. `visible` is an optional boolean mask shaped like the last two
     axes of `a`; every row must keep at least one visible entry.
     """
     return _softmax_hidden(a, None if visible is None else _hidden(visible, a.shape))
 
 
 def _hidden(visible, score_shape):
-    """The entries a `visible` mask hides from scores of `score_shape`, once checked."""
+    """The entries a `visible` mask of the last two axes of `score_shape` hides, once checked."""
     visible = np.asarray(visible, dtype=bool)
-    if visible.shape != score_shape[len(score_shape) - visible.ndim:]:
+    if visible.shape != score_shape[-2:]:
         raise ShapeError(f"softmax: mask shape {visible.shape} vs scores {score_shape}")
     if not np.logical_and.reduce(np.logical_or.reduce(visible, axis=-1), axis=None):
         raise ShapeError("softmax: some row has no visible entry")
@@ -443,34 +440,28 @@ def _merge_heads(x, width):
     return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
 
 
-def _probs(qh, kh, inv_scale, hidden):
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores *= inv_scale
-    return _softmax_hidden(scores, hidden)
-
-
 def attention(q, k, v, n_heads, visible=None, probe=None):
     """Multi-head scaled dot-product attention over B stacked blocks.
 
-    `k` and `v` are (B, Lk, W); `q` is (B, Lq, W), or (Lq, W) when every
-    block shares it. Heads split W contiguously into slices of width dk,
-    scores are scaled by 1/sqrt(dk), and the result is (B, Lq, W) with no
-    output projection. `visible` is an optional (Lq, Lk) boolean mask
+    `k` and `v` are (B, Lk, W) Tensors; `q` is (B, Lq, W), or (Lq, W) when
+    every block shares it. Heads split W contiguously into slices of width
+    dk, scores are scaled by 1/sqrt(dk), and the result is (B, Lq, W) with
+    no output projection. `visible` is an optional (Lq, Lk) boolean mask
     shared by every block and head, checked once per call. `probe`, a
     diagnostic hook, is called with the probabilities, shape (B, n_heads,
     Lq, Lk).
 
-    When no graph is recorded, no probe is given and the B*H*Lq*Lk scores
-    exceed `SCORE_BUDGET`, the blocks run in chunks that each stay within
-    it, writing into one output array; every product and softmax row is
-    the one the whole stack computes, so the result is bit-identical.
+    One loop runs the blocks in chunks and writes each chunk's heads into
+    one output array. When a backward or a probe reads the probabilities
+    afterwards, the one chunk is every block; otherwise each chunk holds
+    at most `SCORE_BUDGET` scores. Every product and softmax row is the one
+    the whole stack computes, so the result does not depend on the chunks.
 
     Backward is closed form: with dP = dO V^T the score adjoint is
     P * (dP - rowsum(dP * P)) (Dao et al. 2022). FLOPs per block and head
     are those of the unfused chain: 4*Lq*Lk*dk matmul (scores and P V)
     and 6*Lq*Lk other (scaling and softmax).
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
     if (kd.ndim != 3 or vd.shape != kd.shape or qd.shape[-1] != kd.shape[2]
             or qd.ndim not in (2, 3) or qd.shape[:-2] not in ((), kd.shape[:1])):
@@ -481,32 +472,23 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
         raise ShapeError(f"attention width {width} not divisible by {n_heads} heads")
     dk = width // n_heads
     n_queries = qd.shape[-2]
-    n_scores = n_blocks * n_heads * n_queries * n_keys
-    FLOPS.add("matmul", 4 * n_scores * dk)
-    FLOPS.add("other", 6 * n_scores)
+    per_block = n_heads * n_queries * n_keys
+    FLOPS.add("matmul", 4 * n_blocks * per_block * dk)
+    FLOPS.add("other", 6 * n_blocks * per_block)
     inv_scale = 1.0 / math.sqrt(dk)
-
-    if probe is None and n_scores > SCORE_BUDGET and not _records((q, k, v)):
-        # nothing reads p afterwards: run chunks of blocks, each within the budget
-        blocks = list(_row_blocks(n_blocks, n_scores // n_blocks))
-        hidden = None
-        if visible is not None:   # checked against the scores of the first and the last chunk
-            for blk in (blocks[0], blocks[-1]):
-                chunk = min(blk.stop, n_blocks) - blk.start
-                hidden = _hidden(visible, (chunk, n_heads, n_queries, n_keys))
-        out = np.empty((n_blocks, n_queries, width))
-        out_heads = out.reshape(out.shape[:2] + (n_heads, dk))
-        qh = _split_heads(qd, n_heads, dk) if qd.ndim == 2 else None
-        for blk in blocks:
-            p = _probs(_split_heads(qd[blk], n_heads, dk) if qh is None else qh,
-                       _split_heads(kd[blk], n_heads, dk), inv_scale, hidden)
-            out_heads[blk] = (p @ _split_heads(vd[blk], n_heads, dk)).swapaxes(-3, -2)
-        return _wrap(out)
-
+    hidden = None if visible is None else _hidden(visible, (n_queries, n_keys))
     qh, kh, vh = (_split_heads(qd, n_heads, dk), _split_heads(kd, n_heads, dk),
                   _split_heads(vd, n_heads, dk))
-    p = _probs(qh, kh, inv_scale, None if visible is None else
-               _hidden(visible, (n_blocks, n_heads, n_queries, n_keys)))
+    # one chunk of every block when a backward or the probe reads p, or when it fits
+    whole = (probe is not None or n_blocks * per_block <= SCORE_BUDGET
+             or _records((q, k, v)))
+    out = np.empty((n_blocks, n_queries, width))
+    out_heads = out.reshape(out.shape[:2] + (n_heads, dk))
+    for blk in (slice(None),) if whole else _row_blocks(n_blocks, per_block):
+        p = (qh if qd.ndim == 2 else qh[blk]) @ kh[blk].swapaxes(-1, -2)
+        p *= inv_scale
+        _softmax_hidden(p, hidden)
+        out_heads[blk] = (p @ vh[blk]).swapaxes(-3, -2)
     if probe is not None:
         probe(p)
 
@@ -524,7 +506,7 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
         if k.requires_grad:
             k._take(_merge_heads(ds.swapaxes(-1, -2) @ qh, width))
 
-    return _make(_merge_heads(p @ vh, width), (q, k, v), bwd)
+    return _make(out, (q, k, v), bwd)
 
 
 def _row_means(a):
@@ -539,7 +521,6 @@ def layer_norm(a, gain, bias, eps=1e-5):
 
     FLOPs: ~10 per element.
     """
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     ad = a.data
     if ad.ndim != 2:
         raise ShapeError(f"layer_norm: need a 2-d tensor, got shape {ad.shape}")
@@ -743,7 +724,6 @@ def prefix_stats(blocks):
     bits. Max and min route their gradient to the first argmax / argmin,
     which only the backward looks for. FLOPs: 7 per element.
     """
-    blocks = _as_tensor(blocks)
     x = blocks.data
     if x.ndim != 3 or 0 in x.shape[:2]:
         raise ShapeError(f"prefix_stats: need non-empty (blocks, rows, d), got shape {x.shape}")
@@ -788,16 +768,25 @@ def prefix_stats(blocks):
 
 
 def l2_normalize(v, eps=1e-12):
-    """v / max(||v||_2, eps) along the last axis; a zero vector passes through."""
-    v = _as_tensor(v)
+    """v / max(||v||_2, eps) along the last axis; a zero vector passes through.
+
+    A row whose largest entry reaches 2**256 is first scaled by 2**k, k < 0,
+    so that its largest entry lies in [2**255, 2**256): its squared norm and
+    the cube of the norm the backward takes stay finite. Power-of-two
+    scaling is exact, so each result is the unscaled one wherever that one's
+    intermediates are normal; smaller rows are not scaled.
+    """
     FLOPS.add("other", 4 * v.data.size)
-    norm = np.sqrt(v.data[..., None, :] @ v.data[..., :, None])[..., 0]   # np.dot per row
+    # the largest exponent of a row is that of its largest entry
+    k = np.minimum(256 - np.maximum.reduce(np.frexp(v.data)[1], axis=-1, keepdims=True), 0)
+    vs = np.ldexp(v.data, k)
+    norm = np.sqrt(vs[..., None, :] @ vs[..., :, None])[..., 0]   # np.dot per row, of vs
     denom = np.maximum(norm, eps)
-    out = v.data / denom
+    out = vs / denom
 
     def bwd(g):
-        dot = (v.data[..., None, :] @ g[..., :, None])[..., 0]
-        v._take(np.where(norm > eps, g / denom - v.data * (dot / denom**3), g / eps))
+        dot = (vs[..., None, :] @ g[..., :, None])[..., 0]
+        v._take(np.ldexp(np.where(norm > eps, g / denom - vs * (dot / denom**3), g / eps), k))
 
     return _make(out, (v,), bwd)
 
@@ -807,7 +796,6 @@ def softplus(x):
 
     Output is strictly positive for all finite inputs. FLOPs: ~6/element.
     """
-    x = _as_tensor(x)
     FLOPS.add("other", 6 * x.data.size)
     out = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
 
@@ -825,7 +813,6 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x):
     """tanh-form GELU, smooth everywhere. FLOPs: ~12 per element."""
-    x = _as_tensor(x)
     FLOPS.add("other", 12 * x.data.size)
     t = x.data * x.data   # x * x * x: numpy sends x**3 to libm pow (x**2 is a fast square)
     t *= x.data
@@ -865,7 +852,6 @@ def gelu(x):
 
 
 def reshape(a, shape):
-    a = _as_tensor(a)
     out = a.data.reshape(shape)
 
     def bwd(g):
@@ -876,7 +862,6 @@ def reshape(a, shape):
 
 def concat_rows(tensors, axis=0):
     """Join tensors along `axis` (rows by default); all other axes must agree."""
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat_rows: empty input")
     arrays = [t.data for t in tensors]
@@ -902,7 +887,6 @@ def concat_rows(tensors, axis=0):
 
 def slice_rows(a, start, stop, axis=0):
     """Entries start:stop along `axis`, by default the leading one (segments of a stack)."""
-    a = _as_tensor(a)
     if not (0 <= axis < a.data.ndim and 0 <= start <= stop <= a.data.shape[axis]):
         raise ShapeError(f"slice_rows: bad range [{start}:{stop}] on axis {axis} of {a.shape}")
     index = (slice(None),) * axis + (slice(start, stop),)
@@ -918,7 +902,6 @@ def slice_rows(a, start, stop, axis=0):
 
 def embedding(table, ids):
     """Gather rows of `table` by integer ids; scatter-add on the way back."""
-    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2 or ids.ndim != 1:
         raise ShapeError(f"embedding: table {table.data.shape}, ids {ids.shape}")
@@ -964,7 +947,6 @@ def cross_entropy_mean(logits, targets):
 
     Stable log-sum-exp; FLOPs: ~6 per logit.
     """
-    logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
         raise ShapeError(
@@ -990,7 +972,6 @@ def cross_entropy_mean(logits, targets):
 
 def tsum(a):
     """Sum of all elements as a scalar node."""
-    a = _as_tensor(a)
     FLOPS.add("other", a.data.size)
     out = np.array(np.add.reduce(a.data, axis=None))   # a.data.sum()
 

@@ -26,7 +26,7 @@ from hici.config import SCOPE_ALL, SCOPE_PRECEDING, ConfigError, HiCIConfig
 from hici.gradcheck import check_module_gradients
 from hici.tensor import ShapeError, Tensor, attention, reshape, softplus
 
-from oracles import reference_local_construct, reference_mha
+from oracles import reference_hici_forward, reference_local_construct, reference_mha
 
 CFG = HiCIConfig(S=4, M=2, K=2, H=2, d=16, d_b=8, d_s=4)
 
@@ -380,6 +380,28 @@ def test_forward_strict_scope_segment0_gets_zero_context():
                      Tensor(np.zeros((1, cfg.K, cfg.d))),
                      p.broadcast, cfg).data[0]
     assert np.array_equal(out[:cfg.S], seg0)
+
+
+@pytest.mark.parametrize("scope", [SCOPE_ALL, SCOPE_PRECEDING])
+@pytest.mark.parametrize("changes", [
+    {},
+    {"causal_segment_mask": False},
+    {"K": 0},
+    {"M": 0, "K": 0},
+    {"S": 8, "M": 3, "K": 2, "H": 4, "d": 32, "d_b": 16, "d_s": 8},
+], ids=["micro", "no-mask", "K0", "M0-K0", "wide"])
+def test_forward_matches_the_reference_forward(scope, changes):
+    cfg = dataclasses.replace(CFG, global_scope=scope, **changes)
+    p = _params(cfg)
+    rng = np.random.default_rng(35)
+    for t in named_tensors(p).values():   # far from init, so every context moves the output
+        t.data = rng.normal(size=t.data.shape)
+    w = {name: t.data for name, t in named_tensors(p).items()}
+    for n in (1, 2, 5):
+        x = rng.normal(size=(n * cfg.S, cfg.d))
+        out = hici_forward(Tensor(x), p, cfg).data
+        ref = reference_hici_forward(x, w, cfg)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_forward_rejects_bad_width():

@@ -239,6 +239,40 @@ def test_train_rejects_negative_steps(tmp_path, host_config_file, corpus_file, c
     assert not (out_dir / "checkpoint").exists()
 
 
+@pytest.mark.parametrize("corpus, steps, message", [
+    (b"abc", "2", "corpus has 3 tokens, needs at least max_T+1=33"),
+    (b"abcdefgh" * 8, "-1", "steps must be >= 0, got -1"),
+], ids=["short-corpus", "negative-steps"])
+def test_train_checks_its_input_before_writing(tmp_path, host_config_file, capsys,
+                                               corpus, steps, message):
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(corpus)
+    out_dir = tmp_path / "run"
+    assert dispatch(["train", "--config", host_config_file, "--corpus", str(path),
+                     "--steps", steps, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, stride, message", [
+    (b"abcdefgh" * 8, "0", "stride=0 must lie in [1, eval_T=32]"),
+    (b"abcdefgh" * 3, "16", "text has 24 tokens, shorter than eval_T=32"),
+], ids=["zero-stride", "short-text"])
+def test_eval_ppl_checks_its_input_before_writing(tmp_path, host_config_file, corpus_file,
+                                                  capsys, text, stride, message):
+    run = tmp_path / "train"
+    assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
+                     "--steps", "1", "--out", str(run)]) == 0
+    path = tmp_path / "text.bin"
+    path.write_bytes(text)
+    out_dir = tmp_path / "eval"
+    capsys.readouterr()
+    assert dispatch(["eval-ppl", "--ckpt", str(run / "checkpoint"), "--text", str(path),
+                     "--stride", stride, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("lr_backbone", "fast"),
     ("n_layers", 1.5),

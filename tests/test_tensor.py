@@ -529,6 +529,26 @@ def test_l2_normalize_works_along_the_last_axis():
     assert np.abs(out - [[[0.6, 0.8]], [[0.0, 0.0]]]).max() <= 1e-15
 
 
+def test_l2_normalize_of_a_row_past_the_square_range_is_its_unit_vector():
+    # 1e200 squared overflows: the row is normalized in a power-of-two scale, with no warning
+    row = np.full(3, 1e200)
+    out = l2_normalize(Tensor(row)).data
+    assert np.array_equal(out, l2_normalize(Tensor(row * 2.0**-600)).data)
+    assert np.abs(out - 1.0 / math.sqrt(3.0)).max() <= 1e-15
+
+
+def test_l2_normalize_backward_scales_with_its_input():
+    # at 2**600 the cube of the norm is past the float range; the gradient scales exactly
+    v = np.array([[3.0, 4.0], [-12.0, 5.0]])
+    upstream = np.array([[0.7, -1.3], [2.5, 0.25]])
+    grads = []
+    for s in (1.0, 2.0**600):
+        p = parameter(v * s)
+        backward(tsum(mul_const(l2_normalize(p), upstream)))
+        grads.append(p.grad)
+    assert np.array_equal(grads[1], grads[0] * 2.0**-600)
+
+
 def test_softplus_values():
     assert abs(softplus(Tensor([0.0])).data[0] - math.log(2.0)) <= 1e-15
     assert abs(softplus(Tensor([100.0])).data[0] - 100.0) <= 1e-12
@@ -735,7 +755,7 @@ def test_attention_equals_out_of_place_formula():
     visible[:, 2] = True
     for q in (rng.normal(scale=3.0, size=(3, 4, 12)), rng.normal(scale=3.0, size=(4, 12))):
         for mask in (None, visible):
-            out = attention(q, k, v, 3, visible=mask).data
+            out = attention(Tensor(q), Tensor(k), Tensor(v), 3, visible=mask).data
             assert np.array_equal(out, _attention_formula(q, k, v, 3, mask))
 
     # without a graph, over the score budget: chunks of blocks, the last one partial
@@ -747,41 +767,42 @@ def test_attention_equals_out_of_place_formula():
     for q in (rng.normal(scale=3.0, size=(n_blocks, 16, 12)), rng.normal(scale=3.0, size=(16, 12))):
         for mask in (None, visible):
             with no_grad():
-                out = attention(q, k, v, 2, visible=mask).data
+                out = attention(Tensor(q), Tensor(k), Tensor(v), 2, visible=mask).data
             assert np.array_equal(out, _attention_formula(q, k, v, 2, mask))
-            assert np.array_equal(out, attention(parameter(q), k, v, 2, visible=mask).data)
+            assert np.array_equal(
+                out, attention(parameter(q), Tensor(k), Tensor(v), 2, visible=mask).data)
 
 
 def test_attention_rejects_a_bad_mask_alike_on_every_path():
-    # checked once per call, a bad mask still fails as the per-chunk check did: graph-free
-    # below and above the score budget, and with a recorded graph
+    # a mask is (Lq, Lk), checked once per call before any chunking: it fails alike
+    # graph-free below and above the score budget, and with a recorded graph
     rng = np.random.default_rng(32)
-    n_blocks, per_block = 100, 2 * 16 * 24
-    step = SCORE_BUDGET // per_block
+    n_blocks = 100
     k, v = rng.normal(size=(2, n_blocks, 24, 12))
     q = rng.normal(size=(n_blocks, 16, 12))
     no_row = np.ones((16, 24), dtype=bool)
     no_row[3] = False
-    last = n_blocks % step
-    shape_error = "softmax: mask shape {} vs scores ({}, 2, 16, 24)"
-    cases = (   # mask, then the score blocks named below the budget, in chunks, recorded
-        (np.ones((16, 23), dtype=bool), (3, step, n_blocks)),
-        (np.ones((2, 16, 23), dtype=bool), (3, step, n_blocks)),
-        (np.ones((step, 2, 16, 24), dtype=bool), (3, last, n_blocks)),   # passes whole chunks
-        (no_row, None),
+    step = SCORE_BUDGET // (2 * 16 * 24)
+    cases = (   # one mask per block or per head is not an (Lq, Lk) mask
+        np.ones((16, 23), dtype=bool),
+        np.ones((2, 16, 23), dtype=bool),
+        np.ones((2, 16, 24), dtype=bool),
+        np.ones((step, 2, 16, 24), dtype=bool),
+        no_row,
     )
-    for mask, named in cases:
+    for mask in cases:
         paths = ((3, False), (n_blocks, False), (n_blocks, True))
-        for i, (blocks, grad) in enumerate(paths):
-            args = (parameter(q[:blocks]) if grad else q[:blocks], k[:blocks], v[:blocks], 2)
+        for blocks, grad in paths:
+            args = ((parameter if grad else Tensor)(q[:blocks]), Tensor(k[:blocks]),
+                    Tensor(v[:blocks]), 2)
             with pytest.raises(ShapeError) as err:
                 if grad:
                     attention(*args, visible=mask)
                 else:
                     with no_grad():
                         attention(*args, visible=mask)
-            assert str(err.value) == ("softmax: some row has no visible entry" if named is None
-                                      else shape_error.format(mask.shape, named[i]))
+            assert str(err.value) == ("softmax: some row has no visible entry" if mask is no_row
+                                      else f"softmax: mask shape {mask.shape} vs scores (16, 24)")
 
 
 def test_attention_probe_receives_every_probability_over_the_budget():
@@ -789,7 +810,7 @@ def test_attention_probe_receives_every_probability_over_the_budget():
     q, k, v = rng.normal(size=(3, 100, 16, 12))
     seen = []
     with no_grad():
-        out = attention(q, k, v, 2, probe=seen.append).data
+        out = attention(Tensor(q), Tensor(k), Tensor(v), 2, probe=seen.append).data
     assert 100 * 2 * 16 * 16 > SCORE_BUDGET
     assert len(seen) == 1 and seen[0].shape == (100, 2, 16, 16)
     assert np.allclose(seen[0].sum(axis=-1), 1.0, rtol=0, atol=1e-15)
