@@ -240,22 +240,21 @@ def _cmd_attn_stats(args):
             raise ConfigError(f"text has {ids.shape[0]} tokens, shorter than eval_len={eval_len}")
     else:
         ids = np.random.default_rng(args.seed).integers(0, 256, size=eval_len)
-    if args.out:
-        _write_manifest(args.out, "attn-stats",
-                        {"eval_len": eval_len, "uniform_probe": args.probe_uniform,
-                         "config": config_to_dict(cfg)},
-                        args.seed, ["attn_mass.csv"])
     if args.probe_uniform:
         params = dataclasses.replace(params, layers=[
             dataclasses.replace(lp, hici=uniform_queries(lp.hici)) for lp in params.layers])
     with no_grad(), record_attn_mass() as per_layer:
-        lm_forward(params, ids, cfg)
+        lm_forward(params, ids, cfg)   # checks the window before anything is written
     lines = ["layer,head,frac_global,frac_local,frac_segment"]
     lines.extend(f"{rec.layer},{rec.head},{rec.frac_global!r},"
                  f"{rec.frac_local!r},{rec.frac_segment!r}"
                  for records in per_layer for rec in records)
     table = "\n".join(lines)
     if args.out:
+        _write_manifest(args.out, "attn-stats",
+                        {"eval_len": eval_len, "uniform_probe": args.probe_uniform,
+                         "config": config_to_dict(cfg)},
+                        args.seed, ["attn_mass.csv"])
         _write_text(args.out, "attn_mass.csv", table + "\n")
     print(table)
     return 0

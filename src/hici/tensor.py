@@ -40,7 +40,13 @@ to it in place, which stores -0.0 as +0.0, the bits of `0.0 + g`. The
 arrays a closure only borrows, the gradient `add` shares between its
 inputs and the views of `reshape` and `concat_rows`, go to
 `Tensor._acc`, which copies a first one, so no two tensors share a
-gradient array.
+gradient array. Only leaves keep their gradients: `backward` releases
+the graph as it sweeps, so once a node's closure has run, the node
+drops its adjoint, its closure (with the buffers the closure saved) and
+its parent links, and a training step holds neither the adjoints
+nothing reads again nor, during the next forward, anything of the
+previous graph. The heap those releases free is kept for the next step
+(`_keep_freed_heap`).
 
 Kernels write only into buffers they allocated themselves, never into
 an input, and stay off numpy's slow paths: `gelu` cubes by
@@ -93,6 +99,7 @@ checked against the terms they actually cover.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 from functools import lru_cache
@@ -207,7 +214,8 @@ class Tensor:
     Tensors are immutable by convention once constructed: ops never write
     into their inputs, so sharing a Tensor across readers is safe. The
     recorded graph (parents + backward closure) is confined to the single
-    forward/backward pass that created it.
+    forward/backward pass that created it: `backward` releases it, and
+    with it every interior node's `.grad`, as it sweeps.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spent")
@@ -300,17 +308,44 @@ def grad_or_zero(t):
     return t.grad if t.grad is not None else np.zeros_like(t.data)
 
 
+@lru_cache(maxsize=None)
+def _keep_freed_heap():
+    """Keep the heap a backward frees for the next step instead of handing it back.
+
+    glibc malloc serves arrays under its mmap threshold from the heap and
+    returns a free heap top past its trim threshold to the system; both
+    thresholds follow the largest array freed so far. A backward that
+    releases the graph as it goes frees more than that at the top, so
+    each step would return it and fault it back in on the next forward.
+    Fixed thresholds of 32 MiB (glibc's largest on 64-bit) and 256 MiB keep
+    it. The first `backward` of a process sets them, once; a C library
+    without `mallopt` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+
+
 def backward(loss):
     """Reverse-mode sweep from a scalar loss node.
 
-    Fills `.grad` on every grad-requiring tensor reachable from `loss`;
+    Fills `.grad` on every grad-requiring leaf reachable from `loss`;
     parameters that did not participate keep grad None (read them through
-    `grad_or_zero`). The recorded graph is single-use.
+    `grad_or_zero`). The recorded graph is single-use, and the sweep
+    releases it as it goes: once a node's closure has run, the node drops
+    its adjoint, its closure (with the buffers it saved) and its parent
+    links, and the sweep drops the node. An interior tensor the caller
+    holds keeps its `.data` only.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if loss._spent:
         raise GraphError("backward already ran for this graph; run a new forward pass")
+    _keep_freed_heap()
 
     topo = []
     visited = {id(loss)}
@@ -328,10 +363,14 @@ def backward(loss):
             stack.append((nxt, iter(nxt._parents)))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()   # reverse topological order; the sweep holds no node it has passed
         if node._backward is not None:
             node._backward(node.grad)
             node._spent = True
+            node._backward = None
+            node._parents = ()
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -774,19 +813,24 @@ def l2_normalize(v, eps=1e-12):
     so that its largest entry lies in [2**255, 2**256): its squared norm and
     the cube of the norm the backward takes stay finite. Power-of-two
     scaling is exact, so each result is the unscaled one wherever that one's
-    intermediates are normal; smaller rows are not scaled.
+    intermediates are normal; smaller rows are not scaled. A stack whose
+    every entry lies below 2**256 has k = 0 in every row, so it skips the
+    scaling altogether.
     """
     FLOPS.add("other", 4 * v.data.size)
-    # the largest exponent of a row is that of its largest entry
-    k = np.minimum(256 - np.maximum.reduce(np.frexp(v.data)[1], axis=-1, keepdims=True), 0)
-    vs = np.ldexp(v.data, k)
+    vs, k = v.data, None
+    if not np.maximum.reduce(np.abs(vs), axis=None, initial=0.0) < 2.0**256:   # NaN and inf too
+        # the largest exponent of a row is that of its largest entry
+        k = np.minimum(256 - np.maximum.reduce(np.frexp(vs)[1], axis=-1, keepdims=True), 0)
+        vs = np.ldexp(vs, k)
     norm = np.sqrt(vs[..., None, :] @ vs[..., :, None])[..., 0]   # np.dot per row, of vs
     denom = np.maximum(norm, eps)
     out = vs / denom
 
     def bwd(g):
         dot = (vs[..., None, :] @ g[..., :, None])[..., 0]
-        v._take(np.ldexp(np.where(norm > eps, g / denom - vs * (dot / denom**3), g / eps), k))
+        dv = np.where(norm > eps, g / denom - vs * (dot / denom**3), g / eps)
+        v._take(dv if k is None else np.ldexp(dv, k))
 
     return _make(out, (v,), bwd)
 

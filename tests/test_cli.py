@@ -398,6 +398,19 @@ def test_attn_stats_scores_exactly_the_asked_window(tmp_path, host_config_file, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("eval_len,fragment", [
+    ("30", "sequence length T=30 not divisible by segment length S=8"),
+    ("64", "sequence length T=64 exceeds max_T=32"),
+], ids=["not-divisible", "past-max-T"])
+def test_attn_stats_writes_no_manifest_for_a_window_the_model_rejects(
+        tmp_path, host_config_file, capsys, eval_len, fragment):
+    out_dir = tmp_path / "run"
+    assert dispatch(["attn-stats", "--config", host_config_file, "--eval-len", eval_len,
+                     "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {fragment}\n"
+    assert not out_dir.exists()
+
+
 def test_eval_ppl_rejects_negative_eval_len(tmp_path, host_config_file, corpus_file, capsys):
     run = str(tmp_path / "run")
     assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
