@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: train, eval-ppl, gradcheck, flops, params, attn-stats,
-scaling. Every run that writes files takes `--out DIR`, writes a
-run-manifest there before any computation, and never writes anywhere
-else. All randomness flows from one `--seed` through numpy's PCG64
-generator, so identical argv plus seed reproduce outputs byte for byte.
+scaling. Every run that writes files takes `--out DIR` and never writes
+anywhere else; it writes its run-manifest there only once its inputs
+have passed their checks (for `attn-stats` and `scaling`, after the
+computation that checks them). All randomness flows from one `--seed`
+through numpy's PCG64 generator, so identical argv plus seed reproduce
+outputs byte for byte.
 """
 
 from __future__ import annotations

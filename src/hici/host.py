@@ -293,8 +293,8 @@ def train(corpus_ids, cfg: HostConfig, steps, params=None, opt=None, rng=None,
         start = int(rng.integers(0, n_starts))
         window = corpus_ids[start:start + cfg.max_T + 1]
         opt.zero_grad()
-        logits = lm_forward(params, window[:-1], cfg)
-        loss = cross_entropy_mean(logits, window[1:])
+        # only the graph holds the logits, so the sweep frees them before the next forward
+        loss = cross_entropy_mean(lm_forward(params, window[:-1], cfg), window[1:])
         backward(loss)
         grad_norm = clip_grad_norm(groups["hici"], cfg.grad_clip_hici)
         warm = min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps > 0 else 1.0

@@ -30,23 +30,26 @@ entry's 53-bit integer mantissa, shifted onto the stack's smallest
 exponent, and its square. A larger stack is cut on a ladder of
 error-free extraction levels until nothing is left; each level sums
 exactly in float64, and each (prefix, column) cell joins its level sums
-as Python ints. Both routes round those sums through the same tail, so
-they give the same bits for every input.
+as Python ints. A large stack whose entries span more than about 2**959,
+where the float parts of a square would lose bits, is summed as ints
+too. Both routes round those sums through the same tail, so they give
+the same bits for every input.
 
-Gradients are handed over, not copied. A backward closure gives each
-input an array that it allocated and holds nowhere else to
-`Tensor._take`: a tensor keeps a first such gradient after adding 0.0
-to it in place, which stores -0.0 as +0.0, the bits of `0.0 + g`. The
-arrays a closure only borrows, the gradient `add` shares between its
-inputs and the views of `reshape` and `concat_rows`, go to
-`Tensor._acc`, which copies a first one, so no two tensors share a
-gradient array. Only leaves keep their gradients: `backward` releases
-the graph as it sweeps, so once a node's closure has run, the node
-drops its adjoint, its closure (with the buffers the closure saved) and
-its parent links, and a training step holds neither the adjoints
-nothing reads again nor, during the next forward, anything of the
-previous graph. The heap those releases free is kept for the next step
-(`_keep_freed_heap`).
+Gradients are handed over, not copied. A backward closure passes each
+input its gradient through `Tensor._take`, which keeps a first array
+exactly as it comes, signed zeros included, and adds any later one into
+it in place. What a closure hands over is an array it allocated, its own
+adjoint, or a region of that adjoint that no other input receives:
+`reshape` hands over a view of its adjoint, `concat_rows` views of
+disjoint parts of it, and `add` its adjoint to the first input that
+needs a gradient and a copy to the second. That is safe because
+`backward` releases the graph as it sweeps: once a node's closure has
+run, the node drops its adjoint, its closure (with the buffers the
+closure saved) and its parent links, so nothing else reads an adjoint
+once it is handed over. Only leaves keep their gradients, and a training
+step holds neither the adjoints nothing reads again nor, during the next
+forward, anything of the previous graph. The heap those releases free is
+kept for the next step (`_keep_freed_heap`).
 
 Kernels write only into buffers they allocated themselves, never into
 an input, and stay off numpy's slow paths: `gelu` cubes by
@@ -240,18 +243,14 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def _acc(self, g):
-        """Add a borrowed gradient array: a first one is copied, so `g` is never aliased."""
-        if self.grad is None:
-            self.grad = g + 0.0   # a fresh array, bit-equal to 0.0 + g (-0.0 included)
-        else:
-            self.grad += g
-
     def _take(self, g):
-        """Add a gradient array the caller hands over: nothing else holds it, so a first
-        one is kept, with 0.0 added in place (the bits of `_acc`'s 0.0 + g)."""
+        """Add a gradient array the caller hands over; a first one is kept as it is.
+
+        The caller may hand over an array it allocated, its own adjoint, or
+        a region of that adjoint that no other input receives: nothing else
+        reads or writes `g` afterwards, so this tensor may add into it.
+        """
         if self.grad is None:
-            g += 0.0
             self.grad = g
         else:
             self.grad += g
@@ -404,9 +403,9 @@ def add(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            a._acc(g)
+            a._take(g)
         if b.requires_grad:
-            b._acc(g)
+            b._take(g.copy() if a.requires_grad else g)
 
     return _make(out, (a, b), bwd)
 
@@ -691,26 +690,22 @@ def _ladder_moments(xs, rows, k):
     B * R < 2**(h+7) three such block sums added, and their prefix sums
     over blocks, stay exact in int64. Each cell joins its level sums as
     Python ints: the sums of `_exact_moments` up to a power of two, so both
-    routes give the same bits. Entries below 2**-480, whose float squares
-    would lose bits, are squared at xs * 2**960, in parts of their own.
+    routes give the same bits. A stack with a nonzero entry below 2**-480,
+    whose float square would lose bits, is summed by `_exact_moments`.
     """
+    if np.minimum.reduce(np.abs(xs), axis=None, initial=1.0, where=xs != 0) < 2.0**-480:
+        return _exact_moments(xs, rows, k)
     n_blocks, n_rows, _ = xs.shape
-    tiny = (np.abs(xs) < 2.0**-480) & (xs != 0)   # whose parts of xs**2 would lose bits
-    sq = xs[None]
-    if tiny.any():
-        sq = np.stack([np.where(tiny, 0.0, xs), np.where(tiny, xs, 0.0) * 2.0**960])
-    split = sq * 134217729.0   # Veltkamp: 26-bit halves sq = hi + lo, whose products are exact
-    hi = split - (split - sq)
-    lo = sq - hi
-    v = np.empty((3 * len(sq),) + xs.shape)
-    np.multiply(hi, hi, out=v[0::3])
-    np.multiply(2.0 * hi, lo, out=v[1::3])
-    np.multiply(lo, lo, out=v[2::3])
+    split = xs * 134217729.0   # Veltkamp: 26-bit halves xs = hi + lo, whose products are exact
+    hi = split - (split - xs)
+    lo = xs - hi
+    v = np.empty((3,) + xs.shape)
+    np.multiply(hi, hi, out=v[0])
+    np.multiply(2.0 * hi, lo, out=v[1])
+    np.multiply(lo, lo, out=v[2])
     h = max(n_rows.bit_length() + 1, (n_blocks * n_rows).bit_length() - 7)
     s, ms = _level_sums(xs[None] * 2.0**480, h, 1)
     q, mq = _level_sums(v, h, 3)
-    if len(sq) > 1:   # the tiny squares, in units 2**(mq-53-1920)
-        q, mq = [(q[0] << 1920) + q[1]], mq - 1920
     return _moments(s[0], ms - 533, q[0], mq - 53, rows, k)
 
 
@@ -738,13 +733,12 @@ def _first_extremes(x, best, ext):
     cols = x.swapaxes(1, 2)   # numpy's arg-reductions run faster along the last axis
     cols.argmax(axis=2, out=first[:, 0])
     cols.argmin(axis=2, out=first[:, 1])
-    if n_blocks > 1:
-        blk = np.zeros(first.shape, dtype=np.intp)   # the block that set a new extreme last
-        np.greater(best[1:, 0], ext[:-1, 0], out=blk[1:, 0], casting="unsafe")
-        np.less(best[1:, 1], ext[:-1, 1], out=blk[1:, 1], casting="unsafe")
-        blk *= np.arange(n_blocks)[:, None, None]
-        np.maximum.accumulate(blk, axis=0, out=blk)
-        first = first.reshape(-1)[blk * (2 * d) + np.arange(2 * d).reshape(2, d)] + blk * n_rows
+    blk = np.zeros(first.shape, dtype=np.intp)   # the block that set a new extreme last
+    np.greater(best[1:, 0], ext[:-1, 0], out=blk[1:, 0], casting="unsafe")
+    np.less(best[1:, 1], ext[:-1, 1], out=blk[1:, 1], casting="unsafe")
+    blk *= np.arange(n_blocks)[:, None, None]
+    np.maximum.accumulate(blk, axis=0, out=blk)
+    first = first.reshape(-1)[blk * (2 * d) + np.arange(2 * d).reshape(2, d)] + blk * n_rows
     first *= d
     first += np.arange(d)
     return first
@@ -899,7 +893,7 @@ def reshape(a, shape):
     out = a.data.reshape(shape)
 
     def bwd(g):
-        a._acc(g.reshape(a.data.shape))
+        a._take(g.reshape(a.data.shape))
 
     return _make(out, (a,), bwd)
 
@@ -924,7 +918,7 @@ def concat_rows(tensors, axis=0):
         for t, a in zip(tensors, arrays):
             i0, i1 = i1, i1 + a.shape[axis]
             if t.requires_grad:
-                t._acc(g[lead + (slice(i0, i1),)])
+                t._take(g[lead + (slice(i0, i1),)])
 
     return _make(out, tensors, bwd)
 

@@ -3,6 +3,7 @@ import math
 import os
 import resource
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -283,6 +284,21 @@ def test_a_step_holds_nothing_of_the_previous_step():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_train_frees_the_previous_steps_logits_before_the_next_forward(monkeypatch):
+    # no step's logits may outlive its backward: the next forward runs without them
+    forward, outputs, alive = host.lm_forward, [], []
+
+    def tracked(*args):
+        alive.append(any(ref() is not None for ref in outputs))
+        logits = forward(*args)
+        outputs.append(weakref.ref(logits.data))
+        return logits
+
+    monkeypatch.setattr(host, "lm_forward", tracked)
+    train(CORPUS, CFG, 4)
+    assert alive == [False] * 4
 
 
 def test_training_steps_reuse_the_heap_the_backward_freed():

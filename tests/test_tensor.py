@@ -721,7 +721,7 @@ def test_gelu_backward_equals_whole_array_formula():
     g = _unchanged(received)
     t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
     du = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-    ref = g * (((1.0 - t * t) * (x * 0.5)) * du + (t + 1.0) * 0.5) + 0.0
+    ref = g * (((1.0 - t * t) * (x * 0.5)) * du + (t + 1.0) * 0.5)
     assert np.array_equal(p.grad, ref)
     assert np.array_equal(np.signbit(p.grad), np.signbit(ref))
 
@@ -745,8 +745,8 @@ def test_layer_norm_backward_equals_whole_array_formula():
     dxhat = g * gain.data
     m1 = dxhat.mean(axis=1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-    for got, ref in ((a.grad, (dxhat - m1 - xhat * m2) * inv + 0.0),
-                     (gain.grad, (g * xhat).sum(axis=0) + 0.0), (bias.grad, g.sum(axis=0) + 0.0)):
+    for got, ref in ((a.grad, (dxhat - m1 - xhat * m2) * inv),
+                     (gain.grad, (g * xhat).sum(axis=0)), (bias.grad, g.sum(axis=0))):
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 
@@ -953,40 +953,51 @@ def test_results_are_c_contiguous_float64_and_copied_only_when_strided():
     assert flat.data.flags.c_contiguous and np.shares_memory(flat.data, x.data)
 
 
-def test_first_gradient_is_a_fresh_array_equal_to_zero_plus_g():
-    w = parameter(np.ones(4))
-    g = np.array([-0.0, 0.0, -2.5, 1e-310])
-    w._acc(g)
-    assert np.array_equal(w.grad, g) and not np.signbit(w.grad[0])   # 0.0 + -0.0 is +0.0
-    g[:] = 7.0
-    assert np.array_equal(w.grad, [0.0, 0.0, -2.5, 1e-310])           # no alias of g
-    w._acc(g)
-    assert np.array_equal(w.grad, [7.0, 7.0, 4.5, 7.0])
-
-
-def test_a_handed_over_first_gradient_is_kept_with_zero_added():
+def test_a_handed_over_first_gradient_is_kept_bit_for_bit():
     w = parameter(np.ones(4))
     g = np.array([-0.0, 0.0, -2.5, 1e-310])
     w._take(g)
     assert w.grad is g                                                # kept, not copied
-    assert np.array_equal(g, [0.0, 0.0, -2.5, 1e-310]) and not np.signbit(g[0])
+    assert np.array_equal(g.view(np.uint64),
+                          np.array([-0.0, 0.0, -2.5, 1e-310]).view(np.uint64))   # -0.0 too
     w._take(np.full(4, 7.0))
-    assert np.array_equal(w.grad, [7.0, 7.0, 4.5, 7.0])
+    assert w.grad is g and np.array_equal(g, [7.0, 7.0, 4.5, 7.0])   # added in place
 
     w = parameter(np.ones(3))
     backward(tsum(mul_const(w, [-0.0, 1.0, -2.0])))   # mul_const hands over 1.0 * -0.0
-    assert np.array_equal(w.grad, [0.0, 1.0, -2.0]) and not np.signbit(w.grad[0])
+    assert np.array_equal(w.grad, [0.0, 1.0, -2.0]) and np.signbit(w.grad[0])
 
 
-def test_a_tensor_read_twice_through_add_sums_both_gradients():
+@pytest.mark.parametrize("build, expected", [
+    (lambda x, y: add(x, x), lambda up: (up + up, None)),
+    (lambda x, y: add(x, y), lambda up: (up, up)),
+    (lambda x, y: concat_rows([x, x]), lambda up: (up[:3] + up[3:], None)),
+    (lambda x, y: concat_rows([x, y], axis=1), lambda up: (up[:, :4], up[:, 4:])),
+], ids=["add-x-x", "add-x-y", "concat-x-x", "concat-x-y-axis1"])
+def test_a_tensor_read_twice_through_add_sums_both_gradients(build, expected):
+    # add hands its adjoint to one input and a copy to the other; concat_rows
+    # hands each input a view of its own part of the adjoint
     rng = np.random.default_rng(36)
+    x, y = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(3, 4)))
+    out = build(x, y)
+    upstream = rng.normal(size=out.shape)
+    backward(tsum(mul_const(out, upstream)))
+    gx, gy = expected(upstream)
+    assert np.array_equal(x.grad, gx)
+    assert y.grad is None if gy is None else np.array_equal(y.grad, gy)
+    assert y.grad is None or not np.shares_memory(x.grad, y.grad)
+
+
+def test_reshape_hands_its_own_adjoint_to_its_input():
+    rng = np.random.default_rng(37)
     x = parameter(rng.normal(size=(3, 4)))
-    upstream = rng.normal(size=(3, 4))
-    y = add(x, x)
+    upstream = rng.normal(size=(2, 6))
+    y = reshape(x, (2, 6))
     received = _adjoint_received(y)
     backward(tsum(mul_const(y, upstream)))
-    assert np.array_equal(x.grad, upstream + upstream)
-    assert np.array_equal(_unchanged(received), upstream)   # the shared gradient was copied
+    (g, _on_entry), = received
+    assert np.shares_memory(x.grad, g)   # a view of the adjoint, not a copy
+    assert np.array_equal(x.grad, upstream.reshape(3, 4))
 
 
 def test_cross_entropy_backward_makes_no_second_logits_array():
