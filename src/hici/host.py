@@ -156,10 +156,13 @@ def block_stages(layer: LayerParams, hici_cfg, module_stages):
             return add(x, matmul(a, layer.out_proj))
 
     def ffn_residual(x):
-        h2 = layer_norm(x, layer.ln2_g, layer.ln2_b, hici_cfg.ln_eps)
+        # one name, rebound after each op: no FFN activation stays bound past its reader
+        h = layer_norm(x, layer.ln2_g, layer.ln2_b, hici_cfg.ln_eps)
         with flop_scope("ffn"):
-            f = matmul(gelu(matmul(h2, layer.ffn_w1)), layer.ffn_w2)
-        return add(x, f)
+            h = matmul(h, layer.ffn_w1)
+            h = gelu(h)
+            h = matmul(h, layer.ffn_w2)
+        return add(x, h)
 
     return ([((layer.ln1_g, layer.ln1_b), ln1)]
             + [(params, beside(stage)) for params, stage in module_stages]
@@ -192,9 +195,9 @@ def lm_forward(params: HostParams, ids, cfg: HostConfig):
         x = add(embedding(params.embed, ids), slice_rows(params.pos, 0, t))
     for layer in params.layers:
         x = block_forward(x, layer, cfg.hici)
-    h = layer_norm(x, params.final_g, params.final_b, cfg.hici.ln_eps)
+    x = layer_norm(x, params.final_g, params.final_b, cfg.hici.ln_eps)   # drops the residual
     with flop_scope("others"):
-        return matmul(h, params.head)
+        return matmul(x, params.head)
 
 
 # ---------------------------------------------------------------------------

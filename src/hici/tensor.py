@@ -1,17 +1,22 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Every value flowing through the attention module is a `Tensor`: a
-C-contiguous float64 numpy array plus an optional autodiff record. Each
+C-contiguous float64 numpy array plus an optional autodiff node. Each
 primitive op takes its operands as Tensors, as its callers hold them,
 and converts none; only non-differentiable arguments (a constant factor,
 integer ids or targets, a boolean mask) are plain arrays. Each op
 returns a fresh Tensor; when gradients are enabled and an input requires
-grad, the op attaches a closure that propagates the output adjoint to
-its inputs. `backward(loss)` replays those closures in reverse
-topological order. A graph can be differentiated once; calling
-`backward` a second time without a new forward pass raises instead of
-silently accumulating garbage. Inside `no_grad()` no op records parents
-or a closure, so a forward pass holds only its live activations.
+grad, the result gets a small node (`_Node`) holding the backward
+closure, its inputs' nodes and the arrays that closure reads, and
+nothing else. A closure hands each input's node its gradient and
+captures no input Tensor, so a node keeps only what its backward reads:
+the graph holds neither the logits nor the residual stream, which no
+backward reads, once the forward has moved past them. A leaf (a
+parameter) is its own node and keeps `.grad`. `backward(loss)` replays
+the closures in reverse topological order. A graph can be differentiated
+once; calling `backward` a second time without a new forward pass raises
+instead of silently accumulating garbage. Inside `no_grad()` no op
+builds a node, so a forward pass holds only its live activations.
 
 `attention` is the one multi-head attention op: it runs every head of
 B stacked blocks (segments) in a single graph node with a closed-form
@@ -36,7 +41,7 @@ too. Both routes round those sums through the same tail, so they give
 the same bits for every input.
 
 Gradients are handed over, not copied. A backward closure passes each
-input its gradient through `Tensor._take`, which keeps a first array
+input's node its gradient through `_take`, which keeps a first array
 exactly as it comes, signed zeros included, and adds any later one into
 it in place. What a closure hands over is an array it allocated, its own
 adjoint, or a region of that adjoint that no other input receives:
@@ -44,8 +49,8 @@ adjoint, or a region of that adjoint that no other input receives:
 disjoint parts of it, and `add` its adjoint to the first input that
 needs a gradient and a copy to the second. That is safe because
 `backward` releases the graph as it sweeps: once a node's closure has
-run, the node drops its adjoint, its closure (with the buffers the
-closure saved) and its parent links, so nothing else reads an adjoint
+run, the node drops its adjoint, its closure (with the arrays the
+closure saved) and its input links, so nothing else reads an adjoint
 once it is handed over. Only leaves keep their gradients, and a training
 step holds neither the adjoints nothing reads again nor, during the next
 forward, anything of the previous graph. The heap those releases free is
@@ -60,10 +65,12 @@ into the buffer that becomes `xhat` and adds the bias in place;
 `_softmax` masks (-inf, whose `exp` is exactly 0), subtracts the row
 max, takes `exp` and divides in place in the score buffer `attention`
 has just made. `attention` hands matmul strided views of its heads,
-never contiguous copies. The log-sum-exp of `nll_rows` and
-`cross_entropy_mean` takes `exp(logits - row max)` in one scratch
-buffer; with a graph `cross_entropy_mean` keeps that buffer whole, and
-its backward turns it into the softmax in place and hands it over.
+never contiguous copies, and its backward builds the score adjoint in
+one scratch array beside dP, which it drops once read. The log-sum-exp
+of `nll_rows` and `cross_entropy_mean` takes `exp(logits - row max)` in
+one scratch buffer; with a graph `cross_entropy_mean` keeps that buffer
+whole, not the logits, and its backward turns it into the softmax in
+place and hands it over.
 
 Working sets stay bounded, bit-identical to the whole-array kernels.
 `attention` runs its blocks in chunks of at most `SCORE_BUDGET` score
@@ -132,9 +139,9 @@ _GRAD_MODE = [True]
 class no_grad:
     """Record no graph inside the block (pure inference); blocks nest.
 
-    Ops return tensors with `requires_grad=False`, no parents and no
-    backward closure, so intermediate arrays are freed as soon as the
-    forward pass stops using them.
+    Ops return tensors with `requires_grad=False` and no node, so
+    intermediate arrays are freed as soon as the forward pass stops using
+    them.
     """
 
     __slots__ = ()
@@ -212,25 +219,27 @@ def measure_flops():
 # Tensor
 
 class Tensor:
-    """A C-contiguous float64 array plus an optional autodiff record.
+    """A C-contiguous float64 array plus an optional autodiff node.
 
     Tensors are immutable by convention once constructed: ops never write
-    into their inputs, so sharing a Tensor across readers is safe. The
-    recorded graph (parents + backward closure) is confined to the single
+    into their inputs, so sharing a Tensor across readers is safe. A
+    recorded op's result points to its `_Node`, which holds the backward
+    closure, the parents' nodes and the arrays that closure reads, but not
+    the result's `.data`. A leaf (a parameter) is its own node: it has
+    no parents and no closure, and keeps `.grad`. A result made without a
+    graph has no node. The recorded graph is confined to the single
     forward/backward pass that created it: `backward` releases it, and
-    with it every interior node's `.grad`, as it sweeps.
+    with it every interior node's adjoint, as it sweeps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spent")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-        self._spent = False
+        self._node = None
 
     @property
     def shape(self):
@@ -240,6 +249,16 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def _parents(self):
+        """The parent nodes of this tensor's node; () for a leaf or a graph-free result."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        """The backward closure of this tensor's node, or None."""
+        return None if self._node is None else self._node._backward
+
     def item(self):
         return float(self.data.reshape(()))
 
@@ -248,7 +267,7 @@ class Tensor:
 
         The caller may hand over an array it allocated, its own adjoint, or
         a region of that adjoint that no other input receives: nothing else
-        reads or writes `g` afterwards, so this tensor may add into it.
+        reads or writes `g` afterwards, so this node may add into it.
         """
         if self.grad is None:
             self.grad = g
@@ -257,6 +276,34 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class _Node:
+    """The autodiff record of one op's result.
+
+    `_inputs` holds, for each input of the op, its node (a `_Node`, or the
+    leaf Tensor itself) or None where the input needs no gradient; the
+    closure `_backward(g, *_inputs)` hands each node its gradient through
+    `_take`. The closure holds only the arrays it reads, so the graph does
+    not keep a result's or an input's `.data` unless a backward reads it.
+    `grad` is the adjoint gathered so far. Once the closure has run,
+    `backward` drops the adjoint, the closure and the inputs; a node whose
+    closure is gone is spent.
+    """
+
+    __slots__ = ("grad", "_inputs", "_backward")
+
+    def __init__(self, inputs, backward_fn):
+        self.grad = None
+        self._inputs = inputs
+        self._backward = backward_fn
+
+    @property
+    def _parents(self):
+        """The nodes the gradient flows to, inputs that need none left out."""
+        return tuple([n for n in self._inputs if n is not None])
+
+    _take = Tensor._take
 
 
 def parameter(data):
@@ -273,27 +320,25 @@ def _wrap(data):
     out.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
     out.grad = None
     out.requires_grad = False
-    out._parents = ()
-    out._backward = None
-    out._spent = False
+    out._node = None
     return out
 
 
-def _make(data, parents, backward_fn):
-    """Interior graph node over `_wrap(data)`; records edges only to grad-requiring parents."""
+def _make(data, inputs, backward_fn):
+    """`_wrap(data)`, with a `_Node` over `backward_fn` when gradients are recorded and
+    some input requires grad; `backward_fn(g, *nodes)` gets each input's node or None."""
     out = _wrap(data)
-    if _GRAD_MODE[-1]:
-        tracked = tuple([p for p in parents if p.requires_grad])
-        if tracked:
+    if _GRAD_MODE[-1]:   # a leaf is its own node
+        nodes = tuple([(p._node or p) if p.requires_grad else None for p in inputs])
+        if nodes.count(None) < len(nodes):
             out.requires_grad = True
-            out._parents = tracked
-            out._backward = backward_fn
+            out._node = _Node(nodes, backward_fn)
     return out
 
 
-def _records(parents):
-    """Whether `_make` records a node over `parents`, so that a backward may run."""
-    return _GRAD_MODE[-1] and any(p.requires_grad for p in parents)
+def _records(inputs):
+    """Whether `_make` builds a node over `inputs`, so that a backward may run."""
+    return _GRAD_MODE[-1] and any(p.requires_grad for p in inputs)
 
 
 def _row_blocks(n_rows, row_size):
@@ -334,42 +379,45 @@ def backward(loss):
 
     Fills `.grad` on every grad-requiring leaf reachable from `loss`;
     parameters that did not participate keep grad None (read them through
-    `grad_or_zero`). The recorded graph is single-use, and the sweep
-    releases it as it goes: once a node's closure has run, the node drops
-    its adjoint, its closure (with the buffers it saved) and its parent
-    links, and the sweep drops the node. An interior tensor the caller
-    holds keeps its `.data` only.
+    `grad_or_zero`). The sweep runs the closures of the interior nodes
+    (`_Node`s) in reverse topological order; a leaf only receives. The
+    recorded graph is single-use, and the sweep releases it as it goes:
+    once a node's closure has run, the node drops its adjoint, its closure
+    (with the arrays it saved) and its input links, and the sweep drops
+    the node. An interior tensor keeps its `.data` and its spent node only.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss._spent:
+    root = loss._node
+    if root is None:   # a leaf or a graph-free result: no closure to run
+        loss.grad = np.ones_like(loss.data)
+        return
+    if root._backward is None:
         raise GraphError("backward already ran for this graph; run a new forward pass")
     _keep_freed_heap()
 
     topo = []
-    visited = {id(loss)}
-    stack = [(loss, iter(loss._parents))]
+    visited = {id(root)}
+    stack = [(root, iter(root._parents))]
     while stack:
         node, it = stack[-1]
         nxt = next(it, None)
         if nxt is None:
             topo.append(node)
             stack.pop()
-        elif id(nxt) not in visited:
+        elif type(nxt) is _Node and id(nxt) not in visited:
             visited.add(id(nxt))
-            if nxt._spent:
+            if nxt._backward is None:
                 raise GraphError("backward already ran for this graph; run a new forward pass")
             stack.append((nxt, iter(nxt._parents)))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()   # reverse topological order; the sweep holds no node it has passed
-        if node._backward is not None:
-            node._backward(node.grad)
-            node._spent = True
-            node._backward = None
-            node._parents = ()
-            node.grad = None
+        node._backward(node.grad, *node._inputs)
+        node._backward = None
+        node._inputs = ()
+        node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +434,11 @@ def matmul(a, b):
     k, n = bd.shape
     FLOPS.add("matmul", 2 * ad.size * n)
 
-    def bwd(g):
-        if a.requires_grad:
-            a._take(g @ bd.T)
-        if b.requires_grad:
-            b._take(ad.reshape(-1, k).T @ g.reshape(-1, n))
+    def bwd(g, na, nb):
+        if na is not None:
+            na._take(g @ bd.T)
+        if nb is not None:
+            nb._take(ad.reshape(-1, k).T @ g.reshape(-1, n))
 
     return _make(ad @ bd, (a, b), bwd)
 
@@ -401,11 +449,11 @@ def add(a, b):
     FLOPS.add("other", a.data.size)
     out = a.data + b.data
 
-    def bwd(g):
-        if a.requires_grad:
-            a._take(g)
-        if b.requires_grad:
-            b._take(g.copy() if a.requires_grad else g)
+    def bwd(g, na, nb):
+        if na is not None:
+            na._take(g)
+        if nb is not None:
+            nb._take(g if na is None else g.copy())
 
     return _make(out, (a, b), bwd)
 
@@ -415,25 +463,26 @@ def mul_const(a, c):
     FLOPS.add("other", a.data.size)
     out = a.data * c
 
-    def bwd(g):
-        a._take(g * c)
+    def bwd(g, na):
+        na._take(g * c)
 
     return _make(out, (a,), bwd)
 
 
 def scale(a, s):
     """Product with a single-element gate tensor; differentiable in both."""
-    if s.data.size != 1:
-        raise ShapeError(f"scale: gate must hold one value, got shape {s.data.shape}")
-    FLOPS.add("other", a.data.size)
-    sval = s.data.reshape(())
-    out = a.data * sval
+    ad, sd = a.data, s.data
+    if sd.size != 1:
+        raise ShapeError(f"scale: gate must hold one value, got shape {sd.shape}")
+    FLOPS.add("other", ad.size)
+    sval = sd.reshape(())
+    out = ad * sval
 
-    def bwd(g):
-        if a.requires_grad:
-            a._take(g * sval)
-        if s.requires_grad:
-            s._take(np.sum(g * a.data).reshape(s.data.shape))
+    def bwd(g, na, ns):
+        if na is not None:
+            na._take(g * sval)
+        if ns is not None:
+            ns._take(np.sum(g * ad).reshape(sd.shape))
 
     return _make(out, (a, s), bwd)
 
@@ -515,6 +564,7 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     FLOPS.add("other", 6 * n_blocks * per_block)
     inv_scale = 1.0 / math.sqrt(dk)
     hidden = None if visible is None else _hidden(visible, (n_queries, n_keys))
+    shared_q = qd.ndim == 2
     qh, kh, vh = (_split_heads(qd, n_heads, dk), _split_heads(kd, n_heads, dk),
                   _split_heads(vd, n_heads, dk))
     # one chunk of every block when a backward or the probe reads p, or when it fits
@@ -523,26 +573,32 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     out = np.empty((n_blocks, n_queries, width))
     out_heads = out.reshape(out.shape[:2] + (n_heads, dk))
     for blk in (slice(None),) if whole else _row_blocks(n_blocks, per_block):
-        p = (qh if qd.ndim == 2 else qh[blk]) @ kh[blk].swapaxes(-1, -2)
+        p = (qh if shared_q else qh[blk]) @ kh[blk].swapaxes(-1, -2)
         p *= inv_scale
         _softmax_hidden(p, hidden)
         out_heads[blk] = (p @ vh[blk]).swapaxes(-3, -2)
     if probe is not None:
         probe(p)
 
-    def bwd(g):
+    def bwd(g, nq, nk, nv):
         gh = _split_heads(g, n_heads, dk)
-        if v.requires_grad:
-            v._take(_merge_heads(p.swapaxes(-1, -2) @ gh, width))
-        if not (q.requires_grad or k.requires_grad):
+        if nv is not None:
+            nv._take(_merge_heads(p.swapaxes(-1, -2) @ gh, width))
+        if nq is None and nk is None:
             return
+        # ds = p * (dp - rowsum(dp * p)) * inv_scale, built in one scratch array
         dp = gh @ vh.swapaxes(-1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_scale
-        if q.requires_grad:
+        ds = dp * p
+        rowsum = ds.sum(axis=-1, keepdims=True)
+        np.subtract(dp, rowsum, out=ds)
+        del dp
+        ds *= p
+        ds *= inv_scale
+        if nq is not None:
             dq = ds @ kh
-            q._take(_merge_heads(dq if qd.ndim == 3 else dq.sum(axis=0), width))
-        if k.requires_grad:
-            k._take(_merge_heads(ds.swapaxes(-1, -2) @ qh, width))
+            nq._take(_merge_heads(dq.sum(axis=0) if shared_q else dq, width))
+        if nk is not None:
+            nk._take(_merge_heads(ds.swapaxes(-1, -2) @ qh, width))
 
     return _make(out, (q, k, v), bwd)
 
@@ -570,21 +626,22 @@ def layer_norm(a, gain, bias, eps=1e-5):
     xhat = ad - _row_means(ad)
     inv = 1.0 / np.sqrt(_row_means(np.square(xhat)) + eps)
     xhat *= inv
-    out = xhat * gain.data
+    gd = gain.data
+    out = xhat * gd
     out += bias.data
 
-    def bwd(g):
-        if gain.requires_grad:
-            gain._take((g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            bias._take(g.sum(axis=0))
-        if not a.requires_grad:
+    def bwd(g, na, ngain, nbias):
+        if ngain is not None:
+            ngain._take((g * xhat).sum(axis=0))
+        if nbias is not None:
+            nbias._take(g.sum(axis=0))
+        if na is None:
             return
         # (dxhat - m1 - xhat * m2) * inv, dxhat = g * gain, in row blocks written into dx
         dx = np.empty_like(xhat)
         for rows in _row_blocks(*xhat.shape):
             xh, out = xhat[rows], dx[rows]
-            dxhat = g[rows] * gain.data
+            dxhat = g[rows] * gd
             m1 = _row_means(dxhat)
             np.multiply(dxhat, xh, out=out)
             m2 = _row_means(out)
@@ -592,7 +649,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
             np.multiply(xh, m2, out=out)
             np.subtract(dxhat, out, out=out)
             out *= inv[rows]
-        a._take(dx)
+        na._take(dx)
 
     return _make(out, (a, gain, bias), bwd)
 
@@ -778,7 +835,7 @@ def prefix_stats(blocks):
         std_s = np.where(poisoned, np.nan, std_s)
     std = np.ldexp(std_s, k)
 
-    def bwd(g):
+    def bwd(g, nblocks):
         # the std adjoint (x - mean) / (r std), in the units of xs (largest entry
         # near 2**480) so that a subnormal std cannot overflow it; power-of-two
         # scaling is exact, so normal-range gradients are unchanged
@@ -795,7 +852,7 @@ def prefix_stats(blocks):
         first = _first_extremes(x, best, ext)
         d_max = np.bincount(first[:, 0].ravel(), g[:, 1].ravel(), x.size).reshape(x.shape)
         d_neg_min = np.bincount(first[:, 1].ravel(), -g[:, 2].ravel(), x.size).reshape(x.shape)
-        blocks._take(dx + d_max - d_neg_min)   # min = -max(-x)
+        nblocks._take(dx + d_max - d_neg_min)   # min = -max(-x)
 
     return _make(np.concatenate([mean[:, None], ext, std[:, None]], 1), (blocks,), bwd)
 
@@ -821,10 +878,10 @@ def l2_normalize(v, eps=1e-12):
     denom = np.maximum(norm, eps)
     out = vs / denom
 
-    def bwd(g):
+    def bwd(g, nv):
         dot = (vs[..., None, :] @ g[..., :, None])[..., 0]
         dv = np.where(norm > eps, g / denom - vs * (dot / denom**3), g / eps)
-        v._take(dv if k is None else np.ldexp(dv, k))
+        nv._take(dv if k is None else np.ldexp(dv, k))
 
     return _make(out, (v,), bwd)
 
@@ -834,14 +891,15 @@ def softplus(x):
 
     Output is strictly positive for all finite inputs. FLOPs: ~6/element.
     """
-    FLOPS.add("other", 6 * x.data.size)
-    out = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
+    xd = x.data
+    FLOPS.add("other", 6 * xd.size)
+    out = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
 
-    def bwd(g):
-        pos = x.data >= 0
-        ex = np.exp(-np.abs(x.data))
+    def bwd(g, nx):
+        pos = xd >= 0
+        ex = np.exp(-np.abs(xd))
         sig = np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-        x._take(g * sig)
+        nx._take(g * sig)
 
     return _make(out, (x,), bwd)
 
@@ -851,24 +909,25 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x):
     """tanh-form GELU, smooth everywhere. FLOPs: ~12 per element."""
-    FLOPS.add("other", 12 * x.data.size)
-    t = x.data * x.data   # x * x * x: numpy sends x**3 to libm pow (x**2 is a fast square)
-    t *= x.data
+    xd = x.data
+    FLOPS.add("other", 12 * xd.size)
+    t = xd * xd   # x * x * x: numpy sends x**3 to libm pow (x**2 is a fast square)
+    t *= xd
     t *= 0.044715
-    t += x.data
+    t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
     # 0.5 * x * (1 + t): (1 + t) * 0.5 is exact, and * x last cannot overflow early;
     # built in t's own buffer when no backward will read t
     out = np.add(t, 1.0, out=None if _records((x,)) else t)
     out *= 0.5
-    out *= x.data
+    out *= xd
 
-    def bwd(g):
+    def bwd(g, nx):
         # g * ((t + 1) * 0.5 + ((0.5 * x) * (1 - t * t)) * du), du = C * (1 + 3 * 0.044715 * x * x),
         # in blocks of the flat arrays, each through two scratch buffers into dx
-        dx = np.empty(x.data.shape)
-        xf, tf, gf, df = x.data.reshape(-1), t.reshape(-1), np.ravel(g), dx.reshape(-1)
+        dx = np.empty(xd.shape)
+        xf, tf, gf, df = xd.reshape(-1), t.reshape(-1), np.ravel(g), dx.reshape(-1)
         for blk in _row_blocks(dx.size, 1):
             xb, tb, out = xf[blk], tf[blk], df[blk]
             du = xb * xb
@@ -884,16 +943,17 @@ def gelu(x):
             half *= 0.5
             out += half
             out *= gf[blk]
-        x._take(dx)
+        nx._take(dx)
 
     return _make(out, (x,), bwd)
 
 
 def reshape(a, shape):
+    shape_in = a.data.shape
     out = a.data.reshape(shape)
 
-    def bwd(g):
-        a._take(g.reshape(a.data.shape))
+    def bwd(g, na):
+        na._take(g.reshape(shape_in))
 
     return _make(out, (a,), bwd)
 
@@ -912,13 +972,15 @@ def concat_rows(tensors, axis=0):
         raise ShapeError(
             f"concat_rows: incompatible shapes {shapes} along axis {axis}") from None
 
-    def bwd(g):
+    sizes = [a.shape[axis] for a in arrays]
+
+    def bwd(g, *nodes):
         lead = (slice(None),) * axis
         i1 = 0
-        for t, a in zip(tensors, arrays):
-            i0, i1 = i1, i1 + a.shape[axis]
-            if t.requires_grad:
-                t._take(g[lead + (slice(i0, i1),)])
+        for node, size in zip(nodes, sizes):
+            i0, i1 = i1, i1 + size
+            if node is not None:
+                node._take(g[lead + (slice(i0, i1),)])
 
     return _make(out, tensors, bwd)
 
@@ -928,12 +990,13 @@ def slice_rows(a, start, stop, axis=0):
     if not (0 <= axis < a.data.ndim and 0 <= start <= stop <= a.data.shape[axis]):
         raise ShapeError(f"slice_rows: bad range [{start}:{stop}] on axis {axis} of {a.shape}")
     index = (slice(None),) * axis + (slice(start, stop),)
+    shape_in = a.data.shape
     out = a.data[index]
 
-    def bwd(g):
-        d = np.zeros_like(a.data)
+    def bwd(g, na):
+        d = np.zeros(shape_in)
         d[index] = g
-        a._take(d)
+        na._take(d)
 
     return _make(out, (a,), bwd)
 
@@ -946,14 +1009,15 @@ def embedding(table, ids):
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ShapeError(
             f"embedding: id out of range [0, {table.data.shape[0]}) in lookup")
+    shape_in = table.data.shape
     out = table.data[ids]
 
-    def bwd(g):
+    def bwd(g, ntable):
         # np.add.at(zeros, ids, g) a column at a time: bincount adds in the same order
-        d = np.empty_like(table.data)
+        d = np.empty(shape_in)
         for j in range(d.shape[1]):
             d[:, j] = np.bincount(ids, g[:, j], d.shape[0])
-        table._take(d)
+        ntable._take(d)
 
     return _make(out, (table,), bwd)
 
@@ -998,23 +1062,24 @@ def cross_entropy_mean(logits, targets):
     lse, sums = _log_sum_exp(logits.data, e)
     out = np.array((lse - logits.data[np.arange(t), targets]).mean())
 
-    def bwd(g):
+    def bwd(g, nlogits):
         p = e                # the softmax, made in the buffer the closure alone holds
         p /= sums[:, None]
         p[np.arange(t), targets] -= 1.0
         p *= float(g) / t
-        logits._take(p)
+        nlogits._take(p)
 
     return _make(out, (logits,), bwd)
 
 
 def tsum(a):
     """Sum of all elements as a scalar node."""
+    shape_in = a.data.shape
     FLOPS.add("other", a.data.size)
     out = np.array(np.add.reduce(a.data, axis=None))   # a.data.sum()
 
-    def bwd(g):
-        a._take(np.full_like(a.data, float(g)))
+    def bwd(g, na):
+        na._take(np.full(shape_in, float(g)))
 
     return _make(out, (a,), bwd)
 

@@ -10,7 +10,8 @@ import pytest
 
 from hici import host
 from hici.attention import record_attn_mass
-from hici.config import SCOPE_PRECEDING, ConfigError, HiCIConfig, HostConfig, load_host_config
+from hici.config import (
+    SCOPE_ALL, SCOPE_PRECEDING, ConfigError, HiCIConfig, HostConfig, load_host_config)
 from hici.host import (
     BYTE_VOCAB,
     block_forward,
@@ -132,12 +133,12 @@ def test_backward_releases_the_graph_and_keeps_leaf_gradients():
     ids = np.random.default_rng(19).integers(0, 256, size=33)
     logits = lm_forward(params, ids[:-1], CFG)
     loss = cross_entropy_mean(logits, ids[1:])
-    nodes = _graph(loss)
+    nodes = _graph(loss._node)
     interior = [t for t in nodes if t._backward is not None]
     leaves = [t for t in nodes if t._backward is None]
     kept = logits.data.copy()
     backward(loss)
-    assert loss in interior and logits in interior
+    assert loss._node in interior and logits._node in interior
     assert all(t.grad is None and t._backward is None and t._parents == () for t in interior)
     assert np.array_equal(logits.data, kept)                  # a held tensor keeps its data
     named = host_named_tensors(params).values()
@@ -147,6 +148,57 @@ def test_backward_releases_the_graph_and_keeps_leaf_gradients():
         backward(loss)
     with pytest.raises(GraphError, match="already ran"):   # a new node over a spent one
         backward(cross_entropy_mean(logits, ids[1:]))
+
+
+def test_the_graph_keeps_no_array_that_no_backward_reads(monkeypatch):
+    # no backward reads the logits or a residual sum (the embedding sum and each
+    # block's two residual adds): a node keeps only the arrays its own closure
+    # reads, so they die with the forward's last reference to them
+    cfg = dataclasses.replace(CFG, n_layers=2)
+    params = init_host_params(cfg, np.random.default_rng(20))
+    ids = np.random.default_rng(21).integers(0, 256, size=33)
+    named = host_named_tensors(params)
+    add, outputs = host.add, []
+
+    def recorded_add(a, b):
+        outputs.append(add(a, b))
+        return outputs[-1]
+
+    monkeypatch.setattr(host, "add", recorded_add)
+
+    def step_loss():
+        logits = lm_forward(params, ids[:-1], cfg)
+        outputs.append(logits)
+        return cross_entropy_mean(logits, ids[1:])
+
+    loss = step_loss()                 # every tensor held: the reference gradients
+    backward(loss)
+    want = {name: p.grad for name, p in named.items()}
+    assert len(outputs) == 2 * cfg.n_layers + 2
+    for p in named.values():
+        p.grad = None
+    outputs.clear()
+
+    loss = step_loss()
+    dead = [weakref.ref(t.data) for t in outputs]
+    outputs.clear()
+    assert [ref() is None for ref in dead] == [True] * len(dead)
+    backward(loss)
+    for name, p in named.items():
+        assert np.array_equal(p.grad, want[name]), name
+
+
+@pytest.mark.parametrize("n_layers, scope, nodes", [(2, SCOPE_ALL, 155), (1, SCOPE_PRECEDING, 84)])
+def test_a_training_step_graph_has_the_benchmark_hosts_node_count(n_layers, scope, nodes):
+    # the hosts of the `train` (T=512) and `strict-train` (T=2048) benchmark steps;
+    # from two segments on, the count does not depend on T
+    hici_cfg = HiCIConfig(S=32, M=8, K=4, H=4, d=32, d_b=16, d_s=8, global_scope=scope)
+    cfg = HostConfig(vocab_size=BYTE_VOCAB, n_layers=n_layers, d=32, ffn_width=128,
+                     max_T=64, seed=0, hici=hici_cfg)
+    params = init_host_params(cfg, np.random.default_rng(22))
+    ids = np.random.default_rng(23).integers(0, 256, size=65)
+    loss = cross_entropy_mean(lm_forward(params, ids[:-1], cfg), ids[1:])
+    assert len(_graph(loss)) == nodes
 
 
 def test_no_grad_forward_memory_does_not_grow_with_depth():

@@ -683,18 +683,19 @@ def test_layer_norm_equals_out_of_place_formula():
         assert np.array_equal(out, _layer_norm_formula(x, gain, bias, eps))
 
 
-def _adjoint_received(node):
-    """Wrap `node`'s closure so that a backward records the adjoint it is called with.
+def _adjoint_received(t):
+    """Wrap the closure of `t`'s node so that a backward records the adjoint it is called with.
 
     The sweep releases an interior node's `.grad` once its closure has
     run; the returned list then holds that array (the same object, so a
     caller can check that nothing wrote into it) and a copy taken on entry.
     """
+    node = t._node
     received, closure = [], node._backward
 
-    def bwd(g):
+    def bwd(g, *inputs):
         received.append((g, g.copy()))
-        closure(g)
+        closure(g, *inputs)
 
     node._backward = bwd
     return received
