@@ -259,7 +259,7 @@ def module_matmul_flops(cfg, T):
     items = lc_gi_flops_per_layer(cfg, T)
     local = sum(v for key, v in items.items() if key.startswith("local_"))
     globl = sum(v for key, v in items.items() if not key.startswith("local_"))
-    n_ctx = (k if k > 0 else 0) + (m if m > 0 else 0)
+    n_ctx = k + m
     return {
         "local": local,
         "global": globl,

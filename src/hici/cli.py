@@ -6,7 +6,13 @@ anywhere else; it writes its run-manifest there only once its inputs
 have passed their checks (for `attn-stats` and `scaling`, after the
 computation that checks them). All randomness flows from one `--seed`
 through numpy's PCG64 generator, so identical argv plus seed reproduce
-outputs byte for byte.
+outputs byte for byte. Only the subcommands that draw random numbers
+(gradcheck, train, attn-stats, scaling) take `--seed`; the others record
+`"seed": null` in their manifest.
+
+No option changes an attention config once it is read: its scope and
+its causal mask come from the `--config` file (a preset or built-in
+config without one), or from the checkpoint's `state.json`.
 """
 
 from __future__ import annotations
@@ -37,14 +43,7 @@ from .analysis import (
     scaling_probe,
 )
 from .attention import record_attn_mass, uniform_queries
-from .config import (
-    SCOPE_ALL,
-    SCOPE_PRECEDING,
-    ConfigError,
-    config_to_dict,
-    load_hici_config,
-    load_host_config,
-)
+from .config import ConfigError, config_to_dict, load_hici_config, load_host_config
 from .gradcheck import check_host_block_gradients, check_module_gradients
 from .host import (
     HostConfig,
@@ -52,6 +51,7 @@ from .host import (
     encode_bytes,
     eval_config,
     eval_ppl,
+    init_host_params,
     lm_forward,
     load_checkpoint,
     save_checkpoint,
@@ -83,16 +83,6 @@ def _write_text(out_dir, name, text):
         fh.write(text)
 
 
-def _apply_overrides(hici_cfg, args):
-    changes = {}
-    if getattr(args, "causal", None):
-        changes["causal_segment_mask"] = args.causal == "on"
-    if getattr(args, "global_scope", None):
-        changes["global_scope"] = (SCOPE_ALL if args.global_scope == "all"
-                                   else SCOPE_PRECEDING)
-    return dataclasses.replace(hici_cfg, **changes) if changes else hici_cfg
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -108,7 +98,7 @@ def _cmd_params(args):
         base = args.base_params if args.base_params else preset.base_params
     bd = count_params(cfg, layers, base)
     if args.out:
-        _write_manifest(args.out, "params", config_to_dict(cfg), args.seed,
+        _write_manifest(args.out, "params", config_to_dict(cfg), None,
                         ["params.txt", "params.csv"])
         _write_text(args.out, "params.txt", format_param_table(bd, args.paper_layout) + "\n")
         _write_text(args.out, "params.csv", param_table_csv(bd))
@@ -125,7 +115,7 @@ def _cmd_flops(args):
         _write_manifest(args.out, "flops",
                         {"preset": args.preset, "contexts": contexts,
                          "segments": args.segments},
-                        args.seed, ["flops.txt", "flops.csv"])
+                        None, ["flops.txt", "flops.csv"])
         _write_text(args.out, "flops.txt", format_flops_table(rows) + "\n")
         _write_text(args.out, "flops.csv", flops_table_csv(rows))
     print(format_flops_table(rows))
@@ -136,7 +126,6 @@ def _cmd_gradcheck(args):
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     cfg = load_hici_config(args.config) if args.config else MICRO_CFG
-    cfg = _apply_overrides(cfg, args)
     if args.out:
         _write_manifest(args.out, "gradcheck", config_to_dict(cfg), args.seed,
                         ["gradcheck.csv"])
@@ -167,7 +156,6 @@ def _cmd_train(args):
     cfg = load_host_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    cfg = dataclasses.replace(cfg, hici=_apply_overrides(cfg.hici, args))
     with open(args.corpus, "rb") as fh:
         corpus = encode_bytes(fh.read())
     check_train_input(corpus, cfg, args.steps)
@@ -200,7 +188,6 @@ def _eval_len(args, cfg):
 
 def _cmd_eval_ppl(args):
     cfg, params, _opt, _rng, step = load_checkpoint(args.ckpt)
-    cfg = dataclasses.replace(cfg, hici=_apply_overrides(cfg.hici, args))
     with open(args.text, "rb") as fh:
         ids = encode_bytes(fh.read())
     eval_len = _eval_len(args, cfg)
@@ -211,7 +198,7 @@ def _cmd_eval_ppl(args):
                         {"ckpt_step": step, "eval_len": eval_len,
                          "stride": stride, "mode": args.mode,
                          "config": config_to_dict(cfg)},
-                        args.seed, ["eval_ppl.json"])
+                        None, ["eval_ppl.json"])
     ppl = eval_ppl(params, cfg, ids, eval_len, stride, mode=args.mode)
     if args.out:
         _write_text(args.out, "eval_ppl.json", json.dumps(
@@ -227,11 +214,9 @@ def _cmd_attn_stats(args):
         cfg, params, _opt, _rng, _step = load_checkpoint(args.ckpt)
     elif args.config:
         cfg = load_host_config(args.config)
-        from .host import init_host_params
         params = init_host_params(cfg, np.random.default_rng(cfg.seed))
     else:
         raise ConfigError("attn-stats needs --ckpt or --config")
-    cfg = dataclasses.replace(cfg, hici=_apply_overrides(cfg.hici, args))
     eval_len = _eval_len(args, cfg)
     if args.text:
         with open(args.text, "rb") as fh:
@@ -264,7 +249,6 @@ def _cmd_attn_stats(args):
 
 def _cmd_scaling(args):
     cfg = load_hici_config(args.config) if args.config else SCALING_CFG
-    cfg = _apply_overrides(cfg, args)
     t_list = ([int(t) for t in args.t_list.split(",")] if args.t_list
               else [2 * cfg.S, 4 * cfg.S, 8 * cfg.S, 16 * cfg.S])
     rows = scaling_probe(cfg, t_list, seed=args.seed)   # checks t_list before writing
@@ -287,9 +271,10 @@ def build_parser():
         description="Hierarchical construction-integration attention toolkit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, seed_default=0):
-        p.add_argument("--seed", type=int, default=seed_default,
-                       help="root seed for the run's PCG64 generator")
+    def common(p, seeded=True):
+        if seeded:
+            p.add_argument("--seed", type=int, default=0,
+                           help="root seed for the run's PCG64 generator")
         p.add_argument("--out", help="output directory (only place the run writes)")
 
     p = sub.add_parser("params", help="added-parameter accounting table")
@@ -300,21 +285,19 @@ def build_parser():
                    help="backbone parameter count (0 = preset value)")
     p.add_argument("--paper-layout", action="store_true",
                    help="emit the published table layout for diffing")
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("flops", help="forward-pass FLOPs breakdown table")
     p.add_argument("--preset", choices=sorted(ACCOUNTING_PRESETS), default="llama2-7b")
     p.add_argument("--contexts", help="comma-separated context lengths (default paper set)")
     p.add_argument("--segments", type=int, default=4, help="segments per context (S = T/n)")
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=_cmd_flops)
 
     p = sub.add_parser("gradcheck", help="reverse-mode vs. finite-difference gradients")
     p.add_argument("--config", help="attention config JSON (default: micro config)")
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--causal", choices=["on", "off"])
-    p.add_argument("--global-scope", choices=["all", "preceding"])
     common(p)
     p.set_defaults(func=_cmd_gradcheck)
 
@@ -322,8 +305,6 @@ def build_parser():
     p.add_argument("--config", required=True, help="host config JSON")
     p.add_argument("--corpus", required=True, help="raw UTF-8/byte corpus file")
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--causal", choices=["on", "off"])
-    p.add_argument("--global-scope", choices=["all", "preceding"])
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     p.add_argument("--out", required=True)
@@ -336,9 +317,7 @@ def build_parser():
     p.add_argument("--stride", type=int, default=None,
                    help="tokens between window starts (default: min(256, eval length))")
     p.add_argument("--mode", choices=["hici", "full"], default="hici")
-    p.add_argument("--causal", choices=["on", "off"])
-    p.add_argument("--global-scope", choices=["all", "preceding"])
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=_cmd_eval_ppl)
 
     p = sub.add_parser("attn-stats", help="attention-mass fractions per layer and head")
@@ -348,16 +327,12 @@ def build_parser():
     p.add_argument("--eval-len", type=int, default=0, help="input length (0 = max_T)")
     p.add_argument("--probe-uniform", action="store_true",
                    help="zero the broadcast query projection (analytic baseline)")
-    p.add_argument("--causal", choices=["on", "off"])
-    p.add_argument("--global-scope", choices=["all", "preceding"])
     common(p)
     p.set_defaults(func=_cmd_attn_stats)
 
     p = sub.add_parser("scaling", help="instrumented FLOPs across context lengths")
     p.add_argument("--config", help="attention config JSON (default: probe config)")
     p.add_argument("--t-list", help="comma-separated context lengths")
-    p.add_argument("--causal", choices=["on", "off"])
-    p.add_argument("--global-scope", choices=["all", "preceding"])
     common(p)
     p.set_defaults(func=_cmd_scaling)
 

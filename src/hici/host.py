@@ -30,7 +30,7 @@ from .attention import (
     named_tensors,
     run_stages,
 )
-from .config import SCOPE_ALL, ConfigError, HostConfig, config_to_dict, host_config_from_dict
+from .config import ConfigError, HostConfig, config_to_dict, host_config_from_dict
 from .serialize import load_tensors, save_tensors
 from .tensor import (
     Tensor,
@@ -230,10 +230,13 @@ class AdamW:
             lr = lrs[gname]
             for name, p in tensors.items():
                 g = grad_or_zero(p)
-                self.m[name] = b1 * self.m[name] + (1 - b1) * g
-                self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-                mhat = self.m[name] / (1 - b1**self.t)
-                vhat = self.v[name] / (1 - b2**self.t)
+                m, v = self.m[name], self.v[name]
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                mhat = m / (1 - b1**self.t)
+                vhat = v / (1 - b2**self.t)
                 p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps)
                                 + self.weight_decay * p.data)
 
@@ -414,9 +417,9 @@ def load_checkpoint(ckpt_dir):
 def eval_config(cfg: HostConfig, n_tokens, eval_T, stride, mode="hici"):
     """The config `eval_ppl` scores a text of `n_tokens` tokens with, once its
     arguments are checked; ConfigError if any of them is out of range."""
-    if mode == "full":
+    if mode == "full":   # one segment without slots: plain causal attention in either scope
         cfg = dataclasses.replace(cfg, hici=dataclasses.replace(
-            cfg.hici, S=eval_T, M=0, K=0, causal_segment_mask=True, global_scope=SCOPE_ALL))
+            cfg.hici, S=eval_T, M=0, K=0, causal_segment_mask=True))
     elif mode != "hici":
         raise ConfigError(f"unknown eval mode {mode!r}, use 'hici' or 'full'")
     if eval_T % cfg.hici.S != 0:

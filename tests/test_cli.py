@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hici.cli import dispatch
+from hici.cli import build_parser, dispatch
 from hici.host import BYTE_VOCAB
 
 
@@ -43,10 +44,40 @@ def test_no_arguments_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_unknown_flag_is_usage_error():
+# the scope and the causal mask come from the config file alone, and a run
+# that draws no random number takes no seed
+@pytest.mark.parametrize("argv", [
+    ["params", "--bogus"],
+    ["train", "--config", "host.json", "--corpus", "corpus.txt", "--out", "run",
+     "--global-scope", "all"],
+    ["eval-ppl", "--ckpt", "checkpoint", "--text", "text.txt", "--causal", "off"],
+    ["flops", "--seed", "0"],
+], ids=["params-bogus", "train-global-scope", "eval-ppl-causal", "flops-seed"])
+def test_unknown_flag_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        dispatch(["params", "--bogus"])
+        dispatch(argv)
     assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_exactly_these_options():
+    # 36 options; one more needs a caller that cannot do without it
+    expected = {
+        "params": ["--preset", "--config", "--layers", "--base-params", "--paper-layout", "--out"],
+        "flops": ["--preset", "--contexts", "--segments", "--out"],
+        "gradcheck": ["--config", "--tolerance", "--seed", "--out"],
+        "train": ["--config", "--corpus", "--steps", "--seed", "--out"],
+        "eval-ppl": ["--ckpt", "--text", "--eval-len", "--stride", "--mode", "--out"],
+        "attn-stats": ["--ckpt", "--config", "--text", "--eval-len", "--probe-uniform",
+                       "--seed", "--out"],
+        "scaling": ["--config", "--t-list", "--seed", "--out"],
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: [o for a in p._actions if not isinstance(a, argparse._HelpAction)
+                      for o in a.option_strings]
+               for name, p in sub.choices.items()}
+    assert options == expected
+    assert sum(map(len, options.values())) == 36
 
 
 def test_params_preset_prints_published_numbers(capsys):
@@ -63,6 +94,7 @@ def test_params_writes_manifest_before_outputs(tmp_path, capsys):
         manifest = json.load(fh)
     assert manifest["subcommand"] == "params"
     assert manifest["outputs"] == ["params.csv", "params.txt"]
+    assert manifest["seed"] is None
     assert os.path.exists(os.path.join(out_dir, "params.csv"))
 
 
@@ -72,6 +104,7 @@ def test_flops_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "143.4" in out and "8.8" in out
     assert os.path.exists(os.path.join(out_dir, "flops.csv"))
+    assert json.loads(Path(out_dir, "run_manifest.json").read_text())["seed"] is None
 
 
 def test_flops_rejects_bad_context(capsys):
@@ -183,6 +216,27 @@ def test_eval_ppl_default_stride_fits_the_micro_host_window(tmp_path, corpus_fil
     assert manifest["config"]["stride"] == 32
     assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--stride", "33"]) == 2
     assert "stride=33 must lie in [1, eval_T=32]" in capsys.readouterr().err
+
+
+def test_the_config_file_sets_the_scope_of_every_run_on_it(
+        tmp_path, host_config_file, corpus_file):
+    cfg = json.loads(Path(host_config_file).read_text())
+    cfg["hici"]["global_scope"] = "preceding_segments"
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(cfg))
+    run, eval_dir = tmp_path / "run", tmp_path / "eval"
+    assert dispatch(["train", "--config", str(path), "--corpus", corpus_file,
+                     "--steps", "1", "--out", str(run)]) == 0
+    assert dispatch(["eval-ppl", "--ckpt", str(run / "checkpoint"), "--text", corpus_file,
+                     "--out", str(eval_dir)]) == 0
+    train_manifest = json.loads((run / "run_manifest.json").read_text())
+    state = json.loads((run / "checkpoint" / "state.json").read_text())
+    eval_manifest = json.loads((eval_dir / "run_manifest.json").read_text())
+    assert eval_manifest["seed"] is None
+    assert [train_manifest["config"]["hici"]["global_scope"],
+            state["config"]["hici"]["global_scope"],
+            eval_manifest["config"]["config"]["hici"]["global_scope"]] == \
+        ["preceding_segments"] * 3
 
 
 def test_train_writes_only_into_out_dir(tmp_path, host_config_file, corpus_file):
