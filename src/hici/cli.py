@@ -44,7 +44,7 @@ from .analysis import (
 )
 from .attention import record_attn_mass, uniform_queries
 from .config import ConfigError, config_to_dict, load_hici_config, load_host_config
-from .gradcheck import check_host_block_gradients, check_module_gradients
+from .gradcheck import check_host_block_gradients, check_module_gradients, probe_processes
 from .host import (
     HostConfig,
     check_train_input,
@@ -142,8 +142,9 @@ def _cmd_gradcheck(args):
         lines.append(f"{name},{errors[name]!r}")
     if args.out:
         _write_text(args.out, "gradcheck.csv", "\n".join(lines) + "\n")
-    print(f"checked {len(errors)} parameter tensors "
-          f"(module + one host block), h=1e-5, 64-bit, in {elapsed:.1f} s")
+    n_procs = probe_processes()
+    print(f"checked {len(errors)} parameter tensors (module + one host block), h=1e-5, "
+          f"64-bit, on {n_procs} process{'es' if n_procs != 1 else ''}, in {elapsed:.1f} s")
     print(f"max relative error: {errors[worst]:.3e} ({worst})")
     if not errors[worst] <= args.tolerance:
         print(f"FAIL: exceeds tolerance {args.tolerance:g}")

@@ -174,6 +174,13 @@ class FlopCounter:
         b = self.buckets.setdefault(cat, {"matmul": 0, "other": 0})
         b[kind] += n
 
+    def merge(self, buckets):
+        """Add the counts of another counter's `buckets` to this one's."""
+        for cat, counts in buckets.items():
+            b = self.buckets.setdefault(cat, {"matmul": 0, "other": 0})
+            for kind, n in counts.items():
+                b[kind] += n
+
     def total(self, category=None, kind=None):
         cats = [category] if category is not None else list(self.buckets)
         tot = 0
@@ -1087,19 +1094,20 @@ def tsum(a):
 # ---------------------------------------------------------------------------
 # the numerical oracle
 
-def finite_diff_grad(f, p, h=1e-5):
+def finite_diff_grad(f, p, h=1e-5, coords=None):
     """Central-difference gradient of a scalar function, one coordinate at a time.
 
     `f` maps a numpy array (same shape as `p`) to a float and must not
     retain references to its argument: the probe array is mutated in place
     between calls. This is the independent check that reverse-mode results
-    are measured against.
+    are measured against. `coords` (a range of flat indices, all of them
+    by default) picks the coordinates probed; the others stay 0.
     """
     p = np.array(p.data if isinstance(p, Tensor) else p, dtype=np.float64)
     g = np.zeros_like(p)
     flat = p.reshape(-1)
     gflat = g.reshape(-1)
-    for i in range(flat.size):
+    for i in range(flat.size) if coords is None else coords:
         orig = flat[i]
         flat[i] = orig + h
         f_plus = float(f(p))

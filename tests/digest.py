@@ -22,6 +22,11 @@ plain figures. The items:
 Leaf gradients are hashed as `g + 0.0`, so the sign of a zero does not
 count: clipping, AdamW and the gradient-check norms treat both alike.
 A run takes about 25 seconds on two cores.
+
+The training hashes depend on the number of BLAS threads, so the script
+sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to
+1 before numpy loads, as `perfbench/run.py` does, and prints that
+setting as its first line.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ import hashlib
 import os
 import sys
 import tempfile
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
@@ -182,5 +190,6 @@ def items():
 
 
 if __name__ == "__main__":
+    print(" ".join(f"{var}={os.environ[var]}" for var in BLAS_THREADS), flush=True)
     for item, digest in items():
         print(f"{digest}  {item}", flush=True)

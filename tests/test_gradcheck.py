@@ -3,10 +3,15 @@
 A probe re-runs only the stages downstream of the perturbed tensor, from
 the stage inputs of the reverse-mode pass. These tests pin that every
 finite-difference value equals the one a full forward gives, bit for
-bit, and that a probe runs no stage upstream of its tensor.
+bit, and that a probe runs no stage upstream of its tensor. Those run in
+one process, where every probe is recorded. The probes of a check are
+shared among forked processes; the last tests pin that a check on three
+processes gives the bits and FLOP counts of one on a single process,
+that it leaves no child behind, and that it raises what a child raised.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -15,18 +20,24 @@ from hici import attention, gradcheck
 from hici.attention import hici_forward, init_hici_params, named_tensors
 from hici.config import SCOPE_ALL, SCOPE_PRECEDING, HiCIConfig, HostConfig
 from hici.host import block_forward, block_stages, host_named_tensors, init_host_params
-from hici.tensor import Tensor, finite_diff_grad, mul_const, no_grad, tsum
+from hici.tensor import Tensor, finite_diff_grad, measure_flops, mul_const, no_grad, tsum
 
 SMALL = HiCIConfig(S=2, M=1, K=1, H=2, d=8, d_b=4, d_s=2)
 SEED = 3
 
 
+def _one_process(monkeypatch):
+    """Run every probe of a check in this process, where it can be recorded."""
+    monkeypatch.setattr(gradcheck, "probe_processes", lambda: 1)
+
+
 def _recorded_fd(monkeypatch):
     """Make `gradcheck` keep every finite-difference gradient it computes."""
+    _one_process(monkeypatch)
     recorded = []
 
-    def recording(f, p, h=1e-5):
-        g = finite_diff_grad(f, p, h=h)
+    def recording(f, p, **kwargs):
+        g = finite_diff_grad(f, p, **kwargs)
         recorded.append(g)
         return g
 
@@ -117,13 +128,14 @@ def test_probes_run_no_stage_upstream_of_their_tensor(monkeypatch, scope):
         counted(name)
     per_probe = []
 
-    def recording(f, p, h=1e-5):
+    def recording(f, p, **kwargs):
         before = dict(calls)
-        g = finite_diff_grad(f, p, h=h)
+        g = finite_diff_grad(f, p, **kwargs)
         per_probe.append({k: calls[k] - before[k] for k in calls})
         return g
 
     monkeypatch.setattr(gradcheck, "finite_diff_grad", recording)
+    _one_process(monkeypatch)
     gradcheck.check_module_gradients(cfg, seed=SEED)
 
     tensors = named_tensors(init_hici_params(cfg, np.random.default_rng(SEED)))
@@ -168,3 +180,104 @@ def test_each_named_tensor_sits_in_exactly_one_stage(cfg):
                if name.startswith("layers.0.")}
     _assert_each_tensor_in_one_stage(
         tensors, block_stages(layer, cfg, attention.hici_stages(layer.hici, cfg)))
+
+
+# ---------------------------------------------------------------------------
+# probes shared among processes
+
+STRICT = dataclasses.replace(SMALL, global_scope=SCOPE_PRECEDING)
+HOST_CFG = HostConfig(vocab_size=17, n_layers=1, d=SMALL.d, ffn_width=2 * SMALL.d,
+                      max_T=2 * SMALL.S, seed=0, hici=SMALL)
+CHECKS = {
+    "module all_segments": lambda: gradcheck.check_module_gradients(SMALL, seed=SEED),
+    "module preceding_segments": lambda: gradcheck.check_module_gradients(
+        STRICT, seed=SEED, n_segments=4),
+    "host block all_segments": lambda: gradcheck.check_host_block_gradients(HOST_CFG, seed=SEED),
+    "host block preceding_segments": lambda: gradcheck.check_host_block_gradients(
+        dataclasses.replace(HOST_CFG, hici=STRICT), seed=SEED),
+}
+REL_ERROR = gradcheck._rel_error
+
+
+class ProbeFailure(Exception):
+    """Raised by a probe on purpose."""
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _checked_on(monkeypatch, n_processes, check):
+    """Errors, merged finite-difference arrays and FLOP buckets of `check`
+    run on `n_processes` processes."""
+    monkeypatch.setattr(gradcheck, "probe_processes", lambda: n_processes)
+    compared = []
+
+    def recording(g_ad, g_fd):
+        compared.append(g_fd)
+        return REL_ERROR(g_ad, g_fd)
+
+    monkeypatch.setattr(gradcheck, "_rel_error", recording)
+    with measure_flops() as counter:
+        errors = check()
+    return errors, compared, counter.buckets
+
+
+@pytest.mark.parametrize("check", list(CHECKS))
+def test_three_processes_give_the_bits_and_flops_of_one(monkeypatch, check):
+    # three parts cut tensors of 1, 2, 4, ... values unevenly, and some
+    # parts empty; forced, so a one-CPU machine runs them as well
+    errors, fds, buckets = _checked_on(monkeypatch, 1, CHECKS[check])
+    errors_3, fds_3, buckets_3 = _checked_on(monkeypatch, 3, CHECKS[check])
+    _assert_no_child_left()
+    assert list(errors_3) == list(errors)
+    assert all(a.hex() == b.hex() for a, b in zip(errors_3.values(), errors.values()))
+    assert len(fds_3) == len(fds)
+    for got, want in zip(fds_3, fds):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert buckets_3 == buckets and sum(b["matmul"] for b in buckets.values()) > 0
+
+
+def _failing_probe(monkeypatch, where):
+    """Make `finite_diff_grad` fail in the parent or in a child."""
+    parent = os.getpid()
+
+    def failing(f, p, **kwargs):
+        in_parent = os.getpid() == parent
+        if where == "child raises" and not in_parent:
+            raise ProbeFailure(f"probe of {p.shape} in a child")
+        if where == "parent raises" and in_parent:
+            raise ProbeFailure("probe in the parent")
+        if where == "child exits" and not in_parent:
+            os._exit(3)
+        return finite_diff_grad(f, p, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "finite_diff_grad", failing)
+
+
+@pytest.mark.parametrize("where, raised", [
+    ("nowhere", None),
+    ("child raises", ProbeFailure),
+    ("parent raises", ProbeFailure),
+    ("child exits", ChildProcessError),
+])
+def test_no_child_is_left_after_a_check(monkeypatch, where, raised):
+    monkeypatch.setattr(gradcheck, "probe_processes", lambda: 3)
+    _failing_probe(monkeypatch, where)
+    if raised is None:
+        assert len(CHECKS["module all_segments"]()) == 21
+    else:
+        with pytest.raises(raised):
+            CHECKS["module all_segments"]()
+    _assert_no_child_left()
+
+
+def test_a_child_exception_is_raised_with_its_type_and_traceback(monkeypatch):
+    monkeypatch.setattr(gradcheck, "probe_processes", lambda: 2)
+    _failing_probe(monkeypatch, "child raises")
+    with pytest.raises(ProbeFailure, match="in a child") as info:
+        CHECKS["module all_segments"]()
+    cause = info.value.__cause__
+    assert isinstance(cause, ChildProcessError)
+    assert "probe process 1 raised" in str(cause) and "ProbeFailure" in str(cause)
