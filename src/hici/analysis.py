@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import HiCIParams, hici_forward, init_hici_params
+from .attention import HiCIParams, hici_forward, init_hici_params, named_tensors
 from .config import SCOPE_PRECEDING, ConfigError, HiCIConfig
 from .tensor import ShapeError, Tensor, measure_flops, no_grad
 
@@ -29,6 +29,11 @@ PARAM_COMPONENTS = ("slots", "local_attn", "compression", "global_queries",
                     "lightweight_attn", "expansion")
 
 FLOP_COMPONENTS = ("Attn", "Proj", "FFN", "Others", "LC+GI")
+# the component of each module tensor, by the first prefix its `named_tensors` name starts with
+_CENSUS_PREFIXES = (("local.slots", "slots"), ("local.", "local_attn"),
+                    ("global.compress", "compression"), ("global.queries", "global_queries"),
+                    ("global.w_", "lightweight_attn"), ("global.", "expansion"),
+                    ("broadcast.", "broadcast"))
 
 
 @dataclass(frozen=True)
@@ -131,17 +136,10 @@ def param_census(params: HiCIParams):
     The 'broadcast' entry is reported for completeness but lies outside
     the overhead breakdown (see `count_params`).
     """
-    loc, glo, bro = params.local, params.global_, params.broadcast
-    return {
-        "slots": loc.slots.size,
-        "local_attn": loc.w_q.size + loc.w_k.size + loc.w_v.size + loc.w_o.size,
-        "compression": (glo.compress_w1.size + glo.compress_g1.size + glo.compress_b1.size
-                        + glo.compress_w2.size + glo.compress_g2.size + glo.compress_b2.size),
-        "global_queries": glo.queries.size,
-        "lightweight_attn": glo.w_q.size + glo.w_k.size + glo.w_v.size + glo.w_o.size,
-        "expansion": glo.expand.size + glo.gate_raw.size,
-        "broadcast": bro.w_q.size + bro.w_k.size + bro.w_v.size,
-    }
+    census = dict.fromkeys(PARAM_COMPONENTS + ("broadcast",), 0)
+    for name, t in named_tensors(params).items():
+        census[next(c for prefix, c in _CENSUS_PREFIXES if name.startswith(prefix))] += t.size
+    return census
 
 
 # ---------------------------------------------------------------------------

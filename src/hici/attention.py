@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -152,13 +152,20 @@ def init_hici_params(cfg: HiCIConfig, rng) -> HiCIParams:
     return HiCIParams(local=local, global_=global_, broadcast=broadcast_p)
 
 
-def named_tensors(params: HiCIParams, prefix=""):
-    """Flat `{name: Tensor}` view in a stable order."""
+def named_tensors(tree, prefix=""):
+    """Flat `{name: Tensor}` view of a parameter dataclass, walked in field order.
+
+    Names join field names (`global_` as `global`) and list indices with
+    dots after `prefix`: `local.slots`, or `layers.0.hici.local.slots` in a host.
+    """
+    items = (enumerate(tree) if isinstance(tree, list)
+             else ((f.name.rstrip("_"), getattr(tree, f.name)) for f in fields(tree)))
     out = {}
-    for group, obj in (("local", params.local), ("global", params.global_),
-                       ("broadcast", params.broadcast)):
-        for field in obj.__dataclass_fields__:
-            out[f"{prefix}{group}.{field}"] = getattr(obj, field)
+    for key, value in items:
+        if isinstance(value, Tensor):
+            out[f"{prefix}{key}"] = value
+        else:
+            out.update(named_tensors(value, f"{prefix}{key}."))
     return out
 
 
@@ -279,16 +286,15 @@ def integrate_global(pools, p: GlobalParams, cfg: HiCIConfig):
 
 
 @functools.lru_cache(maxsize=None)
-def _segment_visibility(n_ctx, seg_len):
-    """Causal mask: context positions always visible, tokens only up to self.
+def _segment_hidden(n_ctx, seg_len):
+    """The causal mask as the (S, n_ctx + S) entries it hides: the tokens after each query.
 
-    Built once per (n_ctx, seg_len) and shared by every later call, so the
-    array is read-only.
+    Valid by construction, as every query sees every context row and
+    itself. Built once per (n_ctx, seg_len) and shared, so read-only.
     """
-    vis = np.ones((seg_len, n_ctx + seg_len), dtype=bool)
-    vis[:, n_ctx:] = np.tril(np.ones((seg_len, seg_len), dtype=bool))
-    vis.flags.writeable = False
-    return vis
+    hidden = np.triu(np.ones((seg_len, n_ctx + seg_len), dtype=bool), k=n_ctx + 1)
+    hidden.flags.writeable = False
+    return hidden
 
 
 def broadcast(x, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
@@ -299,7 +305,8 @@ def broadcast(x, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
     from the segment tokens only; H heads of width d/H under one softmax
     across all visible positions; no output projection. With the causal
     mask a query at offset t sees every context position but only segment
-    positions <= t. The result is (N, S, d).
+    positions <= t (`_segment_hidden`, checked where it is built, not per
+    call). The result is (N, S, d).
     """
     _check_segment_stack(x, cfg, "broadcast")
     ctx = [t for t in (g_ctx, l_ctx) if t is not None]
@@ -310,15 +317,14 @@ def broadcast(x, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
         q = matmul(x, p.w_q)
         k = matmul(aug, p.w_k)
         v = matmul(aug, p.w_v)
-    visible = (_segment_visibility(n_global + n_local, cfg.S)
-               if cfg.causal_segment_mask else None)
+    hidden = _segment_hidden(n_global + n_local, cfg.S) if cfg.causal_segment_mask else None
     probe = None
     if _MASS_RECORDERS:
         per_layer = _MASS_RECORDERS[-1]
         probe = lambda probs: per_layer.append(
             attn_mass_records(probs, n_global, n_local, len(per_layer)))
     with flop_scope("broadcast_attn"):
-        return attention(q, k, v, cfg.H, visible=visible, probe=probe)
+        return attention(q, k, v, cfg.H, hidden=hidden, probe=probe)
 
 
 def local_stage(x, p: LocalParams, cfg: HiCIConfig):

@@ -12,14 +12,15 @@ outputs byte for byte. Only the subcommands that draw random numbers
 
 No option changes an attention config once it is read: its scope and
 its causal mask come from the `--config` file (a preset or built-in
-config without one), or from the checkpoint's `state.json`.
+config without one), or from the checkpoint's `state.json`. `train`,
+and `eval-ppl` in its `hici` mode, refuse a config that is not causal
+(`HiCIConfig.causal`) before they write anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -43,7 +44,7 @@ from .analysis import (
     scaling_probe,
 )
 from .attention import record_attn_mass, uniform_queries
-from .config import ConfigError, config_to_dict, load_hici_config, load_host_config
+from .config import ConfigError, HiCIConfig, config_to_dict, load_hici_config, load_host_config
 from .gradcheck import check_host_block_gradients, check_module_gradients, probe_processes
 from .host import (
     HostConfig,
@@ -57,25 +58,30 @@ from .host import (
     save_checkpoint,
     train,
 )
-from .tensor import GraphError, ShapeError, no_grad
+from .serialize import write_json
+from .tensor import GraphError, no_grad
 
-SCALING_CFG = dataclasses.replace(MICRO_CFG, S=32, M=8, K=4, H=4, d=32, d_b=16, d_s=8)
+SCALING_CFG = HiCIConfig(S=32, M=8, K=4, H=4, d=32, d_b=16, d_s=8)
 
 
 def _write_manifest(out_dir, command, config_snapshot, seed, outputs):
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {
+    write_json(os.path.join(out_dir, "run_manifest.json"), {
         "subcommand": command,
         "config": config_snapshot,
         "seed": seed,
         "version": __version__,
         "outputs": sorted(outputs),
-    }
-    path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
+    })
+
+
+def _require_causal(cfg, what):
+    """Raise ConfigError unless the attention config `cfg` lets no output read a later token."""
+    if not cfg.causal:
+        raise ConfigError(
+            f"{what} needs a causal config (the mask on; global_scope 'preceding_segments' or "
+            f"M=0), got causal_segment_mask={cfg.causal_segment_mask}, "
+            f"global_scope={cfg.global_scope!r}, M={cfg.M}")
 
 
 def _write_text(out_dir, name, text):
@@ -157,6 +163,7 @@ def _cmd_train(args):
     cfg = load_host_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    _require_causal(cfg.hici, "train")
     with open(args.corpus, "rb") as fh:
         corpus = encode_bytes(fh.read())
     check_train_input(corpus, cfg, args.steps)
@@ -193,7 +200,8 @@ def _cmd_eval_ppl(args):
         ids = encode_bytes(fh.read())
     eval_len = _eval_len(args, cfg)
     stride = args.stride if args.stride is not None else min(256, eval_len)
-    eval_config(cfg, ids.shape[0], eval_len, stride, args.mode)
+    _require_causal(eval_config(cfg, ids.shape[0], eval_len, stride, args.mode).hici,
+                    f"eval-ppl --mode {args.mode}")
     if args.out:
         _write_manifest(args.out, "eval-ppl",
                         {"ckpt_step": step, "eval_len": eval_len,
@@ -202,10 +210,9 @@ def _cmd_eval_ppl(args):
                         None, ["eval_ppl.json"])
     ppl = eval_ppl(params, cfg, ids, eval_len, stride, mode=args.mode)
     if args.out:
-        _write_text(args.out, "eval_ppl.json", json.dumps(
-            {"perplexity": ppl, "eval_len": eval_len, "stride": stride,
-             "mode": args.mode, "n_tokens": int(ids.shape[0])},
-            indent=1, sort_keys=True) + "\n")
+        write_json(os.path.join(args.out, "eval_ppl.json"),
+                   {"perplexity": ppl, "eval_len": eval_len, "stride": stride,
+                    "mode": args.mode, "n_tokens": int(ids.shape[0])})
     print(f"perplexity ({args.mode}, eval_len={eval_len}, stride={stride}): {ppl:.6f}")
     return 0
 
@@ -349,7 +356,7 @@ def dispatch(argv=None):
         return 2
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, GraphError, ValueError, OSError) as exc:
+    except (GraphError, ValueError, OSError) as exc:   # ConfigError and ShapeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

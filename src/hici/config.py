@@ -65,6 +65,12 @@ class HiCIConfig:
     def __post_init__(self):
         self.validate()
 
+    @property
+    def causal(self):
+        """Whether no output row reads a later position: the causal mask is on, and no
+        segment reads slots built from its own later tokens (the strict scope, or M = 0)."""
+        return self.causal_segment_mask and (self.global_scope == SCOPE_PRECEDING or self.M == 0)
+
     def validate(self):
         _require_ints(self, ("S", "M", "K", "H", "d", "d_b", "d_s"))
         if self.S < 1:
@@ -160,8 +166,7 @@ def _from_mapping(cls, obj, where):
 
 
 def hici_config_from_dict(obj, where="config"):
-    obj = dict(_from_mapping(HiCIConfig, obj, where))
-    return HiCIConfig(**obj)
+    return HiCIConfig(**_from_mapping(HiCIConfig, obj, where))
 
 
 def host_config_from_dict(obj, where="config"):

@@ -63,7 +63,7 @@ import numpy as np
 
 from .attention import hici_forward, hici_stages, init_hici_params, named_tensors, run_stages
 from .config import HiCIConfig, HostConfig
-from .host import block_forward, block_stages, host_named_tensors, init_host_params
+from .host import block_forward, block_stages, init_host_params
 from .tensor import (
     FLOPS, Tensor, backward, finite_diff_grad, grad_or_zero, mul_const, no_grad, tsum)
 
@@ -220,12 +220,11 @@ def check_host_block_gradients(host_cfg: HostConfig, seed=0, h=1e-5):
     rng = np.random.default_rng(seed)
     params = init_host_params(host_cfg, rng)
     layer = params.layers[0]
-    t = 2 * host_cfg.hici.S if host_cfg.max_T >= 2 * host_cfg.hici.S else host_cfg.hici.S
+    t = min(2 * host_cfg.hici.S, host_cfg.max_T)
     x = Tensor(rng.normal(size=(t, host_cfg.d)))
     weights = rng.normal(size=(t, host_cfg.d))
 
-    tensors = {name: p for name, p in host_named_tensors(params).items()
-               if name.startswith("layers.0.")}
     stages = block_stages(layer, host_cfg.hici, hici_stages(layer.hici, host_cfg.hici))
-    return _check_tensors(tensors, lambda x_: block_forward(x_, layer, host_cfg.hici),
-                          stages, x, weights, h)
+    return _check_tensors(named_tensors(layer, "layers.0."),
+                          lambda x_: block_forward(x_, layer, host_cfg.hici), stages, x,
+                          weights, h)

@@ -31,7 +31,7 @@ from .attention import (
     run_stages,
 )
 from .config import ConfigError, HostConfig, config_to_dict, host_config_from_dict
-from .serialize import load_tensors, save_tensors
+from .serialize import load_tensors, save_tensors, write_json
 from .tensor import (
     Tensor,
     add,
@@ -49,7 +49,6 @@ from .tensor import (
     slice_rows,
 )
 
-SEP_ID = 256           # document separator when corpora are concatenated
 BYTE_VOCAB = 257       # 256 raw bytes + separator
 
 
@@ -112,22 +111,10 @@ def init_host_params(cfg: HostConfig, rng) -> HostParams:
     )
 
 
-def host_named_tensors(params: HostParams):
-    out = {"embed": params.embed, "pos": params.pos}
-    for i, layer in enumerate(params.layers):
-        out.update(named_tensors(layer.hici, prefix=f"layers.{i}.hici."))
-        for field in ("out_proj", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "ffn_w1", "ffn_w2"):
-            out[f"layers.{i}.{field}"] = getattr(layer, field)
-    out["final_g"] = params.final_g
-    out["final_b"] = params.final_b
-    out["head"] = params.head
-    return out
-
-
 def param_groups(params: HostParams):
     """Split into the attention-module group and everything else."""
     hici, backbone = {}, {}
-    for name, t in host_named_tensors(params).items():
+    for name, t in named_tensors(params).items():
         (hici if ".hici." in name else backbone)[name] = t
     return {"hici": hici, "backbone": backbone}
 
@@ -179,16 +166,21 @@ def block_forward(x, layer: LayerParams, hici_cfg):
     return run_stages(block_stages(layer, hici_cfg, module), x)
 
 
+def _check_window(cfg: HostConfig, n, label):
+    """Raise ConfigError unless a window of n tokens splits into segments and fits max_T."""
+    if n % cfg.hici.S != 0:
+        raise ConfigError(f"{label}={n} not divisible by segment length S={cfg.hici.S}")
+    if n > cfg.max_T:
+        raise ConfigError(f"{label}={n} exceeds max_T={cfg.max_T}")
+
+
 def lm_forward(params: HostParams, ids, cfg: HostConfig):
     """Token ids to T x vocab logits. T must divide by S and fit max_T."""
     ids = np.asarray(ids, dtype=np.int64)
     t = ids.shape[0]
     if t == 0:
         raise ConfigError("empty token sequence")
-    if t % cfg.hici.S != 0:
-        raise ConfigError(f"sequence length T={t} not divisible by segment length S={cfg.hici.S}")
-    if t > cfg.max_T:
-        raise ConfigError(f"sequence length T={t} exceeds max_T={cfg.max_T}")
+    _check_window(cfg, t, "sequence length T")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ConfigError(f"token id out of range [0, {cfg.vocab_size})")
     with flop_scope("others"):
@@ -339,22 +331,17 @@ def save_checkpoint(out_dir, cfg: HostConfig, params: HostParams, opt: AdamW,
     os.makedirs(parent, exist_ok=True)
     tmp_dir = tempfile.mkdtemp(prefix=f".{base}.tmp-", dir=parent)
     try:
-        tensors = {}
-        for name, p in host_named_tensors(params).items():
-            tensors[name] = p.data
+        tensors = {name: p.data for name, p in named_tensors(params).items()}
         for name in opt.m:
             tensors[f"opt.m.{name}"] = opt.m[name]
             tensors[f"opt.v.{name}"] = opt.v[name]
         save_tensors(os.path.join(tmp_dir, "checkpoint"), tensors, dtype="f8")
-        state = {
+        write_json(os.path.join(tmp_dir, "state.json"), {
             "step": int(step),
             "adam_t": int(opt.t),
             "rng_state": rng.bit_generator.state,
             "config": config_to_dict(cfg),
-        }
-        with open(os.path.join(tmp_dir, "state.json"), "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        })
         if not os.path.lexists(out_dir):
             os.rename(tmp_dir, out_dir)
             return
@@ -371,7 +358,8 @@ def save_checkpoint(out_dir, cfg: HostConfig, params: HostParams, opt: AdamW,
 
 
 def load_checkpoint(ckpt_dir):
-    """Returns (cfg, params, opt, rng, step) rebuilt from disk."""
+    """Returns (cfg, params, opt, rng, step) rebuilt from disk; ValueError unless the
+    tensors are exactly the config's parameters and their AdamW moments, in their shapes."""
     state_path = os.path.join(ckpt_dir, "state.json")
     with open(state_path, encoding="utf-8") as fh:
         state = json.load(fh)
@@ -394,7 +382,13 @@ def load_checkpoint(ckpt_dir):
         return np.ascontiguousarray(blobs[name])
 
     params = init_host_params(cfg, np.random.default_rng(0))
-    for name, p in host_named_tensors(params).items():
+    named = named_tensors(params)
+    unread = sorted(set(blobs) - {f"{kind}{name}" for name in named
+                                  for kind in ("", "opt.m.", "opt.v.")})
+    if unread:
+        raise ValueError(f"checkpoint holds tensors its config does not define: "
+                         f"{', '.join(map(repr, unread))}")
+    for name, p in named.items():
         p.data = stored(name, p.data.shape)
     opt = AdamW(param_groups(params), beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                 weight_decay=cfg.weight_decay)
@@ -422,10 +416,7 @@ def eval_config(cfg: HostConfig, n_tokens, eval_T, stride, mode="hici"):
             cfg.hici, S=eval_T, M=0, K=0, causal_segment_mask=True))
     elif mode != "hici":
         raise ConfigError(f"unknown eval mode {mode!r}, use 'hici' or 'full'")
-    if eval_T % cfg.hici.S != 0:
-        raise ConfigError(f"eval_T={eval_T} not divisible by segment length S={cfg.hici.S}")
-    if eval_T > cfg.max_T:
-        raise ConfigError(f"eval_T={eval_T} exceeds max_T={cfg.max_T}")
+    _check_window(cfg, eval_T, "eval_T")
     if not (1 <= stride <= eval_T):
         raise ConfigError(f"stride={stride} must lie in [1, eval_T={eval_T}]")
     if n_tokens < eval_T:

@@ -15,6 +15,7 @@ Layout (documented here, stable):
 
 Round trips are bit-exact for f8. f4 is a storage option for checkpoints
 that can tolerate precision loss; compute always happens in f8.
+`write_json` writes every JSON file of the package, manifests included.
 """
 
 from __future__ import annotations
@@ -56,15 +57,19 @@ def save_tensors(prefix, tensors, dtype="f8"):
                 "nbytes": len(raw),
             })
             offset += len(raw)
-    manifest = {
+    write_json(manifest_path, {
         "format": FORMAT_TAG,
         "blob": os.path.basename(blob_path),
         "tensors": entries,
-    }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
     return manifest_path
+
+
+def write_json(path, obj):
+    """Write `obj` to `path` as JSON: keys sorted, one-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_tensors(prefix):

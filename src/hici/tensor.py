@@ -21,8 +21,10 @@ builds a node, so a forward pass holds only its live activations.
 `attention` is the one multi-head attention op: it runs every head of
 B stacked blocks (segments) in a single graph node with a closed-form
 backward, so a module pass builds the same small graph at any length.
-Its one forward loop runs the blocks in chunks; its one mask shape is
-(Lq, Lk), shared by every block and head.
+Its one forward loop runs the blocks in chunks. Its one mask, shared by
+every block and head, is the (Lq, Lk) entries it hides, built valid by
+the caller: `attention` checks only its shape, as a wrong one would
+broadcast silently.
 
 `prefix_stats` pools the statistics of every prefix of a stack of
 blocks in one node from exact sums, carried from prefix to prefix, so
@@ -91,13 +93,11 @@ whole cost: the gradient oracle at T=8 makes about 80k ops per check. No
 hot path enters a generator context manager (`no_grad` and `flop_scope`
 are small classes). An op hands the fresh float64 array numpy made to
 `_make`, which wraps it as it is and copies only a strided one, with no
-re-validation, and no op coerces its operands into Tensors. `attention`
-converts its mask, checks it against (Lq, Lk) and inverts it once per
-call, before the first chunk. Row means and softmax reductions call the
-numpy ufuncs (`np.add.reduce`, `np.maximum.reduce`) that `ndarray.mean`,
-`sum` and `max` call, without their Python wrappers, so the bits are the
-same. `prefix_stats` finds the first argmax and argmin rows only when a
-backward runs.
+re-validation, and no op coerces its operands into Tensors. Row means
+and softmax reductions call the numpy ufuncs (`np.add.reduce`,
+`np.maximum.reduce`) that `ndarray.mean`, `sum` and `max` call, without
+their Python wrappers, so the bits are the same. `prefix_stats` finds
+the first argmax and argmin rows only when a backward runs.
 
 A process-wide FLOP counter (`FLOPS`) can be armed to measure the actual
 arithmetic issued by a forward pass. Matmuls are charged 2*m*k*n
@@ -494,28 +494,13 @@ def scale(a, s):
     return _make(out, (a, s), bwd)
 
 
-def _softmax(a, visible=None):
-    """Softmax over the last axis with max subtraction, in place; masked entries get 0.
+def _softmax(a, hidden=None):
+    """Softmax over the last axis with max subtraction, in place; hidden entries get 0.
 
     Overwrites and returns `a`, so a caller that does not own `a` passes a
-    copy. `visible` is an optional boolean mask shaped like the last two
-    axes of `a`; every row must keep at least one visible entry.
+    copy. `hidden` is an optional boolean mask of the entries to hide,
+    broadcast against `a`; a row it hides whole comes out NaN.
     """
-    return _softmax_hidden(a, None if visible is None else _hidden(visible, a.shape))
-
-
-def _hidden(visible, score_shape):
-    """The entries a `visible` mask of the last two axes of `score_shape` hides, once checked."""
-    visible = np.asarray(visible, dtype=bool)
-    if visible.shape != score_shape[-2:]:
-        raise ShapeError(f"softmax: mask shape {visible.shape} vs scores {score_shape}")
-    if not np.logical_and.reduce(np.logical_or.reduce(visible, axis=-1), axis=None):
-        raise ShapeError("softmax: some row has no visible entry")
-    return ~visible
-
-
-def _softmax_hidden(a, hidden):
-    """`_softmax` of `a` in place, with the mask given as the entries it hides (or None)."""
     if hidden is not None:
         np.copyto(a, -np.inf, where=hidden)   # exp(-inf - max) is exactly 0
     a -= np.maximum.reduce(a, axis=-1, keepdims=True)
@@ -534,14 +519,15 @@ def _merge_heads(x, width):
     return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], width))
 
 
-def attention(q, k, v, n_heads, visible=None, probe=None):
+def attention(q, k, v, n_heads, hidden=None, probe=None):
     """Multi-head scaled dot-product attention over B stacked blocks.
 
     `k` and `v` are (B, Lk, W) Tensors; `q` is (B, Lq, W), or (Lq, W) when
     every block shares it. Heads split W contiguously into slices of width
     dk, scores are scaled by 1/sqrt(dk), and the result is (B, Lq, W) with
-    no output projection. `visible` is an optional (Lq, Lk) boolean mask
-    shared by every block and head, checked once per call. `probe`, a
+    no output projection. `hidden`, an optional (Lq, Lk) boolean mask of
+    the entries to hide in every block and head, leaves each row one
+    visible entry. `probe`, a
     diagnostic hook, is called with the probabilities, shape (B, n_heads,
     Lq, Lk).
 
@@ -569,8 +555,9 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     per_block = n_heads * n_queries * n_keys
     FLOPS.add("matmul", 4 * n_blocks * per_block * dk)
     FLOPS.add("other", 6 * n_blocks * per_block)
+    if hidden is not None and hidden.shape != (n_queries, n_keys):
+        raise ShapeError(f"attention: mask shape {hidden.shape} vs scores {n_queries, n_keys}")
     inv_scale = 1.0 / math.sqrt(dk)
-    hidden = None if visible is None else _hidden(visible, (n_queries, n_keys))
     shared_q = qd.ndim == 2
     qh, kh, vh = (_split_heads(qd, n_heads, dk), _split_heads(kd, n_heads, dk),
                   _split_heads(vd, n_heads, dk))
@@ -582,7 +569,7 @@ def attention(q, k, v, n_heads, visible=None, probe=None):
     for blk in (slice(None),) if whole else _row_blocks(n_blocks, per_block):
         p = (qh if shared_q else qh[blk]) @ kh[blk].swapaxes(-1, -2)
         p *= inv_scale
-        _softmax_hidden(p, hidden)
+        _softmax(p, hidden)
         out_heads[blk] = (p @ vh[blk]).swapaxes(-3, -2)
     if probe is not None:
         probe(p)

@@ -1,7 +1,7 @@
 """Print SHA-256 digests of this checkout's numerical results, one line per item.
 
-Usage: `python3 tests/digest.py` (no options). The script imports `hici`
-from the `src/` directory beside it, so the same script run in two
+Usage: `python3 tests/digest.py [--tier1 | --build]`. The script imports
+`hici` from the `src/` directory beside it, so the same script run in two
 checkouts shows, item by item, whether a change kept every bit. Each line
 is `<sha256>  <item>`; graph sizes and the perplexity also print in
 plain figures. The items:
@@ -27,6 +27,14 @@ The training hashes depend on the number of BLAS threads, so the script
 sets `OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` to
 1 before numpy loads, as `perfbench/run.py` does, and prints that
 setting as its first line.
+
+`tests/digest.txt` holds the lines of a full run, after a first line
+that names the numpy and BLAS build they came from (`--build` prints
+it), and `tests/test_digest.py` checks them in tier-1. `--tier1` prints
+every line but the two `check_module_gradients` ones, which take about
+16 s of a full run. A change that moves numbers on purpose rewrites
+the file: `(python3 tests/digest.py --build; python3 tests/digest.py) >
+tests/digest.txt`.
 """
 
 from __future__ import annotations
@@ -126,7 +134,7 @@ def checkpoint_files(cfg, params, opt, rng):
 
 def train_items(label, cfg):
     params, opt, rng, trace = host.train(corpus(cfg.seed, CORPUS_TOKENS), cfg, TRAIN_STEPS)
-    tensors = host.host_named_tensors(params)
+    tensors = named_tensors(params)
     yield f"{label}: {TRAIN_STEPS}-step loss trace", sha(trace)
     yield f"{label}: final parameters", sha(*named_arrays({n: p.data for n, p in tensors.items()}))
     yield f"{label}: AdamW moments", sha(opt.t, *named_arrays(opt.m), *named_arrays(opt.v))
@@ -160,7 +168,17 @@ def module_pass(scope):
     return counter.buckets, nodes, leaf_grads(named_tensors(params))
 
 
-def items():
+def build():
+    """The numpy version and the name and version of the BLAS it was built with."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):   # numpy before 1.26 has no dict form
+        blas = "unknown BLAS"
+    return f"numpy {np.__version__}, {blas}"
+
+
+def items(tier1=False):
     for label, cfg in HOSTS.items():
         yield from train_items(label, cfg)
     buckets, counts = [], []
@@ -177,8 +195,10 @@ def items():
     yield f"graph nodes {' '.join(counts)}", sha(counts)
     for scope in SCOPES:
         cfg = scoped(MICRO_CFG, scope)
-        errors = [sorted(check_module_gradients(cfg, seed=s).items()) for s in GRADCHECK_SEEDS]
-        yield f"check_module_gradients {scope}, seeds 0-10", sha(errors)
+        if not tier1:
+            errors = [sorted(check_module_gradients(cfg, seed=s).items())
+                      for s in GRADCHECK_SEEDS]
+            yield f"check_module_gradients {scope}, seeds 0-10", sha(errors)
         host_cfg = HostConfig(vocab_size=17, n_layers=1, d=cfg.d, ffn_width=2 * cfg.d,
                               max_T=2 * cfg.S, seed=0, hici=cfg)
         yield (f"check_host_block_gradients {scope}",
@@ -190,6 +210,11 @@ def items():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--tier1"], ["--build"]):
+        sys.exit(f"usage: {sys.argv[0]} [--tier1 | --build]")
+    if sys.argv[1:] == ["--build"]:
+        print(f"# {build()}")
+        sys.exit()
     print(" ".join(f"{var}={os.environ[var]}" for var in BLAS_THREADS), flush=True)
-    for item, digest in items():
+    for item, digest in items(tier1=sys.argv[1:] == ["--tier1"]):
         print(f"{digest}  {item}", flush=True)

@@ -6,7 +6,7 @@ import pytest
 
 from hici.attention import (
     _MASS_RECORDERS,
-    _segment_visibility,
+    _segment_hidden,
     attn_mass_records,
     broadcast,
     collect_attn_mass,
@@ -548,10 +548,13 @@ def test_init_shapes():
 
 
 def test_segment_visibility_is_built_once_and_read_only():
-    vis = _segment_visibility(3, 4)
-    assert _segment_visibility(3, 4) is vis
-    assert not vis.flags.writeable
+    # the cached causal mask holds the hidden entries: every context row and the
+    # query itself stay visible, so no row is hidden whole
+    hidden = _segment_hidden(3, 4)
+    assert _segment_hidden(3, 4) is hidden
+    assert not hidden.flags.writeable
     with pytest.raises(ValueError):
-        vis[0, 0] = False
-    tokens = np.tril(np.ones((4, 4), dtype=bool))
-    assert np.array_equal(vis, np.concatenate([np.ones((4, 3), dtype=bool), tokens], axis=1))
+        hidden[0, 0] = True
+    later = np.triu(np.ones((4, 4), dtype=bool), k=1)
+    assert np.array_equal(hidden, np.concatenate([np.zeros((4, 3), dtype=bool), later], axis=1))
+    assert not hidden.all(axis=1).any()

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -8,7 +9,10 @@ import pytest
 
 from hici import gradcheck
 from hici.cli import build_parser, dispatch
-from hici.host import BYTE_VOCAB
+from hici.config import load_host_config
+from hici.host import BYTE_VOCAB, encode_bytes, save_checkpoint, train
+
+MICRO_HOST = Path(__file__).parent.parent / "configs" / "micro-host.json"
 
 
 @pytest.fixture()
@@ -16,7 +20,8 @@ def host_config_file(tmp_path):
     cfg = {
         "vocab_size": BYTE_VOCAB, "n_layers": 1, "d": 32, "ffn_width": 64,
         "max_T": 32, "seed": 7,
-        "hici": {"S": 8, "M": 2, "K": 2, "H": 2, "d": 32, "d_b": 16, "d_s": 8},
+        "hici": {"S": 8, "M": 2, "K": 2, "H": 2, "d": 32, "d_b": 16, "d_s": 8,
+                 "global_scope": "preceding_segments"},
     }
     path = tmp_path / "host.json"
     path.write_text(json.dumps(cfg))
@@ -214,9 +219,8 @@ def test_train_eval_attn_stats_pipeline(tmp_path, host_config_file, corpus_file,
 
 
 def test_eval_ppl_default_stride_fits_the_micro_host_window(tmp_path, corpus_file, capsys):
-    config = os.path.join(os.path.dirname(__file__), "..", "configs", "micro-host.json")
     run = str(tmp_path / "run")
-    assert dispatch(["train", "--config", config, "--corpus", corpus_file,
+    assert dispatch(["train", "--config", str(MICRO_HOST), "--corpus", corpus_file,
                      "--steps", "1", "--out", run]) == 0
     ckpt = os.path.join(run, "checkpoint")
     eval_dir = str(tmp_path / "eval")
@@ -227,16 +231,13 @@ def test_eval_ppl_default_stride_fits_the_micro_host_window(tmp_path, corpus_fil
     assert manifest["config"]["stride"] == 32
     assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--stride", "33"]) == 2
     assert "stride=33 must lie in [1, eval_T=32]" in capsys.readouterr().err
+    assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--mode", "full"]) == 0
 
 
 def test_the_config_file_sets_the_scope_of_every_run_on_it(
         tmp_path, host_config_file, corpus_file):
-    cfg = json.loads(Path(host_config_file).read_text())
-    cfg["hici"]["global_scope"] = "preceding_segments"
-    path = tmp_path / "strict.json"
-    path.write_text(json.dumps(cfg))
     run, eval_dir = tmp_path / "run", tmp_path / "eval"
-    assert dispatch(["train", "--config", str(path), "--corpus", corpus_file,
+    assert dispatch(["train", "--config", host_config_file, "--corpus", corpus_file,
                      "--steps", "1", "--out", str(run)]) == 0
     assert dispatch(["eval-ppl", "--ckpt", str(run / "checkpoint"), "--text", corpus_file,
                      "--out", str(eval_dir)]) == 0
@@ -248,6 +249,42 @@ def test_the_config_file_sets_the_scope_of_every_run_on_it(
             state["config"]["hici"]["global_scope"],
             eval_manifest["config"]["config"]["hici"]["global_scope"]] == \
         ["preceding_segments"] * 3
+
+
+@pytest.mark.parametrize("hici", [
+    {"global_scope": "all_segments"},
+    {"causal_segment_mask": False},
+], ids=["all-segments", "mask-off"])
+def test_train_refuses_a_config_that_is_not_causal(tmp_path, host_config_file, corpus_file,
+                                                   capsys, hici):
+    cfg = json.loads(Path(host_config_file).read_text())
+    cfg["hici"].update(hici)
+    path = tmp_path / "leaky.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "run"
+    assert dispatch(["train", "--config", str(path), "--corpus", corpus_file,
+                     "--steps", "1", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: train needs a causal config") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_eval_ppl_scores_a_non_causal_checkpoint_only_in_full_mode(tmp_path, corpus_file,
+                                                                   capsys):
+    cfg = load_host_config(MICRO_HOST)
+    cfg = dataclasses.replace(cfg, hici=dataclasses.replace(cfg.hici, global_scope="all_segments"))
+    params, opt, rng, _ = train(encode_bytes(Path(corpus_file).read_bytes()), cfg, 1)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(ckpt, cfg, params, opt, rng, step=1)
+    out_dir = tmp_path / "eval"
+    assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--mode", "hici",
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eval-ppl --mode hici needs a causal config")
+    assert err.count("\n") == 1 and not out_dir.exists()
+    assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--mode", "full",
+                     "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "eval_ppl.json").read_text())["mode"] == "full"
 
 
 def test_train_writes_only_into_out_dir(tmp_path, host_config_file, corpus_file):
@@ -352,8 +389,7 @@ def test_eval_ppl_checks_its_input_before_writing(tmp_path, host_config_file, co
     ("seed", -1),
 ])
 def test_train_rejects_bad_training_fields(tmp_path, corpus_file, capsys, field, value):
-    config = Path(__file__).parent.parent / "configs" / "micro-host.json"
-    cfg = json.loads(config.read_text())
+    cfg = json.loads(MICRO_HOST.read_text())
     cfg[field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -412,6 +448,9 @@ def _without(key):
     ("checkpoint.json",
      lambda m: dict(m, tensors=[e for e in m["tensors"] if e["name"] != "embed"]),
      "lacks tensor 'embed'"),
+    ("checkpoint.json",
+     lambda m: dict(m, tensors=m["tensors"] + [dict(m["tensors"][0], name="pos.old")]),
+     "tensors its config does not define: 'pos.old'"),
     ("state.json", _without("step"), "missing keys ['step']"),
     ("state.json", _without("config"), "missing keys ['config']"),
     ("state.json", lambda s: [s], "expected a JSON object"),
@@ -422,7 +461,7 @@ def _without(key):
     ("state.json", lambda s: dict(s, rng_state=[1]), "unusable rng_state"),
     ("checkpoint.json", lambda m: dict(m, blob="/etc/hostname"), "not a plain file name"),
 ], ids=["dtype", "no-blob", "no-tensors", "manifest-list", "entry-string", "no-embed",
-        "no-step", "no-config", "state-list", "step-null", "adam-t-list", "rng-inner",
+        "unread-tensor", "no-step", "no-config", "state-list", "step-null", "adam-t-list", "rng-inner",
         "rng-list", "blob-absolute"])
 def test_eval_ppl_reports_corrupt_checkpoint(tmp_path, host_config_file, corpus_file, capsys,
                                              file_name, mutate, fragment):

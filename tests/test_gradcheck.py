@@ -19,7 +19,7 @@ import pytest
 from hici import attention, gradcheck
 from hici.attention import hici_forward, init_hici_params, named_tensors
 from hici.config import SCOPE_ALL, SCOPE_PRECEDING, HiCIConfig, HostConfig
-from hici.host import block_forward, block_stages, host_named_tensors, init_host_params
+from hici.host import block_forward, block_stages, init_host_params
 from hici.tensor import Tensor, finite_diff_grad, measure_flops, mul_const, no_grad, tsum
 
 SMALL = HiCIConfig(S=2, M=1, K=1, H=2, d=8, d_b=4, d_s=2)
@@ -104,8 +104,7 @@ def test_host_block_staged_probes_equal_full_forward_probes(monkeypatch, scope):
     layer = params.layers[0]
     x = Tensor(rng.normal(size=(2 * hici_cfg.S, hici_cfg.d)))
     weights = rng.normal(size=(2 * hici_cfg.S, hici_cfg.d))
-    tensors = {name: p for name, p in host_named_tensors(params).items()
-               if name.startswith("layers.0.")}
+    tensors = named_tensors(layer, "layers.0.")
     full = _full_forward_fd(tensors, lambda: block_forward(x, layer, hici_cfg), weights)
     _assert_all_equal(staged, full)
 
@@ -176,8 +175,7 @@ def test_each_named_tensor_sits_in_exactly_one_stage(cfg):
                           max_T=2 * cfg.S, seed=0, hici=cfg)
     host_params = init_host_params(host_cfg, np.random.default_rng(SEED))
     layer = host_params.layers[0]
-    tensors = {name: p for name, p in host_named_tensors(host_params).items()
-               if name.startswith("layers.0.")}
+    tensors = named_tensors(layer, "layers.0.")
     _assert_each_tensor_in_one_stage(
         tensors, block_stages(layer, cfg, attention.hici_stages(layer.hici, cfg)))
 

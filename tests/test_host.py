@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hici import host
-from hici.attention import record_attn_mass
+from hici.attention import named_tensors, record_attn_mass
 from hici.config import (
     SCOPE_ALL, SCOPE_PRECEDING, ConfigError, HiCIConfig, HostConfig, load_host_config)
 from hici.host import (
@@ -17,7 +17,6 @@ from hici.host import (
     block_forward,
     encode_text,
     eval_ppl,
-    host_named_tensors,
     init_host_params,
     lm_forward,
     load_checkpoint,
@@ -26,6 +25,7 @@ from hici.host import (
     save_checkpoint,
     train,
 )
+from hici.serialize import load_tensors, save_tensors
 from hici.tensor import GraphError, Tensor, backward, cross_entropy_mean, no_grad
 
 HC = HiCIConfig(S=8, M=2, K=2, H=2, d=32, d_b=16, d_s=8)
@@ -115,7 +115,7 @@ def test_no_grad_forward_is_graph_free_and_bit_identical():
     assert np.array_equal(free.data, logits.data)
     assert not free.requires_grad and free._parents == ()
     backward(loss)
-    assert all(p.grad is None for p in host_named_tensors(params).values())
+    assert all(p.grad is None for p in named_tensors(params).values())
 
 
 def _graph(root):
@@ -142,7 +142,7 @@ def test_backward_releases_the_graph_and_keeps_leaf_gradients():
     assert loss._node in interior and logits._node in interior
     assert all(t.grad is None and t._backward is None and t._parents == () for t in interior)
     assert np.array_equal(logits.data, kept)                  # a held tensor keeps its data
-    named = host_named_tensors(params).values()
+    named = named_tensors(params).values()
     assert {id(t) for t in leaves} == {id(p) for p in named if p.grad is not None}
     assert all(t.grad.shape == t.data.shape for t in leaves)
     with pytest.raises(GraphError, match="already ran"):
@@ -158,7 +158,7 @@ def test_the_graph_keeps_no_array_that_no_backward_reads(monkeypatch):
     cfg = dataclasses.replace(CFG, n_layers=2)
     params = init_host_params(cfg, np.random.default_rng(20))
     ids = np.random.default_rng(21).integers(0, 256, size=33)
-    named = host_named_tensors(params)
+    named = named_tensors(params)
     add, outputs = host.add, []
 
     def recorded_add(a, b):
@@ -255,9 +255,7 @@ def test_mass_recorder_leaves_one_record_list_per_layer():
 
 @pytest.mark.parametrize("cfg", [
     dataclasses.replace(CFG, hici=dataclasses.replace(HC, global_scope=SCOPE_PRECEDING)),
-    pytest.param(load_host_config(MICRO_HOST), marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: the shipped micro-host config runs the default "
-                            "all_segments scope, where each segment reads later tokens")),
+    load_host_config(MICRO_HOST),
 ], ids=["preceding_segments", "micro-host"])
 def test_causal_mode_logits_ignore_future(cfg):
     params = init_host_params(cfg, np.random.default_rng(7))
@@ -270,6 +268,25 @@ def test_causal_mode_logits_ignore_future(cfg):
         with no_grad():
             pert = lm_forward(params, ids2, cfg).data
         assert np.array_equal(base[:t], pert[:t])
+
+
+@pytest.mark.parametrize("scope", [SCOPE_ALL, SCOPE_PRECEDING])
+@pytest.mark.parametrize("slots", [2, 0])
+@pytest.mark.parametrize("mask", [True, False])
+def test_a_config_is_causal_exactly_when_no_logit_reads_a_later_token(scope, slots, mask):
+    cfg = dataclasses.replace(CFG, hici=dataclasses.replace(
+        HC, M=slots, K=slots, global_scope=scope, causal_segment_mask=mask))
+    params = init_host_params(cfg, np.random.default_rng(7))
+    ids = np.random.default_rng(8).integers(0, 256, size=32)
+    with no_grad():
+        base = lm_forward(params, ids, cfg).data
+        moved = []
+        for t in range(32):
+            ids2 = ids.copy()
+            ids2[t] = (ids2[t] + 1) % 256
+            moved.append(not np.array_equal(base[:t], lm_forward(params, ids2, cfg).data[:t]))
+    assert cfg.hici.causal == (mask and (scope == SCOPE_PRECEDING or slots == 0))
+    assert any(moved) == (not cfg.hici.causal)
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +316,19 @@ def test_zero_steps_keeps_initialization(tmp_path):
     params, opt, _, trace = train(CORPUS, CFG, 0)
     assert trace == []
     assert opt.t == 0
-    from hici.host import host_named_tensors
-
-    ref_named = host_named_tensors(reference)
-    for name, p in host_named_tensors(params).items():
+    ref_named = named_tensors(reference)
+    for name, p in named_tensors(params).items():
         assert np.array_equal(p.data, ref_named[name].data)
 
 
 def test_training_stops_on_non_finite_loss_before_the_update():
     params = init_host_params(CFG, np.random.default_rng(CFG.seed))
     params.layers[0].ffn_w1.data[0, 0] = np.nan
-    before = {name: t.data.copy() for name, t in host_named_tensors(params).items()}
+    before = {name: t.data.copy() for name, t in named_tensors(params).items()}
     _, opt, _, trace = train(CORPUS, CFG, 3, params=params, start_step=4)
     assert len(trace) == 1 and trace[0][0] == 4 and math.isnan(trace[0][1])
     assert opt.t == 0
-    for name, t in host_named_tensors(params).items():
+    for name, t in named_tensors(params).items():
         assert np.array_equal(t.data, before[name], equal_nan=True), name
 
 
@@ -384,7 +399,7 @@ def test_adamw_step_updates_the_moments_in_place():
     rng = np.random.default_rng(11)
     for _ in range(2):
         grads = {}
-        for name, p in host_named_tensors(params).items():
+        for name, p in named_tensors(params).items():
             p.grad = grads[name] = rng.normal(size=p.data.shape)
         want_m = {name: b1 * m[name] + (1 - b1) * g for name, g in grads.items()}
         want_v = {name: b2 * v[name] + (1 - b2) * g * g for name, g in grads.items()}
@@ -392,6 +407,19 @@ def test_adamw_step_updates_the_moments_in_place():
         for name in grads:
             assert opt.m[name] is m[name] and opt.v[name] is v[name], name
             assert np.array_equal(m[name], want_m[name]) and np.array_equal(v[name], want_v[name])
+
+
+def test_named_tensors_walks_the_host_in_field_order():
+    params = init_host_params(dataclasses.replace(CFG, n_layers=2), np.random.default_rng(9))
+    named = named_tensors(params)
+    layer = ["hici." + name for name in named_tensors(params.layers[0].hici)] + [
+        "out_proj", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "ffn_w1", "ffn_w2"]
+    assert list(named) == (["embed", "pos"] + [f"layers.{i}.{name}" for i in (0, 1)
+                                                for name in layer]
+                           + ["final_g", "final_b", "head"])
+    assert len(named) == 61
+    assert named["layers.1.hici.global.gate_raw"] is params.layers[1].hici.global_.gate_raw
+    assert named["layers.0.ffn_w2"] is params.layers[0].ffn_w2 and named["pos"] is params.pos
 
 
 def test_hici_group_separated_from_backbone():
@@ -418,12 +446,23 @@ def test_checkpoint_roundtrip_and_resume_bit_exact(tmp_path):
     assert [l for _, l, _ in resumed] == [l for _, l, _ in full[20:]]
 
 
+def test_load_checkpoint_rejects_a_tensor_it_does_not_read(tmp_path):
+    params, opt, rng, _ = train(CORPUS, CFG, 1)
+    save_checkpoint(str(tmp_path), CFG, params, opt, rng, step=1)
+    prefix = str(tmp_path / "checkpoint")
+    tensors = load_tensors(prefix)
+    tensors["layers.0.pos"] = np.zeros(3)    # a name the config has no place for
+    save_tensors(prefix, tensors)
+    with pytest.raises(ValueError, match="does not define: 'layers.0.pos'$"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
     ckpt = tmp_path / "ckpt"
     params, opt, rng, _ = train(CORPUS, CFG, 3)
     save_checkpoint(str(ckpt), CFG, params, opt, rng, step=3)
     first = {p.name: p.read_bytes() for p in ckpt.iterdir()}
-    saved = {name: t.data.copy() for name, t in host_named_tensors(params).items()}
+    saved = {name: t.data.copy() for name, t in named_tensors(params).items()}
     params, opt, rng, _ = train(CORPUS, CFG, 2, params=params, opt=opt, rng=rng, start_step=3)
 
     def save_half(prefix, tensors, dtype="f8"):
@@ -439,7 +478,7 @@ def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
     _, params2, _, _, step = load_checkpoint(str(ckpt))
     assert step == 3
     assert all(np.array_equal(t.data, saved[name])
-               for name, t in host_named_tensors(params2).items())
+               for name, t in named_tensors(params2).items())
     monkeypatch.undo()
     save_checkpoint(str(ckpt), CFG, params, opt, rng, step=5)
     assert os.listdir(tmp_path) == ["ckpt"] and load_checkpoint(str(ckpt))[4] == 5

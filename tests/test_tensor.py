@@ -106,15 +106,10 @@ def test_softmax_rows_sum_to_one():
 
 def test_softmax_mask_zeroes_hidden_positions():
     x = np.array([[1.0, 2.0, 3.0]])
-    vis = np.array([[True, False, True]])
-    out = _softmax(x.copy(), visible=vis)
+    hidden = np.array([[False, True, False]])
+    out = _softmax(x.copy(), hidden=hidden)
     assert out[0, 1] == 0.0
     assert abs(out.sum() - 1.0) <= 1e-12
-
-
-def test_softmax_mask_needs_one_visible():
-    with pytest.raises(ShapeError, match="no visible"):
-        _softmax(np.zeros((1, 2)), visible=np.zeros((1, 2), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +596,7 @@ def test_masked_softmax_equals_three_where_formula():
     shifted = masked - masked.max(axis=-1, keepdims=True)
     e = np.where(visible, np.exp(np.where(visible, shifted, 0.0)), 0.0)
     ref = e / e.sum(axis=-1, keepdims=True)
-    out = _softmax(a, visible)
+    out = _softmax(a, ~visible)
     assert np.array_equal(out, ref)
     assert np.all(out[..., ~visible] == 0.0) and not np.signbit(out).any()
     assert np.all(out[..., 0, 4] == 1.0)
@@ -791,7 +786,8 @@ def test_attention_equals_out_of_place_formula():
     visible[:, 2] = True
     for q in (rng.normal(scale=3.0, size=(3, 4, 12)), rng.normal(scale=3.0, size=(4, 12))):
         for mask in (None, visible):
-            out = attention(Tensor(q), Tensor(k), Tensor(v), 3, visible=mask).data
+            hidden = None if mask is None else ~mask
+            out = attention(Tensor(q), Tensor(k), Tensor(v), 3, hidden=hidden).data
             assert np.array_equal(out, _attention_formula(q, k, v, 3, mask))
 
     # without a graph, over the score budget: chunks of blocks, the last one partial
@@ -802,29 +798,27 @@ def test_attention_equals_out_of_place_formula():
     visible = np.tril(np.ones((16, 24), dtype=bool), k=8)
     for q in (rng.normal(scale=3.0, size=(n_blocks, 16, 12)), rng.normal(scale=3.0, size=(16, 12))):
         for mask in (None, visible):
+            hidden = None if mask is None else ~mask
             with no_grad():
-                out = attention(Tensor(q), Tensor(k), Tensor(v), 2, visible=mask).data
+                out = attention(Tensor(q), Tensor(k), Tensor(v), 2, hidden=hidden).data
             assert np.array_equal(out, _attention_formula(q, k, v, 2, mask))
             assert np.array_equal(
-                out, attention(parameter(q), Tensor(k), Tensor(v), 2, visible=mask).data)
+                out, attention(parameter(q), Tensor(k), Tensor(v), 2, hidden=hidden).data)
 
 
 def test_attention_rejects_a_bad_mask_alike_on_every_path():
-    # a mask is (Lq, Lk), checked once per call before any chunking: it fails alike
-    # graph-free below and above the score budget, and with a recorded graph
+    # a mask is (Lq, Lk), its shape checked once per call before any chunking: it
+    # fails alike graph-free below and above the score budget, and with a graph
     rng = np.random.default_rng(32)
     n_blocks = 100
     k, v = rng.normal(size=(2, n_blocks, 24, 12))
     q = rng.normal(size=(n_blocks, 16, 12))
-    no_row = np.ones((16, 24), dtype=bool)
-    no_row[3] = False
     step = SCORE_BUDGET // (2 * 16 * 24)
     cases = (   # one mask per block or per head is not an (Lq, Lk) mask
-        np.ones((16, 23), dtype=bool),
-        np.ones((2, 16, 23), dtype=bool),
-        np.ones((2, 16, 24), dtype=bool),
-        np.ones((step, 2, 16, 24), dtype=bool),
-        no_row,
+        np.zeros((16, 23), dtype=bool),
+        np.zeros((2, 16, 23), dtype=bool),
+        np.zeros((2, 16, 24), dtype=bool),
+        np.zeros((step, 2, 16, 24), dtype=bool),
     )
     for mask in cases:
         paths = ((3, False), (n_blocks, False), (n_blocks, True))
@@ -833,12 +827,11 @@ def test_attention_rejects_a_bad_mask_alike_on_every_path():
                     Tensor(v[:blocks]), 2)
             with pytest.raises(ShapeError) as err:
                 if grad:
-                    attention(*args, visible=mask)
+                    attention(*args, hidden=mask)
                 else:
                     with no_grad():
-                        attention(*args, visible=mask)
-            assert str(err.value) == ("softmax: some row has no visible entry" if mask is no_row
-                                      else f"softmax: mask shape {mask.shape} vs scores (16, 24)")
+                        attention(*args, hidden=mask)
+            assert str(err.value) == f"attention: mask shape {mask.shape} vs scores (16, 24)"
 
 
 def test_attention_probe_receives_every_probability_over_the_budget():
@@ -855,8 +848,8 @@ def test_attention_probe_receives_every_probability_over_the_budget():
 
 def test_softmax_normalizes_its_argument_in_place():
     scores = np.random.default_rng(29).normal(size=(2, 4, 5))
-    visible = np.tril(np.ones((4, 5), dtype=bool))
-    for mask in (None, visible):
+    hidden = np.triu(np.ones((4, 5), dtype=bool), k=1)
+    for mask in (None, hidden):
         buf = scores.copy()
         assert _softmax(buf, mask) is buf
         assert np.allclose(buf.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
@@ -869,7 +862,7 @@ def test_kernels_leave_their_inputs_unchanged():
     nll_rows(scores[0], np.arange(4))
     assert np.array_equal(scores, kept)
 
-    visible = np.tril(np.ones((4, 5), dtype=bool))
+    hidden = np.triu(np.ones((4, 5), dtype=bool), k=1)
     upstream = rng.normal(size=(4, 5))
     gain, bias = parameter(rng.normal(size=5)), parameter(rng.normal(size=5))
     for op in (gelu, lambda t: layer_norm(t, gain, bias)):
@@ -883,12 +876,12 @@ def test_kernels_leave_their_inputs_unchanged():
 
     upstream = rng.normal(size=(3, 4, 6))
     for q_shape in ((3, 4, 6), (4, 6)):
-        for mask in (None, visible):
+        for mask in (None, hidden):
             q, k, v = (parameter(rng.normal(size=shape))
                        for shape in (q_shape, (3, 5, 6), (3, 5, 6)))
             before = [t.data.copy() for t in (q, k, v)]
             mask_before = None if mask is None else mask.copy()
-            y = attention(q, k, v, 2, visible=mask)
+            y = attention(q, k, v, 2, hidden=mask)
             received = _adjoint_received(y)
             backward(tsum(mul_const(y, upstream)))
             assert all(np.array_equal(t.data, b) for t, b in zip((q, k, v), before))
@@ -1110,7 +1103,7 @@ def _primitive_cases():
             concat_rows([p, Tensor(c234[:, :1]), p], axis=1), c274))),
         "attention": ((1, 3, 4), lambda p: tsum(mul_const(attention(p, p, p, 1), c134))),
         "attention_masked": ((1, 3, 4), lambda p: tsum(mul_const(
-            attention(p, p, p, 1, visible=tril), c134))),
+            attention(p, p, p, 1, hidden=~tril), c134))),
         "attention_shared_q": ((3, 4), lambda p: tsum(mul_const(
             attention(p, Tensor(c254), Tensor(c254[::-1]), 2), c234))),
         "attention_blocks_heads": ((2, 3, 4), lambda p: tsum(mul_const(
