@@ -28,11 +28,12 @@ Every stage function takes one stack: `local_construct` and `broadcast`
 the (N, S, d) segments, `pooled_stats` a (B, R, d) stack of local
 blocks, pooling blocks[:i+1] into row i whatever the scope, and
 `integrate_global` the (B, 5, d) statistics of those pools. Two stages
-know the scope. The parameter-free `pool_stage` hands `pooled_stats`
-all N*M rows as one block or the N-1 earlier blocks, and shifts L by one
-segment; `global_stage` shapes G into one context block per segment.
-Pooling sits outside the global parameter group, so a gradient probe of
-a global parameter starts from the pooled statistics.
+know the scope. The construct stage, `local_stage`, hands
+`pooled_stats` all N*M rows as one block or the N-1 earlier blocks, and
+shifts L by one segment; `global_stage` shapes G into one context block
+per segment. Pooling reads no parameter and runs in the construct stage,
+so a gradient probe of a global parameter starts from the pooled
+statistics.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def pooled_stats(blocks):
     Rows: mean, max, min, population std, l2-normalized mean; blocks
     (B, R, d) give (B, 5, d), the input of `integrate_global`. Exact sums
     make any permutation of blocks leave the last row bit-identical. No
-    parameter enters, so `pool_stage` runs it outside the global group.
+    parameter enters, so `local_stage` runs it, before the global group.
     """
     stats = prefix_stats(blocks)
     return concat_rows([stats, l2_normalize(slice_rows(stats, 0, 1, axis=1))], axis=1)
@@ -275,6 +276,9 @@ def integrate_global(pools, p: GlobalParams, cfg: HiCIConfig):
         raise ShapeError(f"integrate_global: statistics shape {pools.data.shape} vs expected "
                          f"stack (pools, 5, {cfg.d}) with pools >= 1")
     n_pools = pools.data.shape[0]
+    # The compression runs on 2-D (5B, d) views, not on the (B, 5, d) stack:
+    # OpenBLAS rounds the stacked backward product g @ W.T differently from the
+    # 2-D one at B = 62 and 63, so the stack would move strict training bits.
     z1 = layer_norm(matmul(reshape(pools, (5 * n_pools, cfg.d)), p.compress_w1),
                     p.compress_g1, p.compress_b1, cfg.ln_eps)
     z2 = reshape(layer_norm(matmul(z1, p.compress_w2), p.compress_g2, p.compress_b2,
@@ -328,61 +332,51 @@ def broadcast(x, l_ctx, g_ctx, p: BroadcastParams, cfg: HiCIConfig):
 
 
 def local_stage(x, p: LocalParams, cfg: HiCIConfig):
-    """Stage 1: T x d in, (segments (N, S, d), L (N, M, d) or None when M=0) out."""
-    if x.data.ndim != 2 or x.data.shape[1] != cfg.d:
-        raise ShapeError(f"hici_forward: input shape {x.data.shape} vs width d={cfg.d}")
-    if x.data.shape[0] == 0:
-        raise ShapeError("hici_forward: empty input sequence (T=0)")
-    segments = partition(x, cfg.S)
-    if cfg.M == 0:
-        return segments, None
-    with flop_scope("local"):
-        return segments, local_construct(segments, p, cfg)
-
-
-def pool_stage(state, cfg: HiCIConfig):
-    """Stage 2: (segments, L) in, (segments, L_ctx, Z) out; reads no parameter.
+    """Stage 1, construct: T x d in, (segments (N, S, d), L_ctx, Z) out.
 
     With 'all_segments' Z pools every segment's slots as one block (1, 5, d)
     and each segment keeps its own L_i. The strictly causal
     'preceding_segments' scope pools the N-1 earlier blocks, row i of Z
     for segments <= i, and gives segment i the local block L_{i-1}, zeros
-    for segment 0. Z is None when there is no global context (K = 0, or
-    one segment in the strict scope).
+    for segment 0. L_ctx is None when M = 0; Z is None when there is no
+    global context (K = 0, or one segment in the strict scope). Pooling
+    reads no parameter and runs under the "global" FLOP scope.
     """
-    segments, l_ctx = state
-    n_seg = segments.data.shape[0]
-    if cfg.global_scope != SCOPE_PRECEDING:
-        z = None
-        if cfg.K > 0:
-            with flop_scope("global"):
-                z = pooled_stats(reshape(l_ctx, (1, n_seg * cfg.M, cfg.d)))
-        return segments, l_ctx, z
-    if l_ctx is None:   # M = 0, hence K = 0: no context at all
+    if x.data.ndim != 2 or x.data.shape[1] != cfg.d:
+        raise ShapeError(f"hici_forward: input shape {x.data.shape} vs width d={cfg.d}")
+    if x.data.shape[0] == 0:
+        raise ShapeError("hici_forward: empty input sequence (T=0)")
+    segments = partition(x, cfg.S)
+    if cfg.M == 0:   # hence K = 0: no context at all
         return segments, None, None
-    earlier = slice_rows(l_ctx, 0, n_seg - 1)
+    with flop_scope("local"):
+        l_ctx = local_construct(segments, p, cfg)
+    n_seg = segments.data.shape[0]
+    strict = cfg.global_scope == SCOPE_PRECEDING
+    pooled = slice_rows(l_ctx, 0, n_seg - 1) if strict else l_ctx   # the blocks Z pools
     z = None
-    if cfg.K > 0 and n_seg > 1:
+    if cfg.K > 0 and pooled.data.shape[0] > 0:
         with flop_scope("global"):
-            z = pooled_stats(earlier)
-    return segments, concat_rows([Tensor(np.zeros((1, cfg.M, cfg.d))), earlier]), z
+            z = pooled_stats(pooled if strict else reshape(l_ctx, (1, n_seg * cfg.M, cfg.d)))
+    if strict:   # segment i reads L_{i-1}, segment 0 zeros
+        l_ctx = concat_rows([Tensor(np.zeros((1, cfg.M, cfg.d))), pooled])
+    return segments, l_ctx, z
 
 
 def global_stage(state, p: GlobalParams, cfg: HiCIConfig):
-    """Stage 3: (segments, L_ctx, Z) in, (segments, L_ctx, G_ctx) out, one G per segment.
+    """Stage 2, integrate: (segments, L_ctx, Z) in, (segments, L_ctx, G_ctx) out, one G per segment.
 
     With 'all_segments' the one G is repeated for each segment. The
     strictly causal 'preceding_segments' scope gives segment i the G of
     row i-1 of Z, and segment 0 zeros.
     """
     segments, l_ctx, z = state
-    n_seg = segments.data.shape[0]
     if cfg.K == 0:
         return segments, l_ctx, None
     if cfg.global_scope != SCOPE_PRECEDING:
         with flop_scope("global"):
             g = integrate_global(z, p, cfg)
-        return segments, l_ctx, concat_rows([g] * n_seg)
+        return segments, l_ctx, concat_rows([g] * segments.data.shape[0])
     g_ctx = Tensor(np.zeros((1, cfg.K, cfg.d)))
     if z is not None:
         with flop_scope("global"):
@@ -391,25 +385,24 @@ def global_stage(state, p: GlobalParams, cfg: HiCIConfig):
 
 
 def broadcast_stage(state, p: BroadcastParams, cfg: HiCIConfig):
-    """Stage 4: (segments, L_ctx, G_ctx) in, T x d out."""
+    """Stage 3, broadcast: (segments, L_ctx, G_ctx) in, T x d out."""
     segments, l_ctx, g_ctx = state
     n_seg, seg_len, d = segments.data.shape
     return reshape(broadcast(segments, l_ctx, g_ctx, p, cfg), (n_seg * seg_len, d))
 
 
 def hici_stages(params: HiCIParams, cfg: HiCIConfig):
-    """`hici_forward` as its four stages in order, each a (parameters, stage) pair.
+    """`hici_forward` as its three stages in order, each a (parameters, stage) pair.
 
     Each stage maps the output of the one before it (x for the first) to
-    its own and reads only its own parameter group (`pool_stage` none), so
-    changing a group leaves the outputs of the earlier stages as they were.
+    its own and reads only its own parameter group, so changing a group
+    leaves the outputs of the earlier stages as they were.
     The parameters of a stage are a live view of its group's fields, built
     without copying them into a tuple on every forward.
     """
     local, global_, broadcast_p = params.local, params.global_, params.broadcast
     return [
         (vars(local).values(), lambda x: local_stage(x, local, cfg)),
-        ((), lambda s: pool_stage(s, cfg)),
         (vars(global_).values(), lambda s: global_stage(s, global_, cfg)),
         (vars(broadcast_p).values(), lambda s: broadcast_stage(s, broadcast_p, cfg)),
     ]
@@ -423,9 +416,9 @@ def run_stages(stages, state):
 
 
 def hici_forward(x, params: HiCIParams, cfg: HiCIConfig):
-    """Full pass of the four stages: T x d in, T x d out, T a positive multiple of S.
+    """Full pass of the three stages: T x d in, T x d out, T a positive multiple of S.
 
-    Each stage builds its graph once over all N segments; `pool_stage` and
+    Each stage builds its graph once over all N segments; `local_stage` and
     `global_stage` wire the context of each segment for the configured scope.
     """
     return run_stages(hici_stages(params, cfg), x)

@@ -45,9 +45,9 @@ from .analysis import (
 )
 from .attention import record_attn_mass, uniform_queries
 from .config import ConfigError, HiCIConfig, config_to_dict, load_hici_config, load_host_config
-from .gradcheck import check_host_block_gradients, check_module_gradients, probe_processes
+from .gradcheck import (
+    check_host_block_gradients, check_module_gradients, probe_processes, worst_error)
 from .host import (
-    HostConfig,
     check_train_input,
     encode_bytes,
     eval_config,
@@ -59,7 +59,7 @@ from .host import (
     train,
 )
 from .serialize import write_json
-from .tensor import GraphError, no_grad
+from .tensor import FD_STEP, GraphError, no_grad
 
 SCALING_CFG = HiCIConfig(S=32, M=8, K=4, H=4, d=32, d_b=16, d_s=8)
 
@@ -137,22 +137,19 @@ def _cmd_gradcheck(args):
                         ["gradcheck.csv"])
     t0 = time.perf_counter()
     errors = check_module_gradients(cfg, seed=args.seed)
-    host_cfg = HostConfig(vocab_size=17, n_layers=1, d=cfg.d, ffn_width=2 * cfg.d,
-                          max_T=2 * cfg.S, seed=args.seed, hici=cfg)
     errors.update({f"host.{k}": v
-                   for k, v in check_host_block_gradients(host_cfg, seed=args.seed).items()})
+                   for k, v in check_host_block_gradients(cfg, seed=args.seed).items()})
     elapsed = time.perf_counter() - t0
-    worst = max(errors, key=lambda name: (math.isnan(errors[name]), errors[name]))   # NaN worst
-    lines = ["tensor,rel_error"]
-    for name in sorted(errors):
-        lines.append(f"{name},{errors[name]!r}")
+    worst, worst_err = worst_error(errors)
+    lines = ["tensor,rel_error"] + [f"{name},{errors[name]!r}" for name in sorted(errors)]
     if args.out:
         _write_text(args.out, "gradcheck.csv", "\n".join(lines) + "\n")
     n_procs = probe_processes()
-    print(f"checked {len(errors)} parameter tensors (module + one host block), h=1e-5, "
+    step = np.format_float_scientific(FD_STEP, trim="-", exp_digits=1)   # 1e-5, not 1e-05
+    print(f"checked {len(errors)} parameter tensors (module + one host block), h={step}, "
           f"64-bit, on {n_procs} process{'es' if n_procs != 1 else ''}, in {elapsed:.1f} s")
-    print(f"max relative error: {errors[worst]:.3e} ({worst})")
-    if not errors[worst] <= args.tolerance:
+    print(f"max relative error: {worst_err:.3e} ({worst})")
+    if not worst_err <= args.tolerance:
         print(f"FAIL: exceeds tolerance {args.tolerance:g}")
         return 1
     print(f"PASS: within tolerance {args.tolerance:g}")
@@ -167,13 +164,14 @@ def _cmd_train(args):
     with open(args.corpus, "rb") as fh:
         corpus = encode_bytes(fh.read())
     check_train_input(corpus, cfg, args.steps)
-    _write_manifest(args.out, "train", config_to_dict(cfg), cfg.seed,
-                    ["loss_trace.csv", "checkpoint/"])
     params, opt, rng, trace = train(corpus, cfg, args.steps)
+    stopped = len(trace) < args.steps   # no checkpoint then
+    _write_manifest(args.out, "train", config_to_dict(cfg), cfg.seed,
+                    ["loss_trace.csv"] + ([] if stopped else ["checkpoint/"]))
     lines = ["step,loss,lr"]
     lines.extend(f"{s},{loss!r},{lr!r}" for s, loss, lr in trace)
     _write_text(args.out, "loss_trace.csv", "\n".join(lines) + "\n")
-    if len(trace) < args.steps:
+    if stopped:
         step, loss, _lr = trace[-1]
         raise ValueError(f"training stopped at step {step}: non-finite loss ({loss!r}) "
                          "or hici gradient norm; no checkpoint written")

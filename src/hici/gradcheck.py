@@ -3,16 +3,18 @@
 For each parameter tensor we compare the full reverse-mode gradient of a
 fixed scalar loss (a frozen random weighting of the forward output)
 against `finite_diff_grad`, reporting the norm-wise relative error
-||g_ad - g_fd|| / max(||g_ad||, ||g_fd||). At 64-bit with h = 1e-5 a
-correct implementation usually lands around 1e-9, and an error above
-1e-6 usually means a wrong derivative. Not always: the finite-difference
-round-off is fixed in absolute terms, so on a gradient whose norm is
-near zero it can exceed 1e-6 with correct derivatives. Module seed 11
-on the micro config gives 1.39e-6 on `global.w_q`.
+||g_ad - g_fd|| / max(||g_ad||, ||g_fd||). At 64-bit with the one step
+`tensor.FD_STEP` = 1e-5 a correct implementation usually lands around
+1e-9, and an error above 1e-6 usually means a wrong derivative. Not
+always: the finite-difference round-off is fixed in absolute terms, so
+on a gradient whose norm is near zero it can exceed 1e-6 with correct
+derivatives. Module seed 11 on the micro config gives 1.39e-6 on
+`global.w_q`. A bound is checked on `worst_error`, which ranks a NaN
+worst.
 
 The probes are staged. The forward is an ordered list of stages (for
-the module: local, the parameter-free pooling, global and broadcast; for
-a host block also ln1 before and the two residuals after), each reading
+the module: construct, which also pools, integrate and broadcast; for a
+host block also ln1 before and the two residuals after), each reading
 only its own parameters. A probe of a tensor re-runs the forward only
 from that tensor's stage, starting from the input the stage had in the
 reverse-mode pass. That input is a deterministic function of x and of
@@ -20,10 +22,10 @@ earlier stages' parameters, which the probe does not touch (grad mode
 only adds graph edges, not arithmetic), so it is the same array a full
 forward would recompute, and every finite-difference value is
 bit-identical to one taken over full forwards. At the micro config a
-module check runs 1,089 local, 1,089 pool, 2,131 global and 3,667
-broadcast stages instead of 3,667 of each: a probe of a global parameter
-starts from the pooled statistics and pools nothing. These counts are
-totals over all the processes below.
+module check runs 1,089 construct, 2,131 global and 3,667 broadcast
+stages instead of 3,667 of each: a probe of a global parameter starts
+from the pooled statistics and pools nothing. These counts are totals
+over all the processes below.
 
 The probes run on every CPU the process may use (`probe_processes`: the
 CPUs of `os.sched_getaffinity`, or `os.cpu_count()`, and 1 where
@@ -54,6 +56,7 @@ warn.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -148,17 +151,21 @@ def _run_parts(probe, n_parts):
                 os.waitpid(pid, 0)
 
 
-def _check_tensors(tensors, forward, stages, x, weights, h):
+def _check_tensors(tensors, forward, stages, rng, shape):
     """Reverse-mode vs. finite differences for every named tensor.
 
-    The loss is sum(forward(x) * weights). `stages` is `forward` as
-    (parameters, stage) pairs in order, and each named tensor is a
+    The loss is sum(forward(x) * weights), x and then the weights drawn
+    from `rng` as standard normal arrays of `shape`. `stages` is `forward`
+    as (parameters, stage) pairs in order, and each named tensor is a
     parameter of one of them. The probes mutate tensors in place between
     evaluations; a probe of a stage-k tensor runs stages k onward from the
     input stage k had in the reverse-mode pass. A probe of a stage-0
     tensor runs `forward` itself, so the full forward the check measures
     is the function the rest of the program calls.
     """
+    x = Tensor(rng.normal(size=shape))
+    weights = rng.normal(size=shape)
+
     def loss_of(out):
         return tsum(mul_const(out, weights))
 
@@ -177,54 +184,52 @@ def _check_tensors(tensors, forward, stages, x, weights, h):
         values = {}
         for name, p in tensors.items():
             saved = p.data
-            k = stage_of[id(p)]
             lo, hi = (saved.size * j // n_parts for j in (part, part + 1))
 
-            def eval_at(arr, _p=p, _k=k):
+            def eval_at(arr, _p=p, _k=stage_of[id(p)]):
                 _p.data = arr
                 with no_grad():
                     out = forward(x) if _k == 0 else run_stages(stages[_k:], inputs[_k])
-                    value = loss_of(out).item()
-                return value
+                    return loss_of(out).item()
 
-            fd = finite_diff_grad(eval_at, saved, h=h, coords=range(lo, hi))
+            fd = finite_diff_grad(eval_at, saved, coords=range(lo, hi))
             p.data = saved
             values[name] = fd.reshape(-1)[lo:hi]
         return values
 
     parts = _run_parts(probe, n_parts)
-    errors = {}
-    for name, p in tensors.items():
-        fd = np.concatenate([values[name] for values in parts]).reshape(p.data.shape)
-        errors[name] = _rel_error(ad_grads[name], fd)
-    return errors
+    fds = {name: np.concatenate([values[name] for values in parts]).reshape(p.data.shape)
+           for name, p in tensors.items()}
+    return {name: _rel_error(ad_grads[name], fds[name]) for name in tensors}
 
 
-def check_module_gradients(cfg: HiCIConfig, seed=0, h=1e-5, n_segments=2):
-    """Errors for every parameter tensor of one attention module.
+def worst_error(errors):
+    """The (name, error) pair of the largest error in `errors`, a NaN above any number."""
+    name = max(errors, key=lambda k: (math.isnan(errors[k]), errors[k]))
+    return name, errors[name]
 
-    The loss is sum(output * C) for a frozen random C over a forward pass
-    with n_segments segments.
-    """
+
+def check_module_gradients(cfg: HiCIConfig, seed=0, n_segments=2):
+    """Errors for every parameter tensor of one attention module, over a pass of
+    `n_segments` segments."""
     rng = np.random.default_rng(seed)
     params = init_hici_params(cfg, rng)
-    t = n_segments * cfg.S
-    x = Tensor(rng.normal(size=(t, cfg.d)))
-    weights = rng.normal(size=(t, cfg.d))
-    return _check_tensors(named_tensors(params), lambda x_: hici_forward(x_, params, cfg),
-                          hici_stages(params, cfg), x, weights, h)
+    return _check_tensors(named_tensors(params), lambda x: hici_forward(x, params, cfg),
+                          hici_stages(params, cfg), rng, (n_segments * cfg.S, cfg.d))
 
 
-def check_host_block_gradients(host_cfg: HostConfig, seed=0, h=1e-5):
-    """Errors for every tensor of one full residual block of the host."""
+def host_block_config(cfg: HiCIConfig) -> HostConfig:
+    """The one-layer host of `check_host_block_gradients`; its vocabulary and
+    max_T set how many numbers `init_host_params` draws before x."""
+    return HostConfig(vocab_size=17, n_layers=1, d=cfg.d, ffn_width=2 * cfg.d,
+                      max_T=2 * cfg.S, seed=0, hici=cfg)
+
+
+def check_host_block_gradients(cfg: HiCIConfig, seed=0):
+    """Errors for every tensor of the residual block of `host_block_config(cfg)`,
+    over a pass of two segments."""
     rng = np.random.default_rng(seed)
-    params = init_host_params(host_cfg, rng)
-    layer = params.layers[0]
-    t = min(2 * host_cfg.hici.S, host_cfg.max_T)
-    x = Tensor(rng.normal(size=(t, host_cfg.d)))
-    weights = rng.normal(size=(t, host_cfg.d))
-
-    stages = block_stages(layer, host_cfg.hici, hici_stages(layer.hici, host_cfg.hici))
+    layer = init_host_params(host_block_config(cfg), rng).layers[0]
+    stages = block_stages(layer, cfg, hici_stages(layer.hici, cfg))
     return _check_tensors(named_tensors(layer, "layers.0."),
-                          lambda x_: block_forward(x_, layer, host_cfg.hici), stages, x,
-                          weights, h)
+                          lambda x: block_forward(x, layer, cfg), stages, rng, (2 * cfg.S, cfg.d))

@@ -1081,7 +1081,10 @@ def tsum(a):
 # ---------------------------------------------------------------------------
 # the numerical oracle
 
-def finite_diff_grad(f, p, h=1e-5, coords=None):
+FD_STEP = 1e-5   # the central-difference step of every gradient check
+
+
+def finite_diff_grad(f, p, h=FD_STEP, coords=None):
     """Central-difference gradient of a scalar function, one coordinate at a time.
 
     `f` maps a numpy array (same shape as `p`) to a float and must not

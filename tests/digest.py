@@ -199,10 +199,8 @@ def items(tier1=False):
             errors = [sorted(check_module_gradients(cfg, seed=s).items())
                       for s in GRADCHECK_SEEDS]
             yield f"check_module_gradients {scope}, seeds 0-10", sha(errors)
-        host_cfg = HostConfig(vocab_size=17, n_layers=1, d=cfg.d, ffn_width=2 * cfg.d,
-                              max_T=2 * cfg.S, seed=0, hici=cfg)
         yield (f"check_host_block_gradients {scope}",
-               sha(sorted(check_host_block_gradients(host_cfg, seed=0).items())))
+               sha(sorted(check_host_block_gradients(cfg, seed=0).items())))
     cfg = host_config(2, EVAL_T, SCOPE_ALL)
     params = host.init_host_params(cfg, np.random.default_rng(cfg.seed))
     ppl = host.eval_ppl(params, cfg, corpus(cfg.seed, EVAL_T), eval_T=EVAL_T, stride=EVAL_T)

@@ -27,7 +27,7 @@ from hici.attention import (
 )
 from hici.cli import dispatch
 from hici.config import SCOPE_PRECEDING, HiCIConfig, HostConfig
-from hici.gradcheck import check_host_block_gradients, check_module_gradients
+from hici.gradcheck import check_host_block_gradients, check_module_gradients, worst_error
 from hici.host import BYTE_VOCAB, encode_text, lm_forward, moving_average, train
 from hici.tensor import Tensor, _softmax, no_grad, softplus
 
@@ -35,7 +35,7 @@ from oracles import reference_mha
 
 P7B = ACCOUNTING_PRESETS["llama2-7b"]
 
-TOY_HICI = HiCIConfig(S=8, M=2, K=2, H=2, d=32, d_b=16, d_s=8)
+TOY_HICI = HiCIConfig(S=8, M=2, K=2, H=2, d=32, d_b=16, d_s=8, global_scope=SCOPE_PRECEDING)
 TOY_HOST = HostConfig(vocab_size=BYTE_VOCAB, n_layers=1, d=32, ffn_width=64,
                       max_T=32, seed=7, hici=TOY_HICI)
 
@@ -122,17 +122,15 @@ def test_criterion_2_flops_table(capsys):
 
 def test_criterion_3_gradients(capsys):
     t0 = time.perf_counter()
-    errors = check_module_gradients(MICRO_CFG, seed=0, h=1e-5)
-    host_cfg = HostConfig(vocab_size=17, n_layers=1, d=16, ffn_width=32,
-                          max_T=8, seed=0, hici=MICRO_CFG)
+    errors = check_module_gradients(MICRO_CFG, seed=0)
     errors.update({f"host.{k}": v for k, v in
-                   check_host_block_gradients(host_cfg, seed=0, h=1e-5).items()})
+                   check_host_block_gradients(MICRO_CFG, seed=0).items()})
     elapsed = time.perf_counter() - t0
-    worst = max(errors, key=errors.get)
-    ok = errors[worst] <= 1e-6 and elapsed < 120.0
+    worst, worst_err = worst_error(errors)
+    ok = worst_err <= 1e-6 and elapsed < 120.0
     with capsys.disabled():
         _report(3, "gradient check", ok,
-                f"{len(errors)} tensors, max rel err {errors[worst]:.3e} "
+                f"{len(errors)} tensors, max rel err {worst_err:.3e} "
                 f"({worst}), {elapsed:.1f}s")
 
 

@@ -17,13 +17,12 @@ from hici.attention import (
     local_construct,
     named_tensors,
     partition,
-    pool_stage,
     pooled_stats,
     record_attn_mass,
     uniform_queries,
 )
 from hici.config import SCOPE_ALL, SCOPE_PRECEDING, ConfigError, HiCIConfig
-from hici.gradcheck import check_module_gradients
+from hici.gradcheck import check_module_gradients, worst_error
 from hici.tensor import ShapeError, Tensor, attention, reshape, softplus
 
 from oracles import reference_hici_forward, reference_local_construct, reference_mha
@@ -227,7 +226,8 @@ def test_strict_integrate_global_matches_all_segments_on_each_prefix():
     p = _params(seed=42)
     blocks = np.random.default_rng(43).normal(size=(6, CFG.M, CFG.d))
     segments = Tensor(np.zeros((6, CFG.S, CFG.d)))
-    g = global_stage(pool_stage((segments, Tensor(blocks)), strict), p.global_, strict)[2].data
+    z = pooled_stats(Tensor(blocks[:5]))   # the construct stage pools the N-1 earlier blocks
+    g = global_stage((segments, None, z), p.global_, strict)[2].data
     assert g.shape == (6, CFG.K, CFG.d)
     assert np.array_equal(g[0], np.zeros((CFG.K, CFG.d)))
     for i in range(1, 6):
@@ -262,7 +262,7 @@ def test_stage_functions_take_only_non_empty_stacks(shape):
 def test_strict_scope_gradients_at_four_segments():
     cfg = dataclasses.replace(CFG, global_scope=SCOPE_PRECEDING, causal_segment_mask=True)
     errors = check_module_gradients(cfg, seed=0, n_segments=4)
-    assert max(errors.values()) <= 1e-6, errors
+    assert worst_error(errors)[1] <= 1e-6, errors
 
 
 def test_global_context_shape_and_size_constant_in_T():

@@ -5,12 +5,13 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hici import gradcheck
 from hici.cli import build_parser, dispatch
-from hici.config import load_host_config
-from hici.host import BYTE_VOCAB, encode_bytes, save_checkpoint, train
+from hici.config import SCOPE_ALL, load_host_config
+from hici.host import BYTE_VOCAB, encode_bytes, eval_ppl, save_checkpoint, train
 
 MICRO_HOST = Path(__file__).parent.parent / "configs" / "micro-host.json"
 
@@ -234,6 +235,30 @@ def test_eval_ppl_default_stride_fits_the_micro_host_window(tmp_path, corpus_fil
     assert dispatch(["eval-ppl", "--ckpt", ckpt, "--text", corpus_file, "--mode", "full"]) == 0
 
 
+def test_iid_text_scores_no_better_than_chance_on_the_default_host_path(tmp_path):
+    # on i.i.d. uniform text over 16 symbols a causal model's expected
+    # perplexity is at least 16 (cross-entropy >= entropy); 15.5 is about ten
+    # standard errors of a 4,096-token estimate below that
+    rng = np.random.default_rng(1)
+    corpus, text = tmp_path / "corpus", tmp_path / "text"
+    for path, n_tokens in ((corpus, 20_000), (text, 4_096)):
+        path.write_bytes((rng.integers(0, 16, size=n_tokens) + ord("a")).astype(np.uint8))
+    run = tmp_path / "run"
+    assert dispatch(["train", "--config", str(MICRO_HOST), "--corpus", str(corpus),
+                     "--steps", "300", "--out", str(run)]) == 0
+    for mode in ("hici", "full"):
+        assert dispatch(["eval-ppl", "--ckpt", str(run / "checkpoint"), "--text", str(text),
+                         "--mode", mode, "--out", str(tmp_path / mode)]) == 0
+        assert json.loads((tmp_path / mode / "eval_ppl.json").read_text())["perplexity"] >= 15.5
+
+    # the control: the same host in the all_segments scope reads later tokens,
+    # learns to use them, and scores below the floor
+    cfg = load_host_config(MICRO_HOST)
+    cfg = dataclasses.replace(cfg, hici=dataclasses.replace(cfg.hici, global_scope=SCOPE_ALL))
+    params, *_ = train(encode_bytes(corpus.read_bytes()), cfg, 300)
+    assert eval_ppl(params, cfg, encode_bytes(text.read_bytes()), cfg.max_T, cfg.max_T) < 15.5
+
+
 def test_the_config_file_sets_the_scope_of_every_run_on_it(
         tmp_path, host_config_file, corpus_file):
     run, eval_dir = tmp_path / "run", tmp_path / "eval"
@@ -287,6 +312,13 @@ def test_eval_ppl_scores_a_non_causal_checkpoint_only_in_full_mode(tmp_path, cor
     assert json.loads((out_dir / "eval_ppl.json").read_text())["mode"] == "full"
 
 
+def _assert_manifest_lists(out_dir, outputs):
+    """The run manifest in `out_dir` lists exactly `outputs`, and each exists."""
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["outputs"] == outputs
+    assert all((out_dir / name).exists() for name in outputs)
+
+
 def test_train_writes_only_into_out_dir(tmp_path, host_config_file, corpus_file):
     out_dir = tmp_path / "only_here"
     before = set(os.listdir(tmp_path))
@@ -294,6 +326,7 @@ def test_train_writes_only_into_out_dir(tmp_path, host_config_file, corpus_file)
                      "--steps", "3", "--out", str(out_dir)]) == 0
     after = set(os.listdir(tmp_path))
     assert after - before == {"only_here"}
+    _assert_manifest_lists(out_dir, ["checkpoint/", "loss_trace.csv"])
 
 
 def test_identical_argv_and_seed_give_byte_identical_outputs(
@@ -320,6 +353,7 @@ def test_train_reports_a_non_finite_loss(tmp_path, host_config_file, corpus_file
     err = capsys.readouterr().err
     assert err.startswith("error: training stopped at step 1: non-finite loss (nan)")
     assert not (out_dir / "checkpoint").exists()
+    _assert_manifest_lists(out_dir, ["loss_trace.csv"])
 
 
 def test_train_zero_steps_reports_no_loss(tmp_path, host_config_file, corpus_file, capsys):

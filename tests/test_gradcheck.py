@@ -8,6 +8,9 @@ one process, where every probe is recorded. The probes of a check are
 shared among forked processes; the last tests pin that a check on three
 processes gives the bits and FLOP counts of one on a single process,
 that it leaves no child behind, and that it raises what a child raised.
+Before those, a test pins that `worst_error` ranks a NaN above any
+number, and a strict expected failure keeps in view the oracle's
+round-off on the near-zero gradients of `SMALL`.
 """
 
 import dataclasses
@@ -18,7 +21,7 @@ import pytest
 
 from hici import attention, gradcheck
 from hici.attention import hici_forward, init_hici_params, named_tensors
-from hici.config import SCOPE_ALL, SCOPE_PRECEDING, HiCIConfig, HostConfig
+from hici.config import SCOPE_ALL, SCOPE_PRECEDING, HiCIConfig
 from hici.host import block_forward, block_stages, init_host_params
 from hici.tensor import Tensor, finite_diff_grad, measure_flops, mul_const, no_grad, tsum
 
@@ -45,7 +48,7 @@ def _recorded_fd(monkeypatch):
     return recorded
 
 
-def _full_forward_fd(tensors, forward, weights, h=1e-5):
+def _full_forward_fd(tensors, forward, weights):
     """Plain central differences of sum(forward() * weights), a full forward per value."""
     out = []
     for p in tensors.values():
@@ -56,7 +59,7 @@ def _full_forward_fd(tensors, forward, weights, h=1e-5):
             with no_grad():
                 return tsum(mul_const(forward(), weights)).item()
 
-        out.append(finite_diff_grad(eval_at, saved, h=h))
+        out.append(finite_diff_grad(eval_at, saved))
         p.data = saved
     return out
 
@@ -93,14 +96,12 @@ def test_module_staged_probes_equal_full_forward_probes(monkeypatch, cfg, n_segm
 @pytest.mark.parametrize("scope", [SCOPE_ALL, SCOPE_PRECEDING])
 def test_host_block_staged_probes_equal_full_forward_probes(monkeypatch, scope):
     hici_cfg = dataclasses.replace(SMALL, global_scope=scope)
-    host_cfg = HostConfig(vocab_size=17, n_layers=1, d=hici_cfg.d, ffn_width=2 * hici_cfg.d,
-                          max_T=2 * hici_cfg.S, seed=0, hici=hici_cfg)
     staged = _recorded_fd(monkeypatch)
-    gradcheck.check_host_block_gradients(host_cfg, seed=SEED)
+    gradcheck.check_host_block_gradients(hici_cfg, seed=SEED)
 
     # the inputs check_host_block_gradients draws from its seed, in its order
     rng = np.random.default_rng(SEED)
-    params = init_host_params(host_cfg, rng)
+    params = init_host_params(gradcheck.host_block_config(hici_cfg), rng)
     layer = params.layers[0]
     x = Tensor(rng.normal(size=(2 * hici_cfg.S, hici_cfg.d)))
     weights = rng.normal(size=(2 * hici_cfg.S, hici_cfg.d))
@@ -168,11 +169,10 @@ def test_each_named_tensor_sits_in_exactly_one_stage(cfg):
     # stages would be probed from the later one and miss its earlier use
     params = init_hici_params(cfg, np.random.default_rng(SEED))
     module_stages = attention.hici_stages(params, cfg)
-    assert [len(params_) for params_, _ in module_stages] == [5, 0, 13, 3]
+    assert [len(params_) for params_, _ in module_stages] == [5, 13, 3]
     _assert_each_tensor_in_one_stage(named_tensors(params), module_stages)
 
-    host_cfg = HostConfig(vocab_size=17, n_layers=2, d=cfg.d, ffn_width=2 * cfg.d,
-                          max_T=2 * cfg.S, seed=0, hici=cfg)
+    host_cfg = dataclasses.replace(gradcheck.host_block_config(cfg), n_layers=2)
     host_params = init_host_params(host_cfg, np.random.default_rng(SEED))
     layer = host_params.layers[0]
     tensors = named_tensors(layer, "layers.0.")
@@ -180,19 +180,37 @@ def test_each_named_tensor_sits_in_exactly_one_stage(cfg):
         tensors, block_stages(layer, cfg, attention.hici_stages(layer.hici, cfg)))
 
 
+@pytest.mark.parametrize("errors, worst", [
+    ({"a": 1e-9, "b": float("nan")}, "b"),
+    ({"a": 1e-9, "b": 2.0, "c": float("nan"), "d": 1e-8}, "c"),
+    ({"a": 1e-9, "b": 3e-7, "c": 1e-8}, "b"),
+])
+def test_worst_error_ranks_a_nan_above_every_number(errors, worst):
+    # max(errors.values()) is 1e-9 on the first case: a NaN compares false
+    name, error = gradcheck.worst_error(errors)
+    assert name == worst and error is errors[worst]
+
+
+@pytest.mark.xfail(strict=True, reason="round-off, not a wrong derivative: SMALL's global "
+                   "gradients are near zero at init, and the fixed absolute round-off of the "
+                   "central differences gives 9.7e-4 on global.compress_w1 at seed 3 and 1.0 "
+                   "on global.w_q at seed 4")
+@pytest.mark.parametrize("seed", [3, 4])
+def test_small_module_gradients_are_within_the_bound(seed):
+    assert gradcheck.worst_error(gradcheck.check_module_gradients(SMALL, seed=seed))[1] <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # probes shared among processes
 
 STRICT = dataclasses.replace(SMALL, global_scope=SCOPE_PRECEDING)
-HOST_CFG = HostConfig(vocab_size=17, n_layers=1, d=SMALL.d, ffn_width=2 * SMALL.d,
-                      max_T=2 * SMALL.S, seed=0, hici=SMALL)
 CHECKS = {
     "module all_segments": lambda: gradcheck.check_module_gradients(SMALL, seed=SEED),
     "module preceding_segments": lambda: gradcheck.check_module_gradients(
         STRICT, seed=SEED, n_segments=4),
-    "host block all_segments": lambda: gradcheck.check_host_block_gradients(HOST_CFG, seed=SEED),
+    "host block all_segments": lambda: gradcheck.check_host_block_gradients(SMALL, seed=SEED),
     "host block preceding_segments": lambda: gradcheck.check_host_block_gradients(
-        dataclasses.replace(HOST_CFG, hici=STRICT), seed=SEED),
+        STRICT, seed=SEED),
 }
 REL_ERROR = gradcheck._rel_error
 

@@ -28,7 +28,7 @@ from hici.host import (
 from hici.serialize import load_tensors, save_tensors
 from hici.tensor import GraphError, Tensor, backward, cross_entropy_mean, no_grad
 
-HC = HiCIConfig(S=8, M=2, K=2, H=2, d=32, d_b=16, d_s=8)
+HC = HiCIConfig(S=8, M=2, K=2, H=2, d=32, d_b=16, d_s=8, global_scope=SCOPE_PRECEDING)
 CFG = HostConfig(vocab_size=BYTE_VOCAB, n_layers=1, d=32, ffn_width=64,
                  max_T=32, seed=7, hici=HC)
 CORPUS = encode_text("abcdefgh" * 64)
@@ -254,7 +254,7 @@ def test_mass_recorder_leaves_one_record_list_per_layer():
 
 
 @pytest.mark.parametrize("cfg", [
-    dataclasses.replace(CFG, hici=dataclasses.replace(HC, global_scope=SCOPE_PRECEDING)),
+    CFG,
     load_host_config(MICRO_HOST),
 ], ids=["preceding_segments", "micro-host"])
 def test_causal_mode_logits_ignore_future(cfg):

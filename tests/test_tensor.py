@@ -1052,7 +1052,7 @@ def test_gradient_shapes_match_parameters():
         assert p.grad.shape == p.data.shape
 
 
-def _check_op_gradient(build_loss, p, tol=1e-6, h=1e-5, seed=0):
+def _check_op_gradient(build_loss, p, tol=1e-6):
     """Reverse-mode vs. central differences for one parameterized loss."""
     loss = build_loss(p)
     backward(loss)
@@ -1065,7 +1065,7 @@ def _check_op_gradient(build_loss, p, tol=1e-6, h=1e-5, seed=0):
         p.data = saved
         return val
 
-    g_fd = finite_diff_grad(f, p.data.copy(), h=h)
+    g_fd = finite_diff_grad(f, p.data.copy())
     denom = max(np.linalg.norm(g_ad), np.linalg.norm(g_fd), 1e-300)
     assert np.linalg.norm(g_ad - g_fd) / denom <= tol
 
