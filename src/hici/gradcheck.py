@@ -27,9 +27,9 @@ stages instead of 3,667 of each: a probe of a global parameter starts
 from the pooled statistics and pools nothing. These counts are totals
 over all the processes below.
 
-The probes run on every CPU the process may use (`probe_processes`: the
-CPUs of `os.sched_getaffinity`, or `os.cpu_count()`, and 1 where
-`os.fork` does not exist). The reverse-mode pass runs once, in the
+The probes run on every CPU the process may use (`probe_processes`:
+`tensor.usable_cpus()`, the rule that also sizes the kernel pool, and 1
+where `os.fork` does not exist). The reverse-mode pass runs once, in the
 calling process. Then the flat coordinates of every tensor are cut into
 P contiguous parts of sizes that differ by at most one; P-1 forked
 children each probe one part of every tensor and send the values back
@@ -44,14 +44,22 @@ caller still calls `finite_diff_grad` once per tensor (on part 0) and
 `hici_forward` for its own stage-0 probes, so wrappers installed on this
 module see those calls, but not the children's.
 
-A forked child holds only the thread that forked. With two OpenBLAS
-threads running, the children still gave the bits of a one-process
-check (Python 3.11, scipy-openblas 0.3.31). Python 3.12 and later warn
-when a process with more than one thread forks, and pyproject's
-`filterwarnings = error` turns that warning into a test failure, so
-there the tests need one BLAS thread (`OPENBLAS_NUM_THREADS=1`). That
-case is untested: the tests have run on Python 3.11 only, which does not
-warn.
+A forked child holds only the thread that forked. The kernels of
+`hici.tensor` run multi-block calls on a pool of worker threads, and
+that module joins the pool's threads before every fork
+(`os.register_at_fork`), so a check forks while no pool thread is alive,
+even after a large training step has started the pool; a child that
+inherited a pool record drops it, and one that runs a multi-block kernel
+starts a pool of its own, never submitting to threads it does not have.
+At a check's shapes no kernel call reaches the pool anyway
+(`POOL_MIN_BLOCKS`). BLAS threads are not joined: with two OpenBLAS
+threads running, the children still gave the bits of a one-process check
+(Python 3.11, scipy-openblas 0.3.31). Python 3.12 and later warn when a
+process with more than one thread forks, and pyproject's `filterwarnings
+= error` turns that warning into a test failure, so there the tests need
+one BLAS thread (`OPENBLAS_NUM_THREADS=1`); whether a just-joined pool
+thread can still be counted at the fork there is unknown. That case is
+untested: the tests have run on Python 3.11 only, which does not warn.
 """
 
 from __future__ import annotations
@@ -68,7 +76,8 @@ from .attention import hici_forward, hici_stages, init_hici_params, named_tensor
 from .config import HiCIConfig, HostConfig
 from .host import block_forward, block_stages, init_host_params
 from .tensor import (
-    FLOPS, Tensor, backward, finite_diff_grad, grad_or_zero, mul_const, no_grad, tsum)
+    FLOPS, Tensor, backward, finite_diff_grad, grad_or_zero, mul_const, no_grad, tsum,
+    usable_cpus)
 
 
 def _rel_error(g_ad, g_fd):
@@ -78,13 +87,9 @@ def _rel_error(g_ad, g_fd):
 
 def probe_processes():
     """Processes that share the finite-difference probes of one check: the
-    CPUs this process may run on, or 1 where `os.fork` does not exist."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+    CPUs this process may run on (`usable_cpus`), or 1 where `os.fork` does
+    not exist."""
+    return usable_cpus() if hasattr(os, "fork") else 1
 
 
 def _serve_part(probe, part, write_end):

@@ -21,7 +21,8 @@ builds a node, so a forward pass holds only its live activations.
 `attention` is the one multi-head attention op: it runs every head of
 B stacked blocks (segments) in a single graph node with a closed-form
 backward, so a module pass builds the same small graph at any length.
-Its one forward loop runs the blocks in chunks. Its one mask, shared by
+Its one forward loop and its one backward loop run the blocks in chunks.
+Its one mask, shared by
 every block and head, is the (Lq, Lk) entries it hides, built valid by
 the caller: `attention` checks only its shape, as a wrong one would
 broadcast silently.
@@ -76,17 +77,37 @@ place and hands it over.
 
 Working sets stay bounded, bit-identical to the whole-array kernels.
 `attention` runs its blocks in chunks of at most `SCORE_BUDGET` score
-entries when nothing reads the probabilities afterwards (no recorded
-graph, no probe), and in one chunk of every block when something does;
-`nll_rows` works in row blocks of at most `SCORE_BUDGET` logits; `gelu`
-builds its output in the tanh buffer when no backward reads it. The
-backward kernels of `gelu` and `layer_norm` run in blocks of at most
-`SCORE_BUDGET` entries (whole rows for `layer_norm`) written into one
-output array, and `embedding` scatters with one `np.bincount` per
+entries. When a recorded graph or a probe reads the probabilities
+afterwards, each chunk writes its slice of one whole (B, H, Lq, Lk)
+probability buffer, and the backward runs over the same chunks; run
+serially, such a call is one chunk of every block. `nll_rows` works in
+row blocks of at most `SCORE_BUDGET` logits; `gelu` builds its output in
+the tanh buffer when no backward reads it. The backward kernels of
+`gelu` and `layer_norm` run in blocks of at most `SCORE_BUDGET` entries
+(whole rows for `layer_norm`) written into one output array, and
+`embedding` scatters with one `np.bincount` per
 column, the in-order sums of `np.add.at`. The `h @ head` logits product
 stays whole: with OpenBLAS, row blocks of a (2048, 32) @ (32, 257)
 product differ in their last bits from the whole product, so the
 (T, vocab) logits are the one array a scoring window needs whole.
+
+The block loops run on every CPU the process may use (`usable_cpus`).
+A call of at least `POOL_MIN_BLOCKS` blocks hands them to one worker
+pool, started on first use, of `usable_cpus() - 1` threads, the caller
+being the last worker: `attention` forward and backward, `gelu` forward
+(then in blocks too) and backward, `layer_norm` backward and the
+log-sum-exp of `nll_rows` and `cross_entropy_mean`. Each block makes the
+numpy and single-thread BLAS calls of the serial loop on the same slices
+and writes its own slice of one output, and a sum across blocks (the
+shared-query gradient of `attention`) runs after every block is done,
+so outputs, gradients, FLOP counts and graph sizes are the same bits on
+any number of CPUs. Smaller calls, and every call with one CPU, run the
+serial loop (`attention` with a graph and `gelu` forward: one whole
+block). Blocks run in a copy of the caller's context, so numpy's
+`errstate` holds in them, and a block's exception reaches the caller.
+The pool's threads are joined before the process forks, so a fork (the
+gradient check's) finds one thread, and a forked child starts its own
+pool.
 
 Fixed costs per call stay small, because at tiny shapes they are the
 whole cost: the gradient oracle at T=8 makes about 80k ops per check. No
@@ -109,8 +130,11 @@ checked against the terms they actually cover.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
+import os
+import threading
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -128,6 +152,95 @@ class GraphError(RuntimeError):
 # Working-set bounds of kernels (see the module docstring).
 SCORE_BUDGET = 1 << 15     # entries per chunk or row block: 256 KiB of float64
 EXACT_MAX_ENTRIES = 1024   # `prefix_stats` sums stacks this small as Python ints
+# A kernel call of fewer blocks runs serially: a pooled call waits for a thread
+# to wake on each side, about 0.1 ms each on a 2-vCPU VM, which 4 or 5 blocks
+# (the train benchmark's attention and loss) did not earn back.
+POOL_MIN_BLOCKS = 8
+
+
+# ---------------------------------------------------------------------------
+# worker threads
+
+def usable_cpus():
+    """The CPUs this process may run on: those of `os.sched_getaffinity`, or
+    `os.cpu_count()` where that does not exist."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+_POOL_LOCK = threading.Lock()
+_POOL = {}   # "workers": (executor, its thread count), or None with one CPU; unset until used
+
+
+def _pool(n_blocks):
+    """The kernel worker pool for a call of `n_blocks` blocks, or None: below
+    `POOL_MIN_BLOCKS` blocks, and with one CPU. The pool holds `usable_cpus() - 1`
+    threads, the caller being the last worker, and starts on first use."""
+    if n_blocks < POOL_MIN_BLOCKS:
+        return None
+    with _POOL_LOCK:
+        if "workers" not in _POOL:
+            # imported here: 0.6 MB a process that never pools does not need
+            from concurrent.futures import ThreadPoolExecutor
+            n = usable_cpus() - 1
+            _POOL["workers"] = (ThreadPoolExecutor(n, "hici-kernel"), n) if n > 0 else None
+        return _POOL["workers"]
+
+
+def _stop_pool():
+    """Join the pool's threads; the next multi-block call starts a new pool."""
+    with _POOL_LOCK:
+        workers = _POOL.pop("workers", None)
+    if workers is not None:
+        workers[0].shutdown()
+
+
+def _forget_pool():
+    """In a forked child: drop any pool the parent started after `_stop_pool`,
+    whose threads the child does not have."""
+    global _POOL_LOCK
+    _POOL_LOCK = threading.Lock()
+    _POOL.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    # a fork happens while no pool thread is alive, and a child never submits to
+    # the parent's pool
+    os.register_at_fork(before=_stop_pool, after_in_child=_forget_pool)
+
+
+def _each_block(fn, blocks):
+    """fn(blk) for every blk of the list `blocks`: serially when `_pool` gives
+    no pool for that many blocks, else on the pool's threads and the caller's.
+
+    Each thread takes the next block from one shared list iterator (`next` on
+    it is one C call, atomic under the interpreter lock) until none is left.
+    A worker runs in a copy of the caller's context, so numpy's `errstate`
+    holds there too. The call returns once every thread is done, and raises
+    what a block raised, with its own type.
+    """
+    workers = _pool(len(blocks))
+    if workers is None:
+        for blk in blocks:
+            fn(blk)
+        return
+    todo = iter(blocks)
+
+    def drain():
+        for blk in todo:
+            fn(blk)
+
+    executor, n = workers
+    futures = [executor.submit(contextvars.copy_context().run, drain) for _ in range(n)]
+    try:
+        drain()
+    finally:   # waits for every worker: none writes into the caller's arrays after this
+        errors = [future.exception() for future in futures]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +463,10 @@ def _records(inputs):
 
 def _row_blocks(n_rows, row_size):
     """Slices of whole rows, at most `SCORE_BUDGET` entries (one row at least) each."""
-    step = max(1, SCORE_BUDGET // max(1, row_size))
-    return (slice(r0, r0 + step) for r0 in range(0, n_rows, step))
+    if n_rows * row_size <= SCORE_BUDGET:
+        return [slice(None)]
+    step = max(1, SCORE_BUDGET // row_size)
+    return [slice(r0, r0 + step) for r0 in range(0, n_rows, step)]
 
 
 def grad_or_zero(t):
@@ -531,11 +646,14 @@ def attention(q, k, v, n_heads, hidden=None, probe=None):
     diagnostic hook, is called with the probabilities, shape (B, n_heads,
     Lq, Lk).
 
-    One loop runs the blocks in chunks and writes each chunk's heads into
-    one output array. When a backward or a probe reads the probabilities
-    afterwards, the one chunk is every block; otherwise each chunk holds
-    at most `SCORE_BUDGET` scores. Every product and softmax row is the one
-    the whole stack computes, so the result does not depend on the chunks.
+    One loop runs the blocks in chunks of at most `SCORE_BUDGET` scores,
+    on the worker pool when there are enough of them (`_each_block`), and
+    writes each chunk's heads into one output array. When a backward or a
+    probe reads the probabilities afterwards, each chunk also writes its
+    slice of one probability buffer, and the backward loop runs over the
+    same chunks; serially, such a call is one chunk of every block. Every
+    product and softmax row is the one the whole stack computes, so the
+    result does not depend on the chunks.
 
     Backward is closed form: with dP = dO V^T the score adjoint is
     P * (dP - rowsum(dP * P)) (Dao et al. 2022). FLOPs per block and head
@@ -561,38 +679,65 @@ def attention(q, k, v, n_heads, hidden=None, probe=None):
     shared_q = qd.ndim == 2
     qh, kh, vh = (_split_heads(qd, n_heads, dk), _split_heads(kd, n_heads, dk),
                   _split_heads(vd, n_heads, dk))
-    # one chunk of every block when a backward or the probe reads p, or when it fits
-    whole = (probe is not None or n_blocks * per_block <= SCORE_BUDGET
-             or _records((q, k, v)))
+    chunks = _row_blocks(n_blocks, per_block)
+    probs = None   # one buffer the chunks write p into, on the pool
+    if len(chunks) > 1 and (probe is not None or _records((q, k, v))):   # p is read afterwards
+        if _pool(len(chunks)) is None:
+            chunks = [slice(None)]   # serially, one chunk of every block
+        else:
+            probs = np.empty((n_blocks, n_heads, n_queries, n_keys))
     out = np.empty((n_blocks, n_queries, width))
     out_heads = out.reshape(out.shape[:2] + (n_heads, dk))
-    for blk in (slice(None),) if whole else _row_blocks(n_blocks, per_block):
-        p = (qh if shared_q else qh[blk]) @ kh[blk].swapaxes(-1, -2)
+
+    def forward_chunk(blk):
+        qb, kb = qh if shared_q else qh[blk], kh[blk].swapaxes(-1, -2)
+        p = qb @ kb if probs is None else np.matmul(qb, kb, out=probs[blk])
         p *= inv_scale
         _softmax(p, hidden)
         out_heads[blk] = (p @ vh[blk]).swapaxes(-3, -2)
+        return p
+
+    if len(chunks) == 1:
+        p = forward_chunk(chunks[0])   # every block
+    else:
+        _each_block(forward_chunk, chunks)
+        p = probs
     if probe is not None:
         probe(p)
 
     def bwd(g, nq, nk, nv):
+        # over the forward's chunks, each writing its slice of one (B, H, L, dk)
+        # buffer per input; the shared-query sum over blocks runs after them all
         gh = _split_heads(g, n_heads, dk)
+        grad_v, grad_k = (None if n is None else np.empty(kh.shape) for n in (nv, nk))
+        grad_q = None if nq is None else np.empty((n_blocks,) + qh.shape[-3:])
+
+        def backward_chunk(blk):
+            gb, pb = gh[blk], p[blk]
+            if nv is not None:
+                np.matmul(pb.swapaxes(-1, -2), gb, out=grad_v[blk])
+            if nq is None and nk is None:
+                return
+            # ds = p * (dp - rowsum(dp * p)) * inv_scale, built in one scratch array
+            dp = gb @ vh[blk].swapaxes(-1, -2)
+            ds = dp * pb
+            rowsum = ds.sum(axis=-1, keepdims=True)
+            np.subtract(dp, rowsum, out=ds)
+            del dp
+            ds *= pb
+            ds *= inv_scale
+            if nq is not None:
+                np.matmul(ds, kh[blk], out=grad_q[blk])
+            if nk is not None:
+                np.matmul(ds.swapaxes(-1, -2), qh if shared_q else qh[blk], out=grad_k[blk])
+
+        _each_block(backward_chunk, chunks)
         if nv is not None:
-            nv._take(_merge_heads(p.swapaxes(-1, -2) @ gh, width))
-        if nq is None and nk is None:
-            return
-        # ds = p * (dp - rowsum(dp * p)) * inv_scale, built in one scratch array
-        dp = gh @ vh.swapaxes(-1, -2)
-        ds = dp * p
-        rowsum = ds.sum(axis=-1, keepdims=True)
-        np.subtract(dp, rowsum, out=ds)
-        del dp
-        ds *= p
-        ds *= inv_scale
+            nv._take(_merge_heads(grad_v, width))
         if nq is not None:
-            dq = ds @ kh
-            nq._take(_merge_heads(dq.sum(axis=0) if shared_q else dq, width))
+            nq._take(_merge_heads(grad_q.sum(axis=0) if shared_q else grad_q, width))
         if nk is not None:
-            nk._take(_merge_heads(ds.swapaxes(-1, -2) @ qh, width))
+            nk._take(_merge_heads(grad_k, width))
 
     return _make(out, (q, k, v), bwd)
 
@@ -633,7 +778,8 @@ def layer_norm(a, gain, bias, eps=1e-5):
             return
         # (dxhat - m1 - xhat * m2) * inv, dxhat = g * gain, in row blocks written into dx
         dx = np.empty_like(xhat)
-        for rows in _row_blocks(*xhat.shape):
+
+        def backward_block(rows):
             xh, out = xhat[rows], dx[rows]
             dxhat = g[rows] * gd
             m1 = _row_means(dxhat)
@@ -643,6 +789,8 @@ def layer_norm(a, gain, bias, eps=1e-5):
             np.multiply(xh, m2, out=out)
             np.subtract(dxhat, out, out=out)
             out *= inv[rows]
+
+        _each_block(backward_block, _row_blocks(*xhat.shape))
         na._take(dx)
 
     return _make(out, (a, gain, bias), bwd)
@@ -905,24 +1053,35 @@ def gelu(x):
     """tanh-form GELU, smooth everywhere. FLOPs: ~12 per element."""
     xd = x.data
     FLOPS.add("other", 12 * xd.size)
-    t = xd * xd   # x * x * x: numpy sends x**3 to libm pow (x**2 is a fast square)
-    t *= xd
-    t *= 0.044715
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    # 0.5 * x * (1 + t): (1 + t) * 0.5 is exact, and * x last cannot overflow early;
-    # built in t's own buffer when no backward will read t
-    out = np.add(t, 1.0, out=None if _records((x,)) else t)
-    out *= 0.5
-    out *= xd
+    t = np.empty(xd.shape)
+    # the output is built in t's own buffer when no backward will read t
+    out = np.empty(xd.shape) if _records((x,)) else t
+    xf, tf, of = xd.reshape(-1), t.reshape(-1), out.reshape(-1)
+    blocks = _row_blocks(xd.size, 1)
+
+    def forward_block(blk):
+        xb, tb, ob = xf[blk], tf[blk], of[blk]
+        np.multiply(xb, xb, out=tb)   # x * x * x: numpy sends x**3 to libm pow
+        tb *= xb
+        tb *= 0.044715
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        # 0.5 * x * (1 + t): (1 + t) * 0.5 is exact, and * x last cannot overflow early
+        np.add(tb, 1.0, out=ob)
+        ob *= 0.5
+        ob *= xb
+
+    # serially, the whole array in one block
+    _each_block(forward_block, blocks if _pool(len(blocks)) else [slice(None)])
 
     def bwd(g, nx):
         # g * ((t + 1) * 0.5 + ((0.5 * x) * (1 - t * t)) * du), du = C * (1 + 3 * 0.044715 * x * x),
         # in blocks of the flat arrays, each through two scratch buffers into dx
         dx = np.empty(xd.shape)
-        xf, tf, gf, df = xd.reshape(-1), t.reshape(-1), np.ravel(g), dx.reshape(-1)
-        for blk in _row_blocks(dx.size, 1):
+        gf, df = np.ravel(g), dx.reshape(-1)
+
+        def backward_block(blk):
             xb, tb, out = xf[blk], tf[blk], df[blk]
             du = xb * xb
             du *= 3 * 0.044715
@@ -937,6 +1096,8 @@ def gelu(x):
             half *= 0.5
             out += half
             out *= gf[blk]
+
+        _each_block(backward_block, blocks)
         nx._take(dx)
 
     return _make(out, (x,), bwd)
@@ -1024,12 +1185,15 @@ def _log_sum_exp(logits, exp_out):
     row, so the result is the whole array's.
     """
     lse, sums = np.empty((2, logits.shape[0]))
-    for rows in _row_blocks(*logits.shape):
+
+    def block(rows):
         m = logits[rows].max(axis=1, keepdims=True)
         e = np.subtract(logits[rows], m, out=None if exp_out is None else exp_out[rows])
         np.exp(e, out=e)
         sums[rows] = e.sum(axis=1)
         lse[rows] = m[:, 0] + np.log(sums[rows])
+
+    _each_block(block, _row_blocks(*logits.shape))
     return lse, sums
 
 
