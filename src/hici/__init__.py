@@ -26,13 +26,13 @@ from .attention import (
     record_attn_mass,
 )
 from .config import ConfigError, HiCIConfig, HostConfig
+from .gradcheck import finite_diff_grad
 from .tensor import (
     FLOPS,
     GraphError,
     ShapeError,
     Tensor,
     backward,
-    finite_diff_grad,
     no_grad,
     parameter,
 )

@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .analysis import (
     ACCOUNTING_PRESETS,
     MICRO_CFG,
@@ -45,8 +45,7 @@ from .analysis import (
 )
 from .attention import record_attn_mass, uniform_queries
 from .config import ConfigError, HiCIConfig, config_to_dict, load_hici_config, load_host_config
-from .gradcheck import (
-    check_host_block_gradients, check_module_gradients, probe_processes, worst_error)
+from .gradcheck import FD_STEP, check_host_block_gradients, check_module_gradients, worst_error
 from .host import (
     check_train_input,
     encode_bytes,
@@ -59,7 +58,7 @@ from .host import (
     train,
 )
 from .serialize import write_json
-from .tensor import FD_STEP, GraphError, no_grad
+from .tensor import GraphError, no_grad
 
 SCALING_CFG = HiCIConfig(S=32, M=8, K=4, H=4, d=32, d_b=16, d_s=8)
 
@@ -144,7 +143,7 @@ def _cmd_gradcheck(args):
     lines = ["tensor,rel_error"] + [f"{name},{errors[name]!r}" for name in sorted(errors)]
     if args.out:
         _write_text(args.out, "gradcheck.csv", "\n".join(lines) + "\n")
-    n_procs = probe_processes()
+    n_procs = parallel.processes()
     step = np.format_float_scientific(FD_STEP, trim="-", exp_digits=1)   # 1e-5, not 1e-05
     print(f"checked {len(errors)} parameter tensors (module + one host block), h={step}, "
           f"64-bit, on {n_procs} process{'es' if n_procs != 1 else ''}, in {elapsed:.1f} s")

@@ -4,7 +4,7 @@ For each parameter tensor we compare the full reverse-mode gradient of a
 fixed scalar loss (a frozen random weighting of the forward output)
 against `finite_diff_grad`, reporting the norm-wise relative error
 ||g_ad - g_fd|| / max(||g_ad||, ||g_fd||). At 64-bit with the one step
-`tensor.FD_STEP` = 1e-5 a correct implementation usually lands around
+`FD_STEP` = 1e-5 a correct implementation usually lands around
 1e-9, and an error above 1e-6 usually means a wrong derivative. Not
 always: the finite-difference round-off is fixed in absolute terms, so
 on a gradient whose norm is near zero it can exceed 1e-6 with correct
@@ -27,57 +27,31 @@ stages instead of 3,667 of each: a probe of a global parameter starts
 from the pooled statistics and pools nothing. These counts are totals
 over all the processes below.
 
-The probes run on every CPU the process may use (`probe_processes`:
-`tensor.usable_cpus()`, the rule that also sizes the kernel pool, and 1
-where `os.fork` does not exist). The reverse-mode pass runs once, in the
-calling process. Then the flat coordinates of every tensor are cut into
-P contiguous parts of sizes that differ by at most one; P-1 forked
-children each probe one part of every tensor and send the values back
-over a pipe, with the FLOP-counter buckets they added, while the caller
-probes part 0. Each process so gets the same mix of local, global and
-broadcast probes. The caller joins a tensor's parts by copying them in
-order, not by adding them, so every value, signed zeros included, is the
-bit pattern a one-process check gives; FLOP counts are added. Every
-child is reaped before the check returns or raises, and an exception
-raised in a child is raised again in the caller with its own type. The
-caller still calls `finite_diff_grad` once per tensor (on part 0) and
-`hici_forward` for its own stage-0 probes, so wrappers installed on this
-module see those calls, but not the children's.
-
-A forked child holds only the thread that forked. The kernels of
-`hici.tensor` run multi-block calls on a pool of worker threads, and
-that module joins the pool's threads before every fork
-(`os.register_at_fork`), so a check forks while no pool thread is alive,
-even after a large training step has started the pool; a child that
-inherited a pool record drops it, and one that runs a multi-block kernel
-starts a pool of its own, never submitting to threads it does not have.
-At a check's shapes no kernel call reaches the pool anyway
-(`POOL_MIN_BLOCKS`). BLAS threads are not joined: with two OpenBLAS
-threads running, the children still gave the bits of a one-process check
-(Python 3.11, scipy-openblas 0.3.31). Python 3.12 and later warn when a
-process with more than one thread forks, and pyproject's `filterwarnings
-= error` turns that warning into a test failure, so there the tests need
-one BLAS thread (`OPENBLAS_NUM_THREADS=1`); whether a just-joined pool
-thread can still be counted at the fork there is unknown. That case is
-untested: the tests have run on Python 3.11 only, which does not warn.
+The reverse-mode pass runs once, in the caller; the probes run on every
+CPU. The flat coordinates of every tensor are cut into
+`parallel.processes()` contiguous parts of sizes that differ by at most
+one, and `parallel.run_parts` probes part j of every tensor in process
+j, so each process gets the same mix of local, global and broadcast
+probes. Parts are joined by copying, so every value, signed zeros
+included, has the bits of a one-process check; a forked part sends back
+the FLOP buckets it added. Wrappers installed on this module see only
+the caller's calls of `finite_diff_grad` (once per tensor, on part 0)
+and `hici_forward`.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import traceback
 
 import numpy as np
 
+from . import parallel
 from .attention import hici_forward, hici_stages, init_hici_params, named_tensors, run_stages
 from .config import HiCIConfig, HostConfig
 from .host import block_forward, block_stages, init_host_params
-from .tensor import (
-    FLOPS, Tensor, backward, finite_diff_grad, grad_or_zero, mul_const, no_grad, tsum,
-    usable_cpus)
+from .tensor import FLOPS, Tensor, backward, grad_or_zero, mul_const, no_grad, tsum
+
+FD_STEP = 1e-5   # the central-difference step of every gradient check
 
 
 def _rel_error(g_ad, g_fd):
@@ -85,75 +59,28 @@ def _rel_error(g_ad, g_fd):
     return float(np.linalg.norm(g_ad - g_fd)) / denom
 
 
-def probe_processes():
-    """Processes that share the finite-difference probes of one check: the
-    CPUs this process may run on (`usable_cpus`), or 1 where `os.fork` does
-    not exist."""
-    return usable_cpus() if hasattr(os, "fork") else 1
+def finite_diff_grad(f, p, coords=None):
+    """Central-difference gradient of a scalar function, one coordinate at a time.
 
-
-def _serve_part(probe, part, write_end):
-    """Child side: probe `part`, send the outcome through the pipe, exit.
-
-    A child that cannot send its outcome prints the traceback and sends
-    nothing, which the parent reports as a `ChildProcessError`.
+    `f` maps a numpy array (same shape as `p`) to a float and must not
+    retain references to its argument: the probe array is mutated in place
+    between calls. This is the independent check that reverse-mode results
+    are measured against. `coords` (a range of flat indices, all of them
+    by default) picks the coordinates probed; the others stay 0.
     """
-    status = 1
-    try:
-        with os.fdopen(write_end, "wb") as pipe:
-            FLOPS.reset()
-            try:
-                outcome = (None, probe(part), FLOPS.buckets)
-            except Exception as exc:   # raised again by the parent
-                outcome = (exc, traceback.format_exc(), None)
-            pipe.write(pickle.dumps(outcome))
-        status = 0
-    except Exception:
-        traceback.print_exc()
-    finally:
-        os._exit(status)   # never unwind into the parent's frames
-
-
-def _received(data, status, part):
-    """Parent side: the probe values a child sent, or raise what it raised."""
-    if not data:
-        raise ChildProcessError(f"probe process {part} sent nothing (wait status {status})")
-    exc, sent, buckets = pickle.loads(data)   # `sent`: the values, or the traceback of `exc`
-    if exc is not None:
-        raise exc from ChildProcessError(f"probe process {part} raised:\n{sent}")
-    FLOPS.merge(buckets)
-    return sent
-
-
-def _run_parts(probe, n_parts):
-    """[probe(0), ..., probe(n_parts - 1)]; parts 1 on run in forked children."""
-    children = []   # [pid or None once reaped, read end of its pipe]
-    try:
-        for part in range(1, n_parts):
-            read_end, write_end = os.pipe()
-            children.append([None, os.fdopen(read_end, "rb")])
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _serve_part(probe, part, write_end)
-            os.close(write_end)
-            children[-1][0] = pid
-        results = [probe(0)]
-        for part, child in enumerate(children, 1):
-            data = child[1].read()
-            _, status = os.waitpid(child[0], 0)
-            child[0] = None
-            results.append(_received(data, status, part))
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    p = np.array(p.data if isinstance(p, Tensor) else p, dtype=np.float64)
+    g = np.zeros_like(p)
+    flat = p.reshape(-1)
+    gflat = g.reshape(-1)
+    for i in range(flat.size) if coords is None else coords:
+        orig = flat[i]
+        flat[i] = orig + FD_STEP
+        f_plus = float(f(p))
+        flat[i] = orig - FD_STEP
+        f_minus = float(f(p))
+        flat[i] = orig
+        gflat[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
+    return g
 
 
 def _check_tensors(tensors, forward, stages, rng, shape):
@@ -182,10 +109,13 @@ def _check_tensors(tensors, forward, stages, rng, shape):
     backward(loss_of(state))
     ad_grads = {name: grad_or_zero(p).copy() for name, p in tensors.items()}
     stage_of = {id(p): k for k, (params, _) in enumerate(stages) for p in params}
-    n_parts = probe_processes()
+    n_parts = parallel.processes()
 
     def probe(part):
-        """Flat finite differences of part `part` of every tensor, by name."""
+        """Flat finite differences of part `part` of every tensor, by name, and
+        in a forked part (1 on) the FLOP buckets it added."""
+        if part:
+            FLOPS.reset()
         values = {}
         for name, p in tensors.items():
             saved = p.data
@@ -200,10 +130,12 @@ def _check_tensors(tensors, forward, stages, rng, shape):
             fd = finite_diff_grad(eval_at, saved, coords=range(lo, hi))
             p.data = saved
             values[name] = fd.reshape(-1)[lo:hi]
-        return values
+        return values, FLOPS.buckets if part else None
 
-    parts = _run_parts(probe, n_parts)
-    fds = {name: np.concatenate([values[name] for values in parts]).reshape(p.data.shape)
+    parts = parallel.run_parts(probe, n_parts)
+    for _, buckets in parts[1:]:
+        FLOPS.merge(buckets)
+    fds = {name: np.concatenate([values[name] for values, _ in parts]).reshape(p.data.shape)
            for name, p in tensors.items()}
     return {name: _rel_error(ad_grads[name], fds[name]) for name in tensors}
 

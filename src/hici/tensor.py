@@ -91,23 +91,15 @@ stays whole: with OpenBLAS, row blocks of a (2048, 32) @ (32, 257)
 product differ in their last bits from the whole product, so the
 (T, vocab) logits are the one array a scoring window needs whole.
 
-The block loops run on every CPU the process may use (`usable_cpus`).
-A call of at least `POOL_MIN_BLOCKS` blocks hands them to one worker
-pool, started on first use, of `usable_cpus() - 1` threads, the caller
-being the last worker: `attention` forward and backward, `gelu` forward
-(then in blocks too) and backward, `layer_norm` backward and the
-log-sum-exp of `nll_rows` and `cross_entropy_mean`. Each block makes the
-numpy and single-thread BLAS calls of the serial loop on the same slices
-and writes its own slice of one output, and a sum across blocks (the
-shared-query gradient of `attention`) runs after every block is done,
+The block loops of `attention` (forward and backward), `gelu` (forward,
+then in blocks too, and backward), the `layer_norm` backward and the
+log-sum-exp of `nll_rows` and `cross_entropy_mean` run through
+`parallel.each_block`, on every CPU when a call has enough blocks. Each
+block makes the serial loop's numpy and single-thread BLAS calls on the
+same slices and writes its own slice of one output, and a sum across
+blocks (the shared-query gradient of `attention`) runs after them all,
 so outputs, gradients, FLOP counts and graph sizes are the same bits on
-any number of CPUs. Smaller calls, and every call with one CPU, run the
-serial loop (`attention` with a graph and `gelu` forward: one whole
-block). Blocks run in a copy of the caller's context, so numpy's
-`errstate` holds in them, and a block's exception reaches the caller.
-The pool's threads are joined before the process forks, so a fork (the
-gradient check's) finds one thread, and a forked child starts its own
-pool.
+any number of CPUs.
 
 Fixed costs per call stay small, because at tiny shapes they are the
 whole cost: the gradient oracle at T=8 makes about 80k ops per check. No
@@ -130,15 +122,14 @@ checked against the terms they actually cover.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import math
-import os
-import threading
 from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
+
+from .parallel import each_block, pooled
 
 
 class ShapeError(ValueError):
@@ -152,95 +143,6 @@ class GraphError(RuntimeError):
 # Working-set bounds of kernels (see the module docstring).
 SCORE_BUDGET = 1 << 15     # entries per chunk or row block: 256 KiB of float64
 EXACT_MAX_ENTRIES = 1024   # `prefix_stats` sums stacks this small as Python ints
-# A kernel call of fewer blocks runs serially: a pooled call waits for a thread
-# to wake on each side, about 0.1 ms each on a 2-vCPU VM, which 4 or 5 blocks
-# (the train benchmark's attention and loss) did not earn back.
-POOL_MIN_BLOCKS = 8
-
-
-# ---------------------------------------------------------------------------
-# worker threads
-
-def usable_cpus():
-    """The CPUs this process may run on: those of `os.sched_getaffinity`, or
-    `os.cpu_count()` where that does not exist."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-_POOL_LOCK = threading.Lock()
-_POOL = {}   # "workers": (executor, its thread count), or None with one CPU; unset until used
-
-
-def _pool(n_blocks):
-    """The kernel worker pool for a call of `n_blocks` blocks, or None: below
-    `POOL_MIN_BLOCKS` blocks, and with one CPU. The pool holds `usable_cpus() - 1`
-    threads, the caller being the last worker, and starts on first use."""
-    if n_blocks < POOL_MIN_BLOCKS:
-        return None
-    with _POOL_LOCK:
-        if "workers" not in _POOL:
-            # imported here: 0.6 MB a process that never pools does not need
-            from concurrent.futures import ThreadPoolExecutor
-            n = usable_cpus() - 1
-            _POOL["workers"] = (ThreadPoolExecutor(n, "hici-kernel"), n) if n > 0 else None
-        return _POOL["workers"]
-
-
-def _stop_pool():
-    """Join the pool's threads; the next multi-block call starts a new pool."""
-    with _POOL_LOCK:
-        workers = _POOL.pop("workers", None)
-    if workers is not None:
-        workers[0].shutdown()
-
-
-def _forget_pool():
-    """In a forked child: drop any pool the parent started after `_stop_pool`,
-    whose threads the child does not have."""
-    global _POOL_LOCK
-    _POOL_LOCK = threading.Lock()
-    _POOL.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    # a fork happens while no pool thread is alive, and a child never submits to
-    # the parent's pool
-    os.register_at_fork(before=_stop_pool, after_in_child=_forget_pool)
-
-
-def _each_block(fn, blocks):
-    """fn(blk) for every blk of the list `blocks`: serially when `_pool` gives
-    no pool for that many blocks, else on the pool's threads and the caller's.
-
-    Each thread takes the next block from one shared list iterator (`next` on
-    it is one C call, atomic under the interpreter lock) until none is left.
-    A worker runs in a copy of the caller's context, so numpy's `errstate`
-    holds there too. The call returns once every thread is done, and raises
-    what a block raised, with its own type.
-    """
-    workers = _pool(len(blocks))
-    if workers is None:
-        for blk in blocks:
-            fn(blk)
-        return
-    todo = iter(blocks)
-
-    def drain():
-        for blk in todo:
-            fn(blk)
-
-    executor, n = workers
-    futures = [executor.submit(contextvars.copy_context().run, drain) for _ in range(n)]
-    try:
-        drain()
-    finally:   # waits for every worker: none writes into the caller's arrays after this
-        errors = [future.exception() for future in futures]
-    for error in errors:
-        if error is not None:
-            raise error
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +549,7 @@ def attention(q, k, v, n_heads, hidden=None, probe=None):
     Lq, Lk).
 
     One loop runs the blocks in chunks of at most `SCORE_BUDGET` scores,
-    on the worker pool when there are enough of them (`_each_block`), and
+    on the worker pool when there are enough of them (`each_block`), and
     writes each chunk's heads into one output array. When a backward or a
     probe reads the probabilities afterwards, each chunk also writes its
     slice of one probability buffer, and the backward loop runs over the
@@ -682,7 +584,7 @@ def attention(q, k, v, n_heads, hidden=None, probe=None):
     chunks = _row_blocks(n_blocks, per_block)
     probs = None   # one buffer the chunks write p into, on the pool
     if len(chunks) > 1 and (probe is not None or _records((q, k, v))):   # p is read afterwards
-        if _pool(len(chunks)) is None:
+        if not pooled(len(chunks)):
             chunks = [slice(None)]   # serially, one chunk of every block
         else:
             probs = np.empty((n_blocks, n_heads, n_queries, n_keys))
@@ -700,7 +602,7 @@ def attention(q, k, v, n_heads, hidden=None, probe=None):
     if len(chunks) == 1:
         p = forward_chunk(chunks[0])   # every block
     else:
-        _each_block(forward_chunk, chunks)
+        each_block(forward_chunk, chunks)
         p = probs
     if probe is not None:
         probe(p)
@@ -731,7 +633,7 @@ def attention(q, k, v, n_heads, hidden=None, probe=None):
             if nk is not None:
                 np.matmul(ds.swapaxes(-1, -2), qh if shared_q else qh[blk], out=grad_k[blk])
 
-        _each_block(backward_chunk, chunks)
+        each_block(backward_chunk, chunks)
         if nv is not None:
             nv._take(_merge_heads(grad_v, width))
         if nq is not None:
@@ -790,7 +692,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
             np.subtract(dxhat, out, out=out)
             out *= inv[rows]
 
-        _each_block(backward_block, _row_blocks(*xhat.shape))
+        each_block(backward_block, _row_blocks(*xhat.shape))
         na._take(dx)
 
     return _make(out, (a, gain, bias), bwd)
@@ -1073,7 +975,7 @@ def gelu(x):
         ob *= xb
 
     # serially, the whole array in one block
-    _each_block(forward_block, blocks if _pool(len(blocks)) else [slice(None)])
+    each_block(forward_block, blocks if pooled(len(blocks)) else [slice(None)])
 
     def bwd(g, nx):
         # g * ((t + 1) * 0.5 + ((0.5 * x) * (1 - t * t)) * du), du = C * (1 + 3 * 0.044715 * x * x),
@@ -1097,7 +999,7 @@ def gelu(x):
             out += half
             out *= gf[blk]
 
-        _each_block(backward_block, blocks)
+        each_block(backward_block, blocks)
         nx._take(dx)
 
     return _make(out, (x,), bwd)
@@ -1193,7 +1095,7 @@ def _log_sum_exp(logits, exp_out):
         sums[rows] = e.sum(axis=1)
         lse[rows] = m[:, 0] + np.log(sums[rows])
 
-    _each_block(block, _row_blocks(*logits.shape))
+    each_block(block, _row_blocks(*logits.shape))
     return lse, sums
 
 
@@ -1240,33 +1142,3 @@ def tsum(a):
         na._take(np.full(shape_in, float(g)))
 
     return _make(out, (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# the numerical oracle
-
-FD_STEP = 1e-5   # the central-difference step of every gradient check
-
-
-def finite_diff_grad(f, p, h=FD_STEP, coords=None):
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    `f` maps a numpy array (same shape as `p`) to a float and must not
-    retain references to its argument: the probe array is mutated in place
-    between calls. This is the independent check that reverse-mode results
-    are measured against. `coords` (a range of flat indices, all of them
-    by default) picks the coordinates probed; the others stay 0.
-    """
-    p = np.array(p.data if isinstance(p, Tensor) else p, dtype=np.float64)
-    g = np.zeros_like(p)
-    flat = p.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size) if coords is None else coords:
-        orig = flat[i]
-        flat[i] = orig + h
-        f_plus = float(f(p))
-        flat[i] = orig - h
-        f_minus = float(f(p))
-        flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * h)
-    return g

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hici import gradcheck
+from hici import parallel
 from hici.cli import build_parser, dispatch
 from hici.config import SCOPE_ALL, load_host_config
 from hici.host import BYTE_VOCAB, encode_bytes, eval_ppl, save_checkpoint, train
@@ -160,15 +160,13 @@ def test_gradcheck_micro_passes(capsys):
     assert dispatch(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out and "PASS" in out
-    n = gradcheck.probe_processes()
+    n = parallel.processes()
     processes = "1 process" if n == 1 else f"{n} processes"
     assert re.search(rf"64-bit, on {processes}, in \d+\.\d s\n", out)
 
 
 def test_gradcheck_names_the_number_of_processes(monkeypatch, capsys):
-    import hici.cli as cli
-    for module in (cli, gradcheck):
-        monkeypatch.setattr(module, "probe_processes", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     assert dispatch(["gradcheck", "--seed", "0"]) == 0
     assert "64-bit, on 1 process, in " in capsys.readouterr().out
 

@@ -19,11 +19,12 @@ import os
 import numpy as np
 import pytest
 
-from hici import attention, gradcheck
+from hici import attention, gradcheck, parallel
 from hici.attention import hici_forward, init_hici_params, named_tensors
 from hici.config import SCOPE_ALL, SCOPE_PRECEDING, HiCIConfig
+from hici.gradcheck import finite_diff_grad
 from hici.host import block_forward, block_stages, init_host_params
-from hici.tensor import Tensor, finite_diff_grad, measure_flops, mul_const, no_grad, tsum
+from hici.tensor import Tensor, measure_flops, mul_const, no_grad, tsum
 
 SMALL = HiCIConfig(S=2, M=1, K=1, H=2, d=8, d_b=4, d_s=2)
 SEED = 3
@@ -31,7 +32,7 @@ SEED = 3
 
 def _one_process(monkeypatch):
     """Run every probe of a check in this process, where it can be recorded."""
-    monkeypatch.setattr(gradcheck, "probe_processes", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
 
 
 def _recorded_fd(monkeypatch):
@@ -227,7 +228,7 @@ def _assert_no_child_left():
 def _checked_on(monkeypatch, n_processes, check):
     """Errors, merged finite-difference arrays and FLOP buckets of `check`
     run on `n_processes` processes."""
-    monkeypatch.setattr(gradcheck, "probe_processes", lambda: n_processes)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: n_processes)
     compared = []
 
     def recording(g_ad, g_fd):
@@ -279,7 +280,7 @@ def _failing_probe(monkeypatch, where):
     ("child exits", ChildProcessError),
 ])
 def test_no_child_is_left_after_a_check(monkeypatch, where, raised):
-    monkeypatch.setattr(gradcheck, "probe_processes", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     _failing_probe(monkeypatch, where)
     if raised is None:
         assert len(CHECKS["module all_segments"]()) == 21
@@ -290,10 +291,10 @@ def test_no_child_is_left_after_a_check(monkeypatch, where, raised):
 
 
 def test_a_child_exception_is_raised_with_its_type_and_traceback(monkeypatch):
-    monkeypatch.setattr(gradcheck, "probe_processes", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     _failing_probe(monkeypatch, "child raises")
     with pytest.raises(ProbeFailure, match="in a child") as info:
         CHECKS["module all_segments"]()
     cause = info.value.__cause__
     assert isinstance(cause, ChildProcessError)
-    assert "probe process 1 raised" in str(cause) and "ProbeFailure" in str(cause)
+    assert "part 1 raised" in str(cause) and "ProbeFailure" in str(cause)

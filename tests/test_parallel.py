@@ -1,4 +1,4 @@
-"""The kernel worker pool of `hici.tensor`.
+"""`hici.parallel`: the kernel worker pool and the forked parts.
 
 A kernel call of at least `POOL_MIN_BLOCKS` blocks runs its blocks on the
 pool's threads and the caller's. These tests pin that the pooled path
@@ -7,7 +7,10 @@ kernel: `attention` forward and backward, `gelu` forward and backward,
 `layer_norm` backward, `nll_rows` and `cross_entropy_mean`. They pin that
 each block runs once, in the caller's numpy error state, that a block's
 exception reaches the caller with its own type, and that a process which
-has started the pool still forks cleanly for the gradient check.
+has started the pool still forks cleanly for the gradient check. The
+last tests pin `run_parts`: independent jobs give the same values, in
+part order, on one part and on three; a child's exception or exit
+reaches the caller; and no child is left behind.
 """
 
 import os
@@ -21,10 +24,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hici import tensor
+from hici import parallel
+from hici.parallel import POOL_MIN_BLOCKS
 from hici.tensor import (
-    POOL_MIN_BLOCKS, SCORE_BUDGET, Tensor, attention, backward, cross_entropy_mean, gelu,
-    layer_norm, mul_const, nll_rows, no_grad, parameter, tsum)
+    SCORE_BUDGET, Tensor, attention, backward, cross_entropy_mean, gelu, layer_norm, mul_const,
+    nll_rows, no_grad, parameter, tsum)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,11 +38,11 @@ def cpus(monkeypatch):
     """`cpus(n)` sizes the pool as if this process could run on n CPUs: with
     1 there is no pool; with n > 1 it holds n - 1 threads."""
     def use(n):
-        monkeypatch.setattr(tensor, "usable_cpus", lambda: n)
-        tensor._stop_pool()
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
+        parallel._stop_pool()
 
     yield use
-    tensor._stop_pool()
+    parallel._stop_pool()
 
 
 def _serial_and_pooled(cpus, run, n_cpus=(2, 4)):
@@ -48,7 +52,7 @@ def _serial_and_pooled(cpus, run, n_cpus=(2, 4)):
     for n in (1,) + n_cpus:
         cpus(n)
         results.append(run())
-        assert (tensor._POOL.get("workers") is None) == (n == 1)   # pooled iff a pool exists
+        assert (parallel._POOL.get("workers") is None) == (n == 1)   # pooled iff a pool exists
     return results
 
 
@@ -68,11 +72,11 @@ def _assert_all_same(results):
 
 def test_pool_serves_calls_of_enough_blocks_on_more_than_one_cpu(cpus):
     cpus(2)
-    assert tensor._pool(POOL_MIN_BLOCKS - 1) is None
-    executor, n_threads = tensor._pool(POOL_MIN_BLOCKS)
+    assert parallel._pool(POOL_MIN_BLOCKS - 1) is None
+    executor, n_threads = parallel._pool(POOL_MIN_BLOCKS)
     assert n_threads == 1
     cpus(1)
-    assert tensor._pool(1 << 20) is None
+    assert parallel._pool(1 << 20) is None
 
 
 def test_each_block_runs_every_block_once_across_threads(cpus):
@@ -93,7 +97,7 @@ def test_each_block_runs_every_block_once_across_threads(cpus):
     try:
         for _ in range(20):
             ran.clear()
-            tensor._each_block(fn, blocks)
+            parallel.each_block(fn, blocks)
             assert sorted(ran) == blocks
     finally:
         sys.setswitchinterval(interval)
@@ -216,7 +220,7 @@ def test_workers_run_in_the_callers_numpy_error_state(cpus):
         seen[threading.get_ident()] = np.geterr()["invalid"]
 
     with np.errstate(invalid="raise"):
-        tensor._each_block(fn, blocks)
+        parallel.each_block(fn, blocks)
     assert len(seen) == 2 and set(seen.values()) == {"raise"}
 
 
@@ -234,9 +238,9 @@ def test_a_workers_exception_reaches_the_caller_with_its_own_type(cpus):
             raise BlockFailed(blk)
 
     with pytest.raises(BlockFailed):
-        tensor._each_block(fn, blocks)
+        parallel.each_block(fn, blocks)
     ran = []
-    tensor._each_block(ran.append, blocks)   # the pool still works
+    parallel.each_block(ran.append, blocks)   # the pool still works
     assert sorted(ran) == blocks
 
 
@@ -253,18 +257,17 @@ def test_an_infinite_score_raises_under_errstate_on_both_paths(cpus):
                 else:
                     with no_grad():
                         attention(Tensor(q), Tensor(k), Tensor(v), 2)
-        assert (tensor._POOL.get("workers") is None) == (n == 1)
+        assert (parallel._POOL.get("workers") is None) == (n == 1)
 
 
 _FORK_AFTER_POOL = """
 import os, sys, threading
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from hici import gradcheck, tensor
+from hici import gradcheck, parallel, tensor
 from hici.analysis import MICRO_CFG
 
-tensor.usable_cpus = lambda: 2
-gradcheck.probe_processes = lambda: 2
+parallel.usable_cpus = lambda: 2
 threads_at_fork = []
 os.register_at_fork(after_in_parent=lambda: threads_at_fork.append(threading.active_count()))
 big = tensor.Tensor(np.linspace(-3.0, 3.0, 8 * tensor.SCORE_BUDGET))
@@ -301,3 +304,78 @@ def test_a_check_forks_cleanly_after_the_pool_started():
         return out
 
     assert run("pool-first") == run("fresh")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _job(j):
+    """One independent job: values drawn from its own seed, a signed zero among them."""
+    values = np.random.default_rng(j).normal(size=5)
+    values[j] = -0.0
+    return j, values, float(np.tanh(values).sum())
+
+
+def _jobs_on(n_parts, n_jobs=4):
+    """The results of `n_jobs` jobs cut into `n_parts` contiguous parts, in
+    job order, and the pid of each part's process."""
+    def part_jobs(part):
+        lo, hi = (n_jobs * j // n_parts for j in (part, part + 1))
+        return os.getpid(), [_job(j) for j in range(lo, hi)]
+
+    parts = parallel.run_parts(part_jobs, n_parts)
+    return [result for _, results in parts for result in results], [pid for pid, _ in parts]
+
+
+def test_jobs_give_the_same_values_in_part_order_on_one_part_and_on_three():
+    one, (pid,) = _jobs_on(1)
+    three, pids = _jobs_on(3)
+    _assert_no_child_left()
+    assert pid == pids[0] == os.getpid() and len(set(pids)) == 3
+    assert [j for j, _, _ in three] == [j for j, _, _ in one] == [0, 1, 2, 3]
+    for (_, values_3, total_3), (_, values, total) in zip(three, one):
+        assert values_3.tobytes() == values.tobytes() and total_3.hex() == total.hex()
+
+
+class PartFailed(Exception):
+    """Raised by a part on purpose."""
+
+
+def test_a_childs_exception_is_raised_again_with_its_type_from_a_child_process_error():
+    def fn(part):
+        if part == 2:
+            raise PartFailed(f"in part {part}")
+        return part
+
+    with pytest.raises(PartFailed, match="in part 2") as info:
+        parallel.run_parts(fn, 3)
+    _assert_no_child_left()
+    cause = info.value.__cause__
+    assert isinstance(cause, ChildProcessError)
+    assert "part 2 raised" in str(cause) and "PartFailed: in part 2" in str(cause)
+
+
+def test_a_child_that_exits_without_a_result_gives_a_child_process_error():
+    def fn(part):
+        if part:
+            os._exit(3)
+        return part
+
+    with pytest.raises(ChildProcessError, match="part 1 sent nothing"):
+        parallel.run_parts(fn, 2)
+    _assert_no_child_left()
+
+
+def test_a_failing_first_part_kills_and_reaps_the_children():
+    def fn(part):
+        if part:
+            time.sleep(60)   # killed long before this ends
+        raise PartFailed("in part 0")
+
+    start = time.monotonic()
+    with pytest.raises(PartFailed, match="in part 0"):
+        parallel.run_parts(fn, 3)
+    _assert_no_child_left()
+    assert time.monotonic() - start < 30

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hici import tensor as tensor_module
+from hici.gradcheck import finite_diff_grad
 from hici.tensor import (
     EXACT_MAX_ENTRIES,
     FLOPS,
@@ -20,7 +21,6 @@ from hici.tensor import (
     concat_rows,
     cross_entropy_mean,
     embedding,
-    finite_diff_grad,
     flop_scope,
     gelu,
     grad_or_zero,
