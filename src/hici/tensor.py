@@ -59,6 +59,18 @@ step holds neither the adjoints nothing reads again nor, during the next
 forward, anything of the previous graph. The heap those releases free is
 kept for the next step (`_keep_freed_heap`).
 
+A node sums its terms where it receives them, in sweep order. So does a
+leaf, unless the sweep has a lane (`parallel.open_lane`: only while the
+kernel pool runs). There `matmul` hands its weight gradient a^T g to
+the lane when the weight is a leaf and the adjoint g has at least
+`SCORE_BUDGET` entries, before it computes the input gradient g b^T, so
+the two products run on two CPUs at once; it first waits for the
+previous such product, so one at most is in flight. From its first
+lane term on, every later term of that leaf goes to the lane too, where
+one job at a time adds them into `.grad` in the order the sweep handed
+them over, as `_take` would have inline. The lane only reads what it
+was handed, and `backward` waits for it before it returns or raises.
+
 Kernels write only into buffers they allocated themselves, never into
 an input, and stay off numpy's slow paths: `gelu` cubes by
 multiplication, `x * x * x`, never `x**3` (numpy hands an exponent of 3
@@ -129,7 +141,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .parallel import each_block, pooled
+from .parallel import each_block, open_lane, pooled
 
 
 class ShapeError(ValueError):
@@ -285,16 +297,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def _take(self, g):
-        """Add a gradient array the caller hands over; a first one is kept as it is.
-
-        The caller may hand over an array it allocated, its own adjoint, or
-        a region of that adjoint that no other input receives: nothing else
-        reads or writes `g` afterwards, so this node may add into it.
-        """
-        if self.grad is None:
-            self.grad = g
+        """A leaf's `_Node._take`; once the leaf has a term on the sweep's lane,
+        it adds every later term there too, behind the earlier ones."""
+        if self in _LANE_LEAVES:
+            _LANE[0].submit(_Node._take, self, g)
         else:
-            self.grad += g
+            _Node._take(self, g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -325,7 +333,17 @@ class _Node:
         """The nodes the gradient flows to, inputs that need none left out."""
         return tuple([n for n in self._inputs if n is not None])
 
-    _take = Tensor._take
+    def _take(self, g):
+        """Add a gradient array the caller hands over; a first one is kept as it is.
+
+        The caller may hand over an array it allocated, its own adjoint, or
+        a region of that adjoint that no other input receives: nothing else
+        reads or writes `g` afterwards, so this node may add into it.
+        """
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
 
 
 def parameter(data):
@@ -376,6 +394,36 @@ def grad_or_zero(t):
     return t.grad if t.grad is not None else np.zeros_like(t.data)
 
 
+# The running sweep's lane (`parallel.open_lane`), or None, and the leaves with
+# a term on it.
+_LANE = [None]
+_LANE_LEAVES = set()
+
+
+def _weight_grad(a, g):
+    """a^T g, a's leading axes folded into rows: `matmul`'s gradient of its weight."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _take_weight_grad(leaf, a, g):
+    """The lane job of a deferred weight gradient: `leaf` adds a^T g as a node would."""
+    _Node._take(leaf, _weight_grad(a, g))
+
+
+def _defer_weight_grad(leaf, other, a, g):
+    """Hand `matmul`'s weight gradient a^T g to the sweep's lane and return
+    True, when the weight `leaf` is a leaf, not also `matmul`'s other input
+    `other`, and the adjoint g has at least `SCORE_BUDGET` entries. The
+    lane's previous product is finished first, so one at most is in flight."""
+    if type(leaf) is not Tensor or leaf is other or g.size < SCORE_BUDGET:
+        return False
+    lane = _LANE[0]
+    lane.join()
+    _LANE_LEAVES.add(leaf)
+    lane.submit(_take_weight_grad, leaf, a, g)
+    return True
+
+
 @lru_cache(maxsize=None)
 def _keep_freed_heap():
     """Keep the heap a backward frees for the next step instead of handing it back.
@@ -409,6 +457,12 @@ def backward(loss):
     once a node's closure has run, the node drops its adjoint, its closure
     (with the arrays it saved) and its input links, and the sweep drops
     the node. An interior tensor keeps its `.data` and its spent node only.
+
+    Each node and leaf adds its gradient terms in the order the sweep hands
+    them over; a leaf with weight-gradient terms on the sweep's lane (see
+    the module docstring) adds all its terms from the first of those on
+    there, in that same order, and this returns or raises only once the
+    lane has run every one.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -436,12 +490,19 @@ def backward(loss):
             stack.append((nxt, iter(nxt._parents)))
 
     root.grad = np.ones_like(loss.data)
-    while topo:
-        node = topo.pop()   # reverse topological order; the sweep holds no node it has passed
-        node._backward(node.grad, *node._inputs)
-        node._backward = None
-        node._inputs = ()
-        node.grad = None
+    _LANE[0] = open_lane()
+    try:
+        while topo:
+            node = topo.pop()   # reverse topological order; the sweep holds no node it has passed
+            node._backward(node.grad, *node._inputs)
+            node._backward = None
+            node._inputs = ()
+            node.grad = None
+    finally:   # every term on the lane is added before backward returns or raises
+        lane, _LANE[0] = _LANE[0], None
+        _LANE_LEAVES.clear()
+        if lane is not None:
+            lane.join()
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +516,15 @@ def matmul(a, b):
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}")
-    k, n = bd.shape
-    FLOPS.add("matmul", 2 * ad.size * n)
+    FLOPS.add("matmul", 2 * ad.size * bd.shape[1])
 
     def bwd(g, na, nb):
+        if nb is not None and _LANE[0] is not None and _defer_weight_grad(nb, na, ad, g):
+            nb = None   # a^T g runs on the lane while g b^T runs here
         if na is not None:
             na._take(g @ bd.T)
         if nb is not None:
-            nb._take(ad.reshape(-1, k).T @ g.reshape(-1, n))
+            nb._take(_weight_grad(ad, g))
 
     return _make(ad @ bd, (a, b), bwd)
 
