@@ -72,7 +72,7 @@ them over, as `_take` would have inline. The lane only reads what it
 was handed, and `backward` waits for it before it returns or raises.
 
 Kernels write only into buffers they allocated themselves, never into
-an input, and stay off numpy's slow paths: `gelu` cubes by
+an input but one (below), and stay off numpy's slow paths: `gelu` cubes by
 multiplication, `x * x * x`, never `x**3` (numpy hands an exponent of 3
 to libm `pow`), builds its tanh argument in one scratch buffer and its
 output in one more (the same one without a graph); `layer_norm` centres
@@ -85,7 +85,15 @@ one scratch array beside dP, which it drops once read. The log-sum-exp
 of `nll_rows` and `cross_entropy_mean` takes `exp(logits - row max)` in
 one scratch buffer; with a graph `cross_entropy_mean` keeps that buffer
 whole, not the logits, and its backward turns it into the softmax in
-place and hands it over.
+place and hands it over. That buffer is the one input a kernel writes
+into: when the logits are an interior result of the graph that nothing
+but the call references, nor their array, `cross_entropy_mean` reads
+the target logits first and takes the exp in the logits' own buffer
+(`_owned`), so a training step holds one (T, vocab) array, not two.
+CPython's reference counts show such a temporary argument; a probe at
+import (`_sole_ref_counts`) finds the counts of one, and where they do
+not differ from a named argument's no buffer is taken over. Nothing can
+read the logits afterwards, so every bit is the same either way.
 
 Working sets stay bounded, bit-identical to the whole-array kernels.
 `attention` runs its blocks in chunks of at most `SCORE_BUDGET` score
@@ -136,6 +144,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import sys
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -256,7 +265,9 @@ class Tensor:
     """A C-contiguous float64 array plus an optional autodiff node.
 
     Tensors are immutable by convention once constructed: ops never write
-    into their inputs, so sharing a Tensor across readers is safe. A
+    into an input that anything else references (only `cross_entropy_mean`
+    writes into its logits, and only when nothing else does), so sharing a
+    Tensor across readers is safe. A
     recorded op's result points to its `_Node`, which holds the backward
     closure, the parents' nodes and the arrays that closure reads, but not
     the result's `.data`. A leaf (a parameter) is its own node: it has
@@ -379,6 +390,48 @@ def _make(data, inputs, backward_fn):
 def _records(inputs):
     """Whether `_make` builds a node over `inputs`, so that a backward may run."""
     return _GRAD_MODE[-1] and any(p.requires_grad for p in inputs)
+
+
+def _ref_counts(t):
+    """`sys.getrefcount` of the Tensor t and of its array, read by an op for its argument t."""
+    return sys.getrefcount(t), sys.getrefcount(t.data)
+
+
+def _sole_ref_counts():
+    """The `_ref_counts` an op reads for a temporary argument that nothing else
+    references, nor its array; None where this Python's counts do not tell
+    such an argument from a named one, or its array from one a view holds too."""
+    if not hasattr(sys, "getrefcount"):
+        return None
+
+    def op(t):   # reads the counts of its argument as an op does
+        return _ref_counts(t)
+
+    temporary = op(_wrap(np.empty(1)))
+    named, viewed = _wrap(np.empty(1)), _wrap(np.empty(1))
+    view = viewed.data[:]   # holds viewed's array through its base
+    tells = op(named)[0] > temporary[0] and op(viewed)[1] > temporary[1]
+    del view
+    return temporary if tells else None
+
+
+_SOLE_REF_COUNTS = _sole_ref_counts()
+
+
+def _owned(t, counts):
+    """Whether an op may write into the array of its argument t, given the
+    `_ref_counts(t)` it read before binding t or its array to any other name.
+
+    It may when t is an interior result of a recorded graph, not a leaf,
+    and the counts are those of a temporary argument that nothing else
+    references, nor its array, which owns its memory: a view's own count
+    says nothing of its base. A name, a container, a wrapper's argument
+    tuple, a view of the array or a backward closure that reads it all
+    raise a count. A weak reference does not; this package holds none to
+    an array.
+    """
+    return (counts == _SOLE_REF_COUNTS and _GRAD_MODE[-1] and type(t._node) is _Node
+            and t.data.base is None)
 
 
 def _row_blocks(n_rows, row_size):
@@ -1146,7 +1199,8 @@ def _log_sum_exp(logits, exp_out):
 
     It runs over `_row_blocks`, taking `exp` in a block-sized buffer, or
     in the rows of `exp_out` unless that is None; each reduction is per
-    row, so the result is the whole array's.
+    row, so the result is the whole array's. `exp_out` may be `logits`
+    itself: a block reads the max of its rows before it writes them.
     """
     lse, sums = np.empty((2, logits.shape[0]))
 
@@ -1169,8 +1223,19 @@ def nll_rows(logits, targets):
 def cross_entropy_mean(logits, targets):
     """Mean negative log-likelihood of integer targets under row logits.
 
-    Stable log-sum-exp; FLOPs: ~6 per logit.
+    Stable log-sum-exp; FLOPs: ~6 per logit. With a graph the backward
+    reads exp(logits - row max) whole, so the forward keeps that array.
+    When the logits are an interior result of the graph that nothing but
+    this call references, nor their array (`_owned`: in `host.train`,
+    `cross_entropy_mean(lm_forward(...), targets)`), it is taken in the
+    logits' own buffer, after the target logits are read, and that buffer
+    is the call's one (T, vocab) array. Nothing can read the logits
+    afterwards, so the loss and the gradient are the same bits either
+    way. Any other call, on a leaf or on logits a name, a container, a
+    view or a wrapper's arguments still hold, or without a graph, leaves
+    the logits as they are.
     """
+    counts = _ref_counts(logits)   # first: no other name binds the Tensor or its array yet
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
         raise ShapeError(
@@ -1179,10 +1244,14 @@ def cross_entropy_mean(logits, targets):
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ShapeError(f"cross_entropy_mean: target id out of range [0, {v})")
     FLOPS.add("other", 6 * logits.data.size)
-    # a backward reads exp(logits - row max) whole, so the forward keeps it
-    e = np.empty_like(logits.data) if _records((logits,)) else None
-    lse, sums = _log_sum_exp(logits.data, e)
-    out = np.array((lse - logits.data[np.arange(t), targets]).mean())
+    ld = logits.data
+    picked = ld[np.arange(t), targets]
+    if _owned(logits, counts):
+        e = ld
+    else:
+        e = np.empty_like(ld) if _records((logits,)) else None
+    lse, sums = _log_sum_exp(ld, e)
+    out = np.array((lse - picked).mean())
 
     def bwd(g, nlogits):
         p = e                # the softmax, made in the buffer the closure alone holds

@@ -3,7 +3,10 @@
 Every module imports only numpy and the standard library, and one module,
 `hici.parallel`, owns every thread, fork and CPU query: no other module
 imports `threading`, `concurrent.futures`, `pickle` or `signal`, or
-reaches `os.fork`, `os.register_at_fork` or `os.sched_getaffinity`.
+reaches `os.fork`, `os.register_at_fork` or `os.sched_getaffinity`. One
+module, `hici.tensor`, owns the rule by which an op may write into an
+argument nothing else references: no other module reads
+`sys.getrefcount`.
 """
 
 import ast
@@ -55,3 +58,16 @@ def test_only_parallel_touches_threads_forks_and_cpus(path):
                      if isinstance(node, ast.Attribute) and node.attr in CPU_CALLS
                      and isinstance(node.value, ast.Name) and node.value.id == "os")
     assert imported == [] and reached == []
+
+
+def _reads_refcounts(tree):
+    """Whether `tree` reaches `sys.getrefcount`, as an attribute or by `from sys import`."""
+    return any(name == "sys.getrefcount" for name in _absolute_imports(tree)) or any(
+        isinstance(node, ast.Attribute) and node.attr == "getrefcount"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_tensor_reads_reference_counts(path):
+    assert _reads_refcounts(_tree(path)) == (path.name == "tensor.py")

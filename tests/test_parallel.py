@@ -44,30 +44,9 @@ from hici.tensor import (
     SCORE_BUDGET, Tensor, _make, add, attention, backward, cross_entropy_mean, gelu, layer_norm,
     matmul, mul_const, nll_rows, no_grad, parameter, tsum)
 
+from pools import serial_and_pooled
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """`cpus(n)` sizes the pool as if this process could run on n CPUs: with
-    1 there is no pool; with n > 1 it holds n - 1 threads."""
-    def use(n):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
-        parallel._stop_pool()
-
-    yield use
-    parallel._stop_pool()
-
-
-def _serial_and_pooled(cpus, run, n_cpus=(2, 4)):
-    """`run()` with one CPU, then on pools of each size in `n_cpus` (4 is more
-    threads than this host may have CPUs)."""
-    results = []
-    for n in (1,) + n_cpus:
-        cpus(n)
-        results.append(run())
-        assert (parallel._POOL.get("workers") is None) == (n == 1)   # pooled iff a pool exists
-    return results
 
 
 def _assert_same_bits(a, b):
@@ -149,7 +128,7 @@ def test_attention_pooled_equals_serial(cpus):
                 return recorded(seen.append) + seen
 
             for run in (graph_free, probed, recorded, recorded_probed):
-                _assert_all_same(_serial_and_pooled(cpus, run))
+                _assert_all_same(serial_and_pooled(cpus, run))
 
 
 def test_attention_pooled_equals_serial_for_one_input_needing_a_gradient(cpus):
@@ -164,7 +143,7 @@ def test_attention_pooled_equals_serial_for_one_input_needing_a_gradient(cpus):
             backward(tsum(mul_const(y, upstream)))
             return [y.data, ts[which].grad]
 
-        _assert_all_same(_serial_and_pooled(cpus, run))
+        _assert_all_same(serial_and_pooled(cpus, run))
 
 
 def test_gelu_pooled_equals_serial(cpus):
@@ -185,7 +164,7 @@ def test_gelu_pooled_equals_serial(cpus):
         return [y.data, p.grad]
 
     for run in (graph_free, recorded):
-        _assert_all_same(_serial_and_pooled(cpus, run))
+        _assert_all_same(serial_and_pooled(cpus, run))
 
 
 def test_layer_norm_backward_pooled_equals_serial(cpus):
@@ -200,7 +179,7 @@ def test_layer_norm_backward_pooled_equals_serial(cpus):
         backward(tsum(mul_const(y, upstream)))
         return [y.data] + [p.grad for p in ps]
 
-    _assert_all_same(_serial_and_pooled(cpus, run))
+    _assert_all_same(serial_and_pooled(cpus, run))
 
 
 def test_loss_kernels_pooled_equal_serial(cpus):
@@ -221,7 +200,7 @@ def test_loss_kernels_pooled_equal_serial(cpus):
         return [loss.data, p.grad, free.data]
 
     for run in (nll, cross_entropy):
-        _assert_all_same(_serial_and_pooled(cpus, run))
+        _assert_all_same(serial_and_pooled(cpus, run))
 
 
 def test_workers_run_in_the_callers_numpy_error_state(cpus):
@@ -385,7 +364,7 @@ def test_a_leafs_terms_on_the_lane_keep_the_serial_bits_and_order(cpus, lane_job
         jobs.append(list(lane_jobs))
         return [W.grad]
 
-    results = _serial_and_pooled(cpus, run)
+    results = serial_and_pooled(cpus, run)
     _assert_all_same(results)
     on_lane = ["_take_weight_grad"] * 3 + ["_take"]   # the elementwise term follows them there
     assert jobs == [[], on_lane, on_lane]
@@ -413,7 +392,7 @@ def test_a_strict_train_step_gives_the_same_bits_on_one_cpu_and_on_two(cpus, lan
                 + [tensors[name].grad for name in sorted(tensors)]
                 + [moments[name] for moments in (opt.m, opt.v) for name in sorted(moments)])
 
-    _assert_all_same(_serial_and_pooled(cpus, run, n_cpus=(2,)))
+    _assert_all_same(serial_and_pooled(cpus, run, n_cpus=(2,)))
     assert used[0] == 0 and used[1] > 0
 
 

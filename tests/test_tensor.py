@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,7 @@ from hici.tensor import (
 )
 
 from oracles import matmul_triple_loop, two_pass_stats
+from pools import serial_and_pooled
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1011,151 @@ def test_cross_entropy_backward_makes_no_second_logits_array():
     ref[np.arange(2048), targets] -= 1.0
     ref *= 1.0 / 2048
     assert np.array_equal(logits.grad, ref + 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the loss takes over logits that nothing else holds
+
+
+LOGITS_BYTES = 2048 * 257 * 8
+
+
+def _loss_inputs():
+    """h (2048, 32), w (32, 257) and targets: h @ w are logits of 17 row blocks."""
+    rng = np.random.default_rng(45)
+    return (rng.normal(size=(2048, 32)), rng.normal(scale=0.5, size=(32, 257)),
+            rng.integers(0, 257, size=2048))
+
+
+def _spy_exp_buffers(monkeypatch):
+    """For each log-sum-exp the loss runs, whether it takes exp in the logits' own buffer."""
+    taken, log_sum_exp = [], tensor_module._log_sum_exp
+
+    def spy(logits, exp_out):
+        taken.append(exp_out is not None and np.shares_memory(logits, exp_out))
+        return log_sum_exp(logits, exp_out)
+
+    monkeypatch.setattr(tensor_module, "_log_sum_exp", spy)
+    return taken
+
+
+def _traced_peak(call):
+    """call() and the peak bytes it allocates (tracemalloc). Callers run it on one CPU:
+    a graph-free log-sum-exp allocates a row block's buffer in each pool thread at once."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _stash(t, kept, view=False):
+    """t, its array (or a view of it) appended to `kept`."""
+    kept.append(t.data[:1] if view else t.data)
+    return t
+
+
+def _named(hp, wp, targets):
+    logits = matmul(hp, wp)
+    return cross_entropy_mean(logits, targets), logits.data
+
+
+def _array_held(hp, wp, targets, view=False):
+    kept = []
+    loss = cross_entropy_mean(_stash(matmul(hp, wp), kept, view), targets)
+    return loss, kept[0] if kept[0].base is None else kept[0].base
+
+
+def _view_of_held(hp, wp, targets):
+    # the logits' array is a view whose own count is that of a temporary's
+    whole = matmul(hp, wp)
+    return cross_entropy_mean(reshape(whole, whole.shape), targets), whole.data
+
+
+def _leaf(hp, wp, targets):
+    box = [parameter(hp.data @ wp.data)]
+    logits = weakref.ref(box[0].data)   # raises no count; the loss's node keeps the leaf
+    return cross_entropy_mean(box.pop(), targets), logits()
+
+
+def _through_wrapper(hp, wp, targets):
+    # the shape of perfbench's tracer: a *args wrapper whose hook reads the arguments after the call
+    seen = []
+
+    def traced(*args, **kwargs):
+        out = cross_entropy_mean(*args, **kwargs)
+        seen.append(args[0].data)
+        return out
+
+    return traced(matmul(hp, wp), targets), seen[0]
+
+
+def _graph_free(hp, wp, targets):
+    # an interior result, handed over as a temporary; it dies with the call, so a
+    # copy of its array is checked, and the peak holds that copy beside the logits
+    box = [matmul(hp, wp)]
+    logits = box[0].data.copy()
+    with no_grad():
+        return cross_entropy_mean(box.pop(), targets), logits
+
+
+def test_the_loss_takes_over_a_temporary_interior_logits_buffer(monkeypatch, cpus):
+    cpus(1)
+    h, w, targets = _loss_inputs()
+    hp, wp = parameter(h), parameter(w)
+    taken = _spy_exp_buffers(monkeypatch)
+    _, peak = _traced_peak(lambda: cross_entropy_mean(matmul(hp, wp), targets))
+    assert taken == [True]
+    assert peak <= 1.1 * LOGITS_BYTES   # the logits, and no second array of their size
+
+
+def test_a_taken_over_buffer_gives_the_held_calls_loss_and_gradients(cpus):
+    h, w, targets = _loss_inputs()
+
+    def run(held):
+        hp, wp = parameter(h), parameter(w)
+        loss = _named(hp, wp, targets)[0] if held else cross_entropy_mean(matmul(hp, wp), targets)
+        backward(loss)
+        return [loss.data, hp.grad, wp.grad]
+
+    for temporary, held in zip(serial_and_pooled(cpus, lambda: run(False), n_cpus=(2,)),
+                               serial_and_pooled(cpus, lambda: run(True), n_cpus=(2,))):
+        for a, b in zip(temporary, held):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("call", [
+    _named, _array_held, lambda hp, wp, targets: _array_held(hp, wp, targets, view=True),
+    _view_of_held, _leaf, _through_wrapper, _graph_free,
+], ids=["named", "array-held", "view-held", "view-of-held", "leaf", "args-wrapper", "graph-free"])
+def test_the_loss_leaves_logits_that_something_else_holds(monkeypatch, cpus, call):
+    # each call keeps today's path and its peak: the logits, bit for bit, beside a
+    # second array of their size (the exp buffer; the graph-free case's copy)
+    cpus(1)
+    h, w, targets = _loss_inputs()
+    hp, wp = parameter(h), parameter(w)
+    with no_grad():
+        expected = matmul(hp, wp).data
+        expected_loss = cross_entropy_mean(Tensor(expected), targets).data
+    taken = _spy_exp_buffers(monkeypatch)
+    (loss, logits), peak = _traced_peak(lambda: call(hp, wp, targets))
+    assert taken == [False]
+    assert np.array_equal(logits, expected)   # bit for bit
+    assert np.array_equal(loss.data, expected_loss)
+    assert 1.9 * LOGITS_BYTES <= peak <= 2.1 * LOGITS_BYTES
+
+
+def test_no_buffer_is_taken_over_where_the_probe_cannot_tell(monkeypatch, cpus):
+    cpus(1)
+    h, w, targets = _loss_inputs()
+    hp, wp = parameter(h), parameter(w)
+    monkeypatch.setattr(tensor_module, "_SOLE_REF_COUNTS", None)
+    taken = _spy_exp_buffers(monkeypatch)
+    _, peak = _traced_peak(lambda: cross_entropy_mean(matmul(hp, wp), targets))
+    assert taken == [False]
+    assert peak >= 1.9 * LOGITS_BYTES
 
 
 def test_backward_linear_layer():
