@@ -4,17 +4,16 @@
 (`each_block`: `usable_cpus() - 1` threads and the caller) and the
 number of forked parts a job is cut into (`processes`, for `run_parts`).
 
-A `Lane` runs jobs beside the caller on the same pool: serially, one at
-a time, in the order they were submitted (a FIFO queue that one drain at
-a time empties, never the executor's order), each in a copy of its
-submitter's context, so numpy's `errstate` holds there too. `backward`
-opens one per sweep and joins it before it returns or raises; its user
-keeps at most one product in flight by joining before each (`tensor`
-says which products). `open_lane` gives None unless the pool is
-already running, so a process that never pools never has a lane. A
-lane's jobs are tasks of the pool's executor, so the before-fork hook,
-which shuts the executor down and waits for its tasks, joins the lane
-as well.
+A `Lane` runs jobs beside the caller on the same pool, one at a time:
+its `submit` waits for the job before it, so one job at most is in
+flight, and the jobs run in the order they were submitted, each in a
+copy of its submitter's context, so numpy's `errstate` holds there too.
+`backward` opens one per sweep and joins it before it returns or raises
+(`tensor` says which products it runs). `open_lane` gives None unless
+the pool is already running, so a process that never pools never has a
+lane. A lane's job is a task of the pool's executor, so the before-fork
+hook, which shuts the executor down and waits for its tasks, joins the
+lane as well.
 
 A forked child holds only the thread that forked. The pool's threads are
 joined before every fork (`os.register_at_fork`), so a fork happens
@@ -40,7 +39,6 @@ import pickle
 import signal
 import threading
 import traceback
-from collections import deque
 
 # A kernel call of fewer blocks runs serially: a pooled call waits for a thread
 # to wake on each side, about 0.1 ms each on a 2-vCPU VM, which 4 or 5 blocks
@@ -83,11 +81,6 @@ def _pool(n_blocks):
         return _POOL["workers"]
 
 
-def pooled(n_blocks):
-    """Whether `each_block` runs a call of `n_blocks` blocks on the pool."""
-    return _pool(n_blocks) is not None
-
-
 def _stop_pool():
     """Join the pool's threads; the next multi-block call starts a new pool."""
     with _POOL_LOCK:
@@ -109,8 +102,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def each_block(fn, blocks):
-    """fn(blk) for every blk of the list `blocks`: serially unless `pooled`,
-    else on the pool's threads and the caller's.
+    """fn(blk) for every blk of the list `blocks`: on the pool's threads and
+    the caller's when `_pool` gives a pool, else serially.
 
     Each thread takes the next block from one shared list iterator (`next` on
     it is one C call, atomic under the interpreter lock) until none is left.
@@ -143,56 +136,27 @@ def each_block(fn, blocks):
 class Lane:
     """Jobs run one at a time, in submission order, on the kernel pool's threads.
 
-    `submit` queues a job and, unless a drain is already queued or
-    running, hands the executor one drain that runs the queue until it is
-    empty, so two jobs never run at once, also on a pool of many threads.
-    A job runs in a copy of its submitter's context. When a job raises,
-    the jobs queued behind it are dropped, later ones are not queued, and
-    `join` raises the error.
+    `submit` waits for the job before it, then hands the executor the new
+    one, so two jobs never run at once, also on a pool of many threads. A
+    job runs in a copy of its submitter's context. A job's error is raised,
+    with its own type, by the next `submit` (whose job then does not run)
+    or `join`; the lane takes jobs again afterwards.
     """
 
     def __init__(self, executor):
         self._executor = executor
-        self._jobs = deque()   # (context, fn, args), oldest first
-        self._idle = threading.Condition(threading.Lock())
-        self._draining = False
-        self._error = None
+        self._job = None   # the future of the job in flight, or None once joined
 
     def submit(self, fn, *args):
-        """Queue fn(*args) behind every job submitted before it."""
-        job = (contextvars.copy_context(), fn, args)
-        with self._idle:
-            if self._error is not None:
-                return
-            self._jobs.append(job)
-            if not self._draining:
-                self._executor.submit(self._drain)
-                self._draining = True
-
-    def _drain(self):
-        """On a pool thread: run the queued jobs until none is left."""
-        while True:
-            with self._idle:
-                if not self._jobs:
-                    self._draining = False
-                    self._idle.notify_all()
-                    return
-                context, fn, args = self._jobs.popleft()
-            try:
-                context.run(fn, *args)
-            except BaseException as error:   # raised again by `join`
-                with self._idle:
-                    self._error = error
-                    self._jobs.clear()
+        """Run fn(*args) once every job submitted before it has run."""
+        self.join()
+        self._job = self._executor.submit(contextvars.copy_context().run, fn, *args)
 
     def join(self):
-        """Wait until every queued job has run, then raise what a job raised,
-        with its own type; the lane takes jobs again afterwards."""
-        with self._idle:
-            self._idle.wait_for(lambda: not self._draining)
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
+        """Wait for the job in flight, then raise what it raised, with its own type."""
+        job, self._job = self._job, None
+        if job is not None:
+            job.result()
 
 
 def open_lane():

@@ -64,12 +64,12 @@ leaf, unless the sweep has a lane (`parallel.open_lane`: only while the
 kernel pool runs). There `matmul` hands its weight gradient a^T g to
 the lane when the weight is a leaf and the adjoint g has at least
 `SCORE_BUDGET` entries, before it computes the input gradient g b^T, so
-the two products run on two CPUs at once; it first waits for the
-previous such product, so one at most is in flight. From its first
-lane term on, every later term of that leaf goes to the lane too, where
-one job at a time adds them into `.grad` in the order the sweep handed
-them over, as `_take` would have inline. The lane only reads what it
-was handed, and `backward` waits for it before it returns or raises.
+the two products run on two CPUs at once; the lane first waits for its
+previous job, so one product at most is in flight. From its first lane
+term on, every later term of that leaf goes to the lane too, where one
+job at a time adds them into `.grad` in the order the sweep handed them
+over, as `_take` would have inline. The lane only reads what it was
+handed, and `backward` waits for it before it returns or raises.
 
 Kernels write only into buffers they allocated themselves, never into
 an input but one (below), and stay off numpy's slow paths: `gelu` cubes by
@@ -97,24 +97,24 @@ read the logits afterwards, so every bit is the same either way.
 
 Working sets stay bounded, bit-identical to the whole-array kernels.
 `attention` runs its blocks in chunks of at most `SCORE_BUDGET` score
-entries. When a recorded graph or a probe reads the probabilities
-afterwards, each chunk writes its slice of one whole (B, H, Lq, Lk)
-probability buffer, and the backward runs over the same chunks; run
-serially, such a call is one chunk of every block. `nll_rows` works in
-row blocks of at most `SCORE_BUDGET` logits; `gelu` builds its output in
-the tanh buffer when no backward reads it. The backward kernels of
-`gelu` and `layer_norm` run in blocks of at most `SCORE_BUDGET` entries
-(whole rows for `layer_norm`) written into one output array, and
-`embedding` scatters with one `np.bincount` per
-column, the in-order sums of `np.add.at`. The `h @ head` logits product
-stays whole: with OpenBLAS, row blocks of a (2048, 32) @ (32, 257)
-product differ in their last bits from the whole product, so the
-(T, vocab) logits are the one array a scoring window needs whole.
+entries. When a recorded graph or a probe reads the probabilities of
+more than one chunk afterwards, each chunk writes its slice of one whole
+(B, H, Lq, Lk) probability buffer, and the backward runs over the same
+chunks. `nll_rows` works in row blocks of at most `SCORE_BUDGET` logits;
+`gelu` builds its output in the tanh buffer when no backward reads it.
+`gelu` (forward and backward) and the `layer_norm` backward run in
+blocks of at most `SCORE_BUDGET` entries (whole rows for `layer_norm`)
+written into one output array, and `embedding` scatters with one
+`np.bincount` per column, the in-order sums of `np.add.at`. The
+`h @ head` logits product stays whole: with OpenBLAS, row blocks of a
+(2048, 32) @ (32, 257) product differ in their last bits from the whole
+product, so the (T, vocab) logits are the one array a scoring window
+needs whole.
 
-The block loops of `attention` (forward and backward), `gelu` (forward,
-then in blocks too, and backward), the `layer_norm` backward and the
-log-sum-exp of `nll_rows` and `cross_entropy_mean` run through
-`parallel.each_block`, on every CPU when a call has enough blocks. Each
+The block loops of `attention` (forward and backward), `gelu` (forward
+and backward), the `layer_norm` backward and the log-sum-exp of
+`nll_rows` and `cross_entropy_mean` run through `parallel.each_block`,
+which alone decides whether a call's blocks run on every CPU. Each
 block makes the serial loop's numpy and single-thread BLAS calls on the
 same slices and writes its own slice of one output, and a sum across
 blocks (the shared-query gradient of `attention`) runs after them all,
@@ -150,7 +150,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .parallel import each_block, open_lane, pooled
+from .parallel import each_block, open_lane
 
 
 class ShapeError(ValueError):
@@ -466,14 +466,11 @@ def _take_weight_grad(leaf, a, g):
 def _defer_weight_grad(leaf, other, a, g):
     """Hand `matmul`'s weight gradient a^T g to the sweep's lane and return
     True, when the weight `leaf` is a leaf, not also `matmul`'s other input
-    `other`, and the adjoint g has at least `SCORE_BUDGET` entries. The
-    lane's previous product is finished first, so one at most is in flight."""
+    `other`, and the adjoint g has at least `SCORE_BUDGET` entries."""
     if type(leaf) is not Tensor or leaf is other or g.size < SCORE_BUDGET:
         return False
-    lane = _LANE[0]
-    lane.join()
     _LANE_LEAVES.add(leaf)
-    lane.submit(_take_weight_grad, leaf, a, g)
+    _LANE[0].submit(_take_weight_grad, leaf, a, g)
     return True
 
 
@@ -666,11 +663,11 @@ def attention(q, k, v, n_heads, hidden=None, probe=None):
     One loop runs the blocks in chunks of at most `SCORE_BUDGET` scores,
     on the worker pool when there are enough of them (`each_block`), and
     writes each chunk's heads into one output array. When a backward or a
-    probe reads the probabilities afterwards, each chunk also writes its
-    slice of one probability buffer, and the backward loop runs over the
-    same chunks; serially, such a call is one chunk of every block. Every
-    product and softmax row is the one the whole stack computes, so the
-    result does not depend on the chunks.
+    probe reads the probabilities of more than one chunk afterwards, each
+    chunk also writes its slice of one probability buffer, and the
+    backward loop runs over the same chunks. Every product and softmax row
+    is the one the whole stack computes, so the result does not depend on
+    the chunks.
 
     Backward is closed form: with dP = dO V^T the score adjoint is
     P * (dP - rowsum(dP * P)) (Dao et al. 2022). FLOPs per block and head
@@ -697,12 +694,9 @@ def attention(q, k, v, n_heads, hidden=None, probe=None):
     qh, kh, vh = (_split_heads(qd, n_heads, dk), _split_heads(kd, n_heads, dk),
                   _split_heads(vd, n_heads, dk))
     chunks = _row_blocks(n_blocks, per_block)
-    probs = None   # one buffer the chunks write p into, on the pool
+    probs = None   # one buffer the chunks write p into
     if len(chunks) > 1 and (probe is not None or _records((q, k, v))):   # p is read afterwards
-        if not pooled(len(chunks)):
-            chunks = [slice(None)]   # serially, one chunk of every block
-        else:
-            probs = np.empty((n_blocks, n_heads, n_queries, n_keys))
+        probs = np.empty((n_blocks, n_heads, n_queries, n_keys))
     out = np.empty((n_blocks, n_queries, width))
     out_heads = out.reshape(out.shape[:2] + (n_heads, dk))
 
@@ -1089,8 +1083,7 @@ def gelu(x):
         ob *= 0.5
         ob *= xb
 
-    # serially, the whole array in one block
-    each_block(forward_block, blocks if pooled(len(blocks)) else [slice(None)])
+    each_block(forward_block, blocks)
 
     def bwd(g, nx):
         # g * ((t + 1) * 0.5 + ((0.5 * x) * (1 - t * t)) * du), du = C * (1 + 3 * 0.044715 * x * x),

@@ -6,7 +6,9 @@ imports `threading`, `concurrent.futures`, `pickle` or `signal`, or
 reaches `os.fork`, `os.register_at_fork` or `os.sched_getaffinity`. One
 module, `hici.tensor`, owns the rule by which an op may write into an
 argument nothing else references: no other module reads
-`sys.getrefcount`.
+`sys.getrefcount`. `hici.tensor` asks `hici.parallel` only to run work
+(`each_block`, `open_lane`), so where a kernel block runs is decided in
+`hici.parallel` alone.
 """
 
 import ast
@@ -71,3 +73,14 @@ def _reads_refcounts(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_tensor_reads_reference_counts(path):
     assert _reads_refcounts(_tree(path)) == (path.name == "tensor.py")
+
+
+def test_tensor_asks_parallel_only_to_run_work():
+    tree = _tree(PACKAGE / "tensor.py")
+    names = sorted(alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "parallel" for alias in node.names)
+    whole_module = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                    for alias in node.names if alias.name == "parallel"]
+    assert names == ["each_block", "open_lane"] and whole_module == []

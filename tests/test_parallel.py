@@ -4,19 +4,23 @@ A kernel call of at least `POOL_MIN_BLOCKS` blocks runs its blocks on the
 pool's threads and the caller's. These tests pin that the pooled path
 gives every bit of the serial one, signed zeros included, for each pooled
 kernel: `attention` forward and backward, `gelu` forward and backward,
-`layer_norm` backward, `nll_rows` and `cross_entropy_mean`. They pin that
-each block runs once, in the caller's numpy error state, that a block's
-exception reaches the caller with its own type, and that a process which
-has started the pool, or used a backward's lane, still forks cleanly for
-the gradient check.
+`layer_norm` backward, `nll_rows` and `cross_entropy_mean`; and that on
+one CPU the same kernels give the same bits in blocks of `SCORE_BUDGET`
+as in one block of everything, so only `each_block` decides where a
+block runs. They pin that each block runs once, in the caller's numpy
+error state, that a block's exception reaches the caller with its own
+type, and that a process which has started the pool, or used a
+backward's lane, still forks cleanly for the gradient check.
 
 The lane tests pin that a `Lane` runs its jobs one at a time in
-submission order, also on a pool of three threads; that a leaf whose
+submission order, also on a pool of three threads; that a job's error
+comes out of the next `submit`, whose job then does not run, or `join`,
+with its own type, and the lane takes jobs again; that a leaf whose
 terms go through the lane gets the bits of the serial sum, in an order
 where the order shows; that a strict-train step gives the same bits on
 one CPU and on two; that a lane error reaches the caller of `backward`
-with its own type, from the caller's error state, and leaves nothing
-queued; that `backward` joins the lane before it raises; and that the
+with its own type, from the caller's error state, and leaves no job in
+flight; that `backward` joins the lane before it raises; and that the
 lane adds at most one deferred product's memory to a backward's peak.
 
 The last tests pin `run_parts`: independent jobs give the same values, in
@@ -97,7 +101,10 @@ def test_each_block_runs_every_block_once_across_threads(cpus):
     assert len(threads) > 1
 
 
-def test_attention_pooled_equals_serial(cpus):
+def _attention_runs():
+    """Runs of `attention` over 400 blocks, 12 chunks of at most `SCORE_BUDGET`
+    scores and a partial one: graph-free, probed, recorded and recorded and
+    probed, with a per-block and a shared q, with and without the mask."""
     rng = np.random.default_rng(40)
     n_blocks, n_heads, n_queries, n_keys, width = 400, 2, 16, 24, 12
     assert n_blocks % (SCORE_BUDGET // (n_heads * n_queries * n_keys)) != 0   # a partial chunk
@@ -127,8 +134,72 @@ def test_attention_pooled_equals_serial(cpus):
                 seen = []
                 return recorded(seen.append) + seen
 
-            for run in (graph_free, probed, recorded, recorded_probed):
-                _assert_all_same(serial_and_pooled(cpus, run))
+            yield from (graph_free, probed, recorded, recorded_probed)
+
+
+def _gelu_runs():
+    """`gelu` graph-free and recorded, on more than `POOL_MIN_BLOCKS` blocks
+    and a partial one, signed zeros and a subnormal among the inputs."""
+    rng = np.random.default_rng(42)
+    x = rng.normal(scale=4.0, size=(2100, 131))
+    x[0, :3] = (0.0, -0.0, -1e-300)
+    assert x.size > POOL_MIN_BLOCKS * SCORE_BUDGET and x.size % SCORE_BUDGET != 0
+    upstream = rng.normal(size=x.shape)
+
+    def graph_free():
+        with no_grad():
+            return [gelu(Tensor(x)).data]
+
+    def recorded():
+        p = parameter(x)
+        y = gelu(p)
+        backward(tsum(mul_const(y, upstream)))
+        return [y.data, p.grad]
+
+    yield from (graph_free, recorded)
+
+
+def _layer_norm_runs():
+    """A recorded `layer_norm` whose backward runs whole row blocks and a part."""
+    rng = np.random.default_rng(43)
+    n_rows = POOL_MIN_BLOCKS * (SCORE_BUDGET // 33) + 17
+    x = rng.normal(scale=2.0, size=(n_rows, 33))
+    gain, bias, upstream = rng.normal(size=33), rng.normal(size=33), rng.normal(size=x.shape)
+
+    def run():
+        ps = [parameter(a) for a in (x, gain, bias)]
+        y = layer_norm(*ps)
+        backward(tsum(mul_const(y, upstream)))
+        return [y.data] + [p.grad for p in ps]
+
+    yield run
+
+
+def _loss_runs():
+    """`nll_rows`, and `cross_entropy_mean` recorded and graph-free, over
+    `POOL_MIN_BLOCKS` row blocks and a part."""
+    rng = np.random.default_rng(44)
+    n_rows = POOL_MIN_BLOCKS * (SCORE_BUDGET // 257) + 5
+    logits = rng.normal(scale=5.0, size=(n_rows, 257))
+    targets = rng.integers(0, 257, size=n_rows)
+
+    def nll():
+        return [nll_rows(logits, targets)]
+
+    def cross_entropy():
+        p = parameter(logits)
+        loss = cross_entropy_mean(p, targets)
+        backward(loss)
+        with no_grad():
+            free = cross_entropy_mean(Tensor(logits), targets)
+        return [loss.data, p.grad, free.data]
+
+    yield from (nll, cross_entropy)
+
+
+def test_attention_pooled_equals_serial(cpus):
+    for run in _attention_runs():
+        _assert_all_same(serial_and_pooled(cpus, run))
 
 
 def test_attention_pooled_equals_serial_for_one_input_needing_a_gradient(cpus):
@@ -147,60 +218,42 @@ def test_attention_pooled_equals_serial_for_one_input_needing_a_gradient(cpus):
 
 
 def test_gelu_pooled_equals_serial(cpus):
-    rng = np.random.default_rng(42)
-    x = rng.normal(scale=4.0, size=(2100, 131))
-    x[0, :3] = (0.0, -0.0, -1e-300)
-    assert x.size > POOL_MIN_BLOCKS * SCORE_BUDGET and x.size % SCORE_BUDGET != 0
-    upstream = rng.normal(size=x.shape)
-
-    def graph_free():
-        with no_grad():
-            return [gelu(Tensor(x)).data]
-
-    def recorded():
-        p = parameter(x)
-        y = gelu(p)
-        backward(tsum(mul_const(y, upstream)))
-        return [y.data, p.grad]
-
-    for run in (graph_free, recorded):
+    for run in _gelu_runs():
         _assert_all_same(serial_and_pooled(cpus, run))
 
 
 def test_layer_norm_backward_pooled_equals_serial(cpus):
-    rng = np.random.default_rng(43)
-    n_rows = POOL_MIN_BLOCKS * (SCORE_BUDGET // 33) + 17   # whole row blocks and a part
-    x = rng.normal(scale=2.0, size=(n_rows, 33))
-    gain, bias, upstream = rng.normal(size=33), rng.normal(size=33), rng.normal(size=x.shape)
-
-    def run():
-        ps = [parameter(a) for a in (x, gain, bias)]
-        y = layer_norm(*ps)
-        backward(tsum(mul_const(y, upstream)))
-        return [y.data] + [p.grad for p in ps]
-
-    _assert_all_same(serial_and_pooled(cpus, run))
+    for run in _layer_norm_runs():
+        _assert_all_same(serial_and_pooled(cpus, run))
 
 
 def test_loss_kernels_pooled_equal_serial(cpus):
-    rng = np.random.default_rng(44)
-    n_rows = POOL_MIN_BLOCKS * (SCORE_BUDGET // 257) + 5
-    logits = rng.normal(scale=5.0, size=(n_rows, 257))
-    targets = rng.integers(0, 257, size=n_rows)
-
-    def nll():
-        return [nll_rows(logits, targets)]
-
-    def cross_entropy():
-        p = parameter(logits)
-        loss = cross_entropy_mean(p, targets)
-        backward(loss)
-        with no_grad():
-            free = cross_entropy_mean(Tensor(logits), targets)
-        return [loss.data, p.grad, free.data]
-
-    for run in (nll, cross_entropy):
+    for run in _loss_runs():
         _assert_all_same(serial_and_pooled(cpus, run))
+
+
+def test_on_one_cpu_the_bits_do_not_depend_on_the_chunking(cpus, monkeypatch):
+    # every kernel call in blocks of `SCORE_BUDGET`, then in one block of everything
+    cpus(1)
+    sizes = []   # the block count of each `each_block` call
+    run_blocks = tensor.each_block
+
+    def counted(fn, blocks):
+        sizes.append(len(blocks))
+        run_blocks(fn, blocks)
+
+    monkeypatch.setattr(tensor, "each_block", counted)
+    for runs in (_attention_runs, _gelu_runs, _layer_norm_runs, _loss_runs):
+        for run in runs():
+            sizes.clear()
+            chunked = run()
+            assert max(sizes) > 1
+            with monkeypatch.context() as whole_stack:
+                whole_stack.setattr(tensor, "SCORE_BUDGET", 1 << 62)
+                sizes.clear()
+                whole = run()
+                assert set(sizes) <= {1}   # a one-chunk attention forward skips `each_block`
+            _assert_all_same([chunked, whole])
 
 
 def test_workers_run_in_the_callers_numpy_error_state(cpus):
@@ -301,7 +354,7 @@ def test_a_lane_runs_its_jobs_one_at_a_time_in_submission_order(cpus):
     assert ran == list(range(300)) and set(overlaps) == {1}
 
 
-def test_a_lane_drops_the_jobs_behind_an_error_and_raises_it_on_join(cpus):
+def test_a_lanes_error_is_raised_by_the_next_submit_or_join(cpus):
     cpus(2)
     _start_pool()
     lane = parallel.open_lane()
@@ -311,19 +364,22 @@ def test_a_lane_drops_the_jobs_behind_an_error_and_raises_it_on_join(cpus):
         pass
 
     def job(i):
-        if i == 3:
+        if i in (1, 4):
             raise JobFailed(i)
-        time.sleep(0.001)
         ran.append(i)
 
-    for i in range(8):
-        lane.submit(job, i)
-    with pytest.raises(JobFailed):
+    lane.submit(job, 0)
+    lane.submit(job, 1)
+    with pytest.raises(JobFailed) as info:
+        lane.submit(job, 2)   # job 1's error; job 2 is not run
+    assert info.value.args == (1,)
+    lane.submit(job, 3)   # the lane takes jobs again
+    lane.submit(job, 4)
+    with pytest.raises(JobFailed) as info:
         lane.join()
-    assert ran == [0, 1, 2]
-    lane.submit(job, 8)   # the lane takes jobs again
+    assert info.value.args == (4,) and lane._job is None
     lane.join()
-    assert ran == [0, 1, 2, 8]
+    assert ran == [0, 3]
 
 
 def test_there_is_no_lane_without_a_running_pool(cpus):
@@ -426,7 +482,7 @@ def test_a_deferred_products_error_reaches_backwards_caller_and_leaves_nothing_q
             _overflowing_backward(np.random.default_rng(49), 1e200)
         # on two CPUs the product overflowed on the lane, in the caller's error state
         assert lane_jobs == ["_take_weight_grad"] * (n - 1)
-        assert lanes[-1] is None or not (lanes[-1]._jobs or lanes[-1]._draining)
+        assert lanes[-1] is None or lanes[-1]._job is None
         _assert_same_bits(_overflowing_backward(np.random.default_rng(49), 1.0), clean)
     assert sum(lane is not None for lane in lanes) == 3
 
